@@ -142,7 +142,6 @@ def _layer_cfg(section: dict) -> core.InhibitionConfig:
     return core.InhibitionConfig(threshold=float(section["threshold"]),
                                  competition_radius=section["competition_radius"],
                                  lateral_inhibition=section["lateral_inhibition"],
-                                 competition=True,
                                  pool_lateral_inhibition=section["pool_lateral_inhibition"])
 
 
@@ -169,10 +168,8 @@ def cmd_train(cfg: dict, out: Path) -> dict:
              "convergence_factor": train.convergence_factor(kernel)}
 
     if cfg["feature_mode"] == "global_max_potential":
-        # second convolution layer, trained on the frozen first layer's
-        # pooled spikes (lateral inhibition stays on, competition off)
+        # second convolution layer, trained on the frozen first layer's pooled spikes
         infer = _layer_cfg(layer)
-        infer.competition = False
         pooled = []
         for t in tensors:
             spikes, pots = core.infer_image(t.dense(), kernel, infer)
@@ -202,9 +199,7 @@ def _pipeline(cfg: dict, out: Path) -> train.ConvPipeline:
     second = None
     if cfg["feature_mode"] == "global_max_potential":
         second = core.load_kernel(_require(out / "kernel-l4.skrn", "second-layer kernel"))
-    infer = _layer_cfg(cfg["layer"])
-    infer.competition = False
-    return train.ConvPipeline(kernel, infer, cfg["feature_mode"], second)
+    return train.ConvPipeline(kernel, _layer_cfg(cfg["layer"]), cfg["feature_mode"], second)
 
 
 def cmd_features(cfg: dict, out: Path) -> dict:
@@ -279,6 +274,8 @@ def cmd_eval(cfg: dict, out: Path) -> dict:
         pred = np.argmax(data.values @ head.weights.T, axis=1) // head.neurons_per_class
     acc = float(np.mean(pred == data.labels))
     n_classes = h["n_classes"]
+    if data.labels.max(initial=0) >= n_classes:
+        raise ValueError(f"test label {data.labels.max()} >= head.n_classes {n_classes}")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for truth, guess in zip(data.labels, pred):
         confusion[truth, guess] += 1

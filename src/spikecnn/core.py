@@ -33,8 +33,8 @@ class ConvKernel:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 4:
             raise ValueError("kernel weights must be 4-D (maps_out, maps_in, k, k)")
-        if self.weights.min(initial=0.0) < 0.0 or self.weights.max(initial=0.0) > 1.0:
-            raise ValueError("kernel weights must lie in [0, 1]")
+        if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
+            raise ValueError("kernel weights must be finite and lie in [0, 1]")
         if self.a_plus <= 0 or self.a_minus <= 0:
             raise ValueError("learning rates must be positive")
 
@@ -68,7 +68,6 @@ class InhibitionConfig:
     threshold: float = 15.0
     competition_radius: int = 5
     lateral_inhibition: bool = True
-    competition: bool = True  # training only
     pool_lateral_inhibition: bool = False
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ class LayerState:
     def reset_image(self) -> None:
         maps_out, out_h, out_w = self.out_shape
         self.fired = np.zeros(self.out_shape, dtype=bool)
-        self.fired_potential = np.zeros(self.out_shape, dtype=np.float64)
-        self.fired_bin = np.full(self.out_shape, -1, dtype=np.int64)
         self.location_locked = np.zeros((out_h, out_w), dtype=bool)
         self.map_updated = np.zeros(maps_out, dtype=bool)
         self.winner_positions: list[tuple[int, int]] = []
@@ -136,7 +133,7 @@ def conv_accumulate(spikes_bin: np.ndarray, weights: np.ndarray,
 
 
 def fire_and_inhibit(potentials: np.ndarray, state: LayerState,
-                     cfg: InhibitionConfig, time_bin: int) -> np.ndarray:
+                     cfg: InhibitionConfig) -> np.ndarray:
     """Fire neurons above threshold, applying lateral inhibition.
 
     A neuron fires at most once per image.  With lateral inhibition on, only
@@ -162,8 +159,6 @@ def fire_and_inhibit(potentials: np.ndarray, state: LayerState,
         fired_now = eligible
 
     state.fired |= fired_now
-    state.fired_potential[fired_now] = potentials[fired_now]
-    state.fired_bin[fired_now] = time_bin
     return fired_now
 
 
@@ -248,19 +243,35 @@ def double_learning_rates(kernel: ConvKernel, images_seen: int,
 
 def infer_image(dense_spikes: np.ndarray, kernel: ConvKernel,
                 cfg: InhibitionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run one image through a frozen layer (no competition, no learning).
+    """Run one image through a frozen layer (no competition, no learning),
+    firing and inhibiting exactly as ``fire_and_inhibit`` does bin by bin.
 
     Returns (out_spikes (T, M, H', W') bool, fired_potentials (M, H', W')).
     """
     t_bins, c, h, w = dense_spikes.shape
-    out_h, out_w = h - kernel.k + 1, w - kernel.k + 1
-    state = LayerState(kernel.maps_out, c, out_h, out_w, h, w)
-    potentials = np.zeros((kernel.maps_out, out_h, out_w))
-    out = np.zeros((t_bins, kernel.maps_out, out_h, out_w), dtype=bool)
+    potentials = np.zeros((kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1))
+    traj = np.empty((t_bins,) + potentials.shape)
     for t in range(t_bins):
-        conv_accumulate(dense_spikes[t], kernel.weights, potentials)
-        out[t] = fire_and_inhibit(potentials, state, cfg, t)
-    return out, state.fired_potential
+        traj[t] = conv_accumulate(dense_spikes[t], kernel.weights, potentials)
+    flat = traj.reshape(t_bins, -1)
+    # Potentials never decrease: each neuron above threshold fired at its first crossing
+    idx = np.flatnonzero(potentials > cfg.threshold)
+    first = (flat[:, idx] > cfg.threshold).argmax(axis=0)
+    if cfg.lateral_inhibition and idx.size:
+        # per location: earliest bin, then highest potential, then lowest map
+        first_bin = np.full((kernel.maps_out, potentials[0].size), t_bins)
+        first_bin.flat[idx] = first
+        key = np.full(first_bin.shape, -np.inf)
+        key.flat[idx] = flat[first, idx]
+        key[first_bin > first_bin.min(axis=0)] = -np.inf
+        loc = np.flatnonzero(key.max(axis=0) > -np.inf)
+        idx = key[:, loc].argmax(axis=0) * key.shape[1] + loc
+        first = first_bin.flat[idx]
+    spikes = np.zeros(traj.shape, dtype=bool)
+    spikes.reshape(t_bins, -1)[first, idx] = True
+    fired_potentials = np.zeros(potentials.shape)
+    fired_potentials.flat[idx] = flat[first, idx]
+    return spikes, fired_potentials
 
 
 def max_pool(spikes: np.ndarray, spike_potentials: np.ndarray,
@@ -328,11 +339,6 @@ def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel) -> np.nda
         conv_accumulate(dense_spikes[t], kernel.weights, potentials)
         total += potentials.max(axis=(1, 2))
     return total
-
-
-def count_spikes(spikes: np.ndarray) -> np.ndarray:
-    """Per-neuron spike count across bins, flattened map-major."""
-    return spikes.sum(axis=0, dtype=np.float64).ravel()
 
 
 def save_kernel(path, kernel: ConvKernel) -> None:

@@ -58,15 +58,14 @@ class SpikeTensor:
     events: np.ndarray
 
     def __post_init__(self):
-        ev = np.asarray(self.events, dtype=np.uint8).reshape(-1, 4)
-        if ev.shape[0]:
-            order = np.lexsort((ev[:, 3], ev[:, 2], ev[:, 1], ev[:, 0]))
-            ev = ev[order]
-            for axis in range(4):
-                if ev[:, axis].max(initial=0) >= self.shape[axis]:
-                    raise ValueError(f"event coordinate out of range on axis {axis}")
-            if ev.shape[0] > 1 and (ev[1:] == ev[:-1]).all(axis=1).any():
-                raise ValueError("duplicate spike event")
+        ev = np.asarray(self.events).reshape(-1, 4)
+        # checked before the u8 cast, which would wrap 299 to 43
+        if (ev < 0).any() or (ev >= np.minimum(self.shape, 256)).any():
+            raise ValueError(f"event coordinate out of range for shape {self.shape} or u8")
+        ev = ev.astype(np.uint8, copy=False)
+        ev = ev[np.lexsort((ev[:, 3], ev[:, 2], ev[:, 1], ev[:, 0]))]
+        if (ev[1:] == ev[:-1]).all(axis=1).any():
+            raise ValueError("duplicate spike event")
         self.events = ev
 
     @property
@@ -91,8 +90,7 @@ class SpikeTensor:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SpikeTensor":
-        ev = np.argwhere(dense).astype(np.uint8)
-        return cls(tuple(dense.shape), ev)
+        return cls(tuple(dense.shape), np.argwhere(dense))
 
 
 def make_dog_kernel(sigma_center: float, sigma_surround: float) -> DoGKernel:

@@ -411,6 +411,8 @@ def load_head(path):
     version, tag, aux = struct.unpack_from("<III", buf, 4)
     if version != HEAD_VERSION:
         raise ValueError(f"unsupported head version {version}")
+    if aux >= len(_COSTS if tag == HEAD_TAG_FCN else _MODES):
+        raise ValueError(f"unknown cost/ratio-mode tag {aux}")
     if tag == HEAD_TAG_FCN:
         n_out, n_in = struct.unpack_from("<II", buf, 16)
         eta0, eta_decay, lam = struct.unpack_from("<ddd", buf, 24)

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ConvKernel, InhibitionConfig, LayerState, conv_accumulate,
-                   count_spikes, depress_map, double_learning_rates,
-                   fire_and_inhibit, global_max_potential, homeostasis_gate,
-                   infer_image, max_pool, stdp_competition, stdp_update)
+                   depress_map, double_learning_rates, fire_and_inhibit,
+                   global_max_potential, homeostasis_gate, infer_image,
+                   max_pool, stdp_competition, stdp_update)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_accuracy, fcn_gradients,
                     fcn_train_epoch, init_fcn_head, one_hot)
@@ -69,17 +69,15 @@ def train_image(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
     for t in range(t_bins):
         state.input_cum |= dense[t]
         conv_accumulate(dense[t], kernel.weights, potentials)
-        fired = fire_and_inhibit(potentials, state, cfg, t)
+        fired = fire_and_inhibit(potentials, state, cfg)
         if not fired.any():
             continue
         n_spikes += int(fired.sum())
-        if cfg.competition:
-            winners = stdp_competition(fired, potentials, state, cfg.competition_radius)
-            for m, u, v in winners:
-                if homeostasis_gate(state, m):
-                    stdp_update(kernel, m, state.input_cum[:, u:u + k, v:v + k])
-                else:
-                    depress_map(kernel, m)
+        for m, u, v in stdp_competition(fired, potentials, state, cfg.competition_radius):
+            if homeostasis_gate(state, m):
+                stdp_update(kernel, m, state.input_cum[:, u:u + k, v:v + k])
+            else:
+                depress_map(kernel, m)
     state.images_seen += 1
     return n_spikes
 
@@ -160,21 +158,19 @@ class ConvPipeline:
         if self.feature_mode == "global_max_potential" and self.second_kernel is None:
             raise ValueError("global_max_potential needs a second kernel")
 
-    def infer_cfg(self) -> InhibitionConfig:
-        return InhibitionConfig(threshold=self.cfg.threshold,
-                                competition_radius=self.cfg.competition_radius,
-                                lateral_inhibition=self.cfg.lateral_inhibition,
-                                competition=False,
-                                pool_lateral_inhibition=self.cfg.pool_lateral_inhibition)
-
     def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
         """(feature vector, conv-layer spike count) for one image."""
-        dense = tensor.dense()
-        spikes, potentials = infer_image(dense, self.kernel, self.infer_cfg())
-        n_spikes = int(spikes.sum())
+        spikes, potentials = infer_image(tensor.dense(), self.kernel, self.cfg)
+        n_spikes = np.count_nonzero(spikes)
+        if self.feature_mode == "spike_count" and not self.cfg.pool_lateral_inhibition:
+            # max_pool passes one spike per block and map: the count is a block-OR
+            m, h, w = potentials.shape
+            fired = spikes.any(axis=0)[:, :h - h % 2, :w - w % 2]
+            blocks = fired.reshape(m, h // 2, 2, w // 2, 2)
+            return blocks.any(axis=(2, 4)).ravel().astype(np.float64), n_spikes
         pooled = max_pool(spikes, potentials, self.cfg.pool_lateral_inhibition)
         if self.feature_mode == "spike_count":
-            return count_spikes(pooled), n_spikes
+            return pooled.any(axis=0).ravel().astype(np.float64), n_spikes
         return global_max_potential(pooled, self.second_kernel), n_spikes
 
 

@@ -161,7 +161,7 @@ def test_criterion_4_inhibition_invariants():
         winners = []
         for t in range(6):
             conv_accumulate(dense[t], kernel.weights, potentials)
-            fired = fire_and_inhibit(potentials, state, cfg, t)
+            fired = fire_and_inhibit(potentials, state, cfg)
             winners.extend(stdp_competition(fired, potentials, state, radius))
         if state.fired.sum(axis=0).max(initial=0) > 1:
             violations += 1

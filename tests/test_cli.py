@@ -270,6 +270,38 @@ class TestEvalChanceLevel:
         assert manifest["accuracy"] == pytest.approx(0.1, abs=1e-9)
 
 
+class TestEvalRejectsBadInput:
+    """Corrupt eval inputs exit 1 with a diagnostic, never a traceback."""
+
+    def _run_eval(self, tmp_path, capsys, labels, corrupt_tag=False):
+        from spikecnn.heads import (FeatureMatrix, export_features, init_fcn_head,
+                                    save_head)
+        out = tmp_path / "run"
+        out.mkdir()
+        export_features(FeatureMatrix(np.zeros((len(labels), 8)), np.asarray(labels)),
+                        out / "features-test.fmat", "binary_matrix")
+        head_path = out / "head-fcn.skhd"
+        save_head(head_path, init_fcn_head(8, 10, np.random.default_rng(0)))
+        if corrupt_tag:
+            buf = bytearray(head_path.read_bytes())
+            buf[12:16] = (9).to_bytes(4, "little")
+            head_path.write_bytes(bytes(buf))
+        cfg_path = write_config(tmp_path / "c.json",
+                                {"out_dir": str(out), "head": {"kind": "fcn"}})
+        code = main(["eval", "--config", cfg_path])
+        return code, capsys.readouterr().err
+
+    def test_label_beyond_n_classes(self, tmp_path, capsys):
+        code, err = self._run_eval(tmp_path, capsys, [0, 3, 12])
+        assert code == 1
+        assert "error" in err and "12" in err
+
+    def test_unknown_head_cost_tag(self, tmp_path, capsys):
+        code, err = self._run_eval(tmp_path, capsys, [0, 1, 2], corrupt_tag=True)
+        assert code == 1
+        assert "error" in err and "tag" in err
+
+
 class TestReconstructCommand:
     def test_emits_sheets_and_maps(self, dataset, tmp_path):
         out = tmp_path / "run"

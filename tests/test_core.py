@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
-                           conv_accumulate, count_spikes, depress_map,
+                           conv_accumulate, depress_map,
                            double_learning_rates, fire_and_inhibit,
                            global_max_potential, homeostasis_gate, infer_image,
                            init_kernel, load_kernel, max_pool, save_kernel,
@@ -36,6 +36,14 @@ class TestConvKernel:
             ConvKernel(np.full((1, 1, 3, 3), 1.5))
         with pytest.raises(ValueError):
             ConvKernel(np.full((1, 1, 3, 3), -0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # nan < 0 and nan > 1 are both False, so a range check alone admits NaN
+        w = np.full((2, 1, 3, 3), 0.5)
+        w[1, 0, 2, 2] = bad
+        with pytest.raises(ValueError):
+            ConvKernel(w)
 
     def test_validates_rates(self):
         with pytest.raises(ValueError):
@@ -94,7 +102,7 @@ class TestFireAndInhibit:
         state = fresh_state()
         pot = np.zeros((3, 8, 8))
         pot[1, 4, 4] = 16.0
-        fired = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0), 0)
+        fired = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0))
         assert fired.sum() == 1 and fired[1, 4, 4]
 
     def test_highest_potential_map_wins_location(self):
@@ -102,11 +110,11 @@ class TestFireAndInhibit:
         pot = np.zeros((3, 8, 8))
         pot[0, 4, 4] = 15.7
         pot[2, 4, 4] = 16.2
-        fired = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0), 0)
+        fired = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0))
         assert fired.sum() == 1 and fired[2, 4, 4]
         # the beaten map stays silenced there for the rest of the image
         pot[0, 4, 4] = 99.0
-        fired2 = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0), 1)
+        fired2 = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0))
         assert not fired2[0, 4, 4]
 
     def test_tie_goes_to_lower_map(self):
@@ -114,7 +122,7 @@ class TestFireAndInhibit:
         pot = np.zeros((3, 8, 8))
         pot[1, 2, 2] = 16.0
         pot[2, 2, 2] = 16.0
-        fired = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0), 0)
+        fired = fire_and_inhibit(pot, state, InhibitionConfig(threshold=15.0))
         assert fired[1, 2, 2] and not fired[2, 2, 2]
 
     def test_no_refire_within_image(self):
@@ -122,15 +130,15 @@ class TestFireAndInhibit:
         pot = np.zeros((3, 8, 8))
         pot[0, 1, 1] = 20.0
         cfg = InhibitionConfig(threshold=15.0)
-        assert fire_and_inhibit(pot, state, cfg, 0).sum() == 1
-        assert fire_and_inhibit(pot, state, cfg, 1).sum() == 0
+        assert fire_and_inhibit(pot, state, cfg).sum() == 1
+        assert fire_and_inhibit(pot, state, cfg).sum() == 0
 
     def test_without_lateral_inhibition_all_maps_fire(self):
         state = fresh_state()
         pot = np.zeros((3, 8, 8))
         pot[:, 4, 4] = 16.0
         cfg = InhibitionConfig(threshold=15.0, lateral_inhibition=False)
-        fired = fire_and_inhibit(pot, state, cfg, 0)
+        fired = fire_and_inhibit(pot, state, cfg)
         assert fired.sum() == 3
 
     def test_per_location_sparsity_random_images(self):
@@ -372,19 +380,6 @@ class TestGlobalMaxPotential:
         out = global_max_potential(spikes, k)
         # fresh accumulation per bin: 1 + 1, not 1 + 2
         assert out[0] == pytest.approx(2.0)
-
-
-class TestCountSpikes:
-    def test_empty(self):
-        np.testing.assert_array_equal(count_spikes(np.zeros((3, 2, 2, 2), dtype=bool)),
-                                      np.zeros(8))
-
-    def test_per_bin_counting(self):
-        spikes = np.zeros((10, 1, 3, 3), dtype=bool)
-        spikes[:, 0, 1, 2] = True
-        counts = count_spikes(spikes)
-        assert counts[1 * 3 + 2] == 10
-        assert counts.sum() == 10
 
 
 class TestKernelCheckpoint:

@@ -308,6 +308,27 @@ class TestAerRecording:
         assert dense[0, 0, 12, 13]
 
 
+class TestSpikeTensor:
+    def test_from_dense_rejects_bins_past_u8(self):
+        # events are stored as u8; bin 299 must not wrap around to 43
+        dense = np.zeros((300, 1, 2, 2), dtype=bool)
+        dense[299, 0, 1, 1] = True
+        with pytest.raises(ValueError, match="range"):
+            SpikeTensor.from_dense(dense)
+
+    def test_rejects_negative_coordinate(self):
+        # -250 would wrap to the in-range row 6 under a u8 cast
+        with pytest.raises(ValueError, match="range"):
+            SpikeTensor((4, 2, 8, 8), np.array([[0, 1, -250, 2]]))
+
+    def test_u8_edge_fits(self):
+        dense = np.zeros((256, 1, 1, 1), dtype=bool)
+        dense[255, 0, 0, 0] = True
+        t = SpikeTensor.from_dense(dense)
+        assert t.events.dtype == np.uint8
+        np.testing.assert_array_equal(t.dense(), dense)
+
+
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -341,6 +341,19 @@ class TestHeadCheckpoints:
         with pytest.raises(ValueError, match="magic"):
             load_head(p)
 
+    @pytest.mark.parametrize("kind", ["fcn", "rstdp"])
+    def test_unknown_aux_tag_rejected(self, tmp_path, kind):
+        rng = np.random.default_rng(14)
+        head = (init_fcn_head(4, 3, rng) if kind == "fcn"
+                else init_rstdp_head(4, 3, rng, neurons_per_class=1))
+        p = tmp_path / "h.skhd"
+        save_head(p, head)
+        buf = bytearray(p.read_bytes())
+        buf[12:16] = (7).to_bytes(4, "little")  # cost / ratio-mode tag
+        p.write_bytes(bytes(buf))
+        with pytest.raises(ValueError, match="tag"):
+            load_head(p)
+
 
 class TestRstdpTrainPass:
     def test_zero_potential_counts_as_miss_without_update(self):

@@ -247,7 +247,7 @@ class TestFrozenLayerIntegrity:
         pooled = []
         for t in tensors:
             from spikecnn.core import infer_image, max_pool
-            spikes, pots = infer_image(t.dense(), first, pipe.infer_cfg())
+            spikes, pots = infer_image(t.dense(), first, pipe.cfg)
             pooled.append(SpikeTensor.from_dense(max_pool(spikes, pots)))
         second = init_kernel(8, 6, 5, rng)
         train_conv_layer(TrainPlan(n_images=30), pooled, second,
