@@ -10,7 +10,6 @@ byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, encode, heads, recon, train
-from .config import (ConfigError, config_hash, substream, validate_config,
+from .config import (ConfigError, config_hash, load_config, substream,
                      write_manifest)
 
 OUT_ENV_VAR = "SPIKECNN_OUT"
@@ -50,10 +49,7 @@ def _out_dir(cfg: dict, args) -> Path:
 
 
 def _load_cfg(args) -> dict:
-    raw = json.loads(Path(args.config).read_text())
-    if isinstance(raw, dict) and "config" in raw and "artifacts" in raw:
-        raw = raw["config"]  # replaying a manifest
-    cfg = validate_config(raw)
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.threads is not None:
@@ -79,9 +75,7 @@ def _encode_split(cfg: dict, out: Path, split: str):
     if not aer_rows and not (img_path and lab_path):
         return None
     enc_cfg = cfg["encoding"]
-    key = _split_key(cfg, split)
-    cache = out / f"encoded-{split}-{key}.spkt"
-    labels_file = out / f"encoded-{split}-{key}-labels.idx"
+    cache, labels_file = _encoded_paths(cfg, out, split)
     if cache.exists() and labels_file.exists():
         return cache, labels_file, True
     limit = ds.get(f"limit_{split}")
@@ -145,16 +139,19 @@ def _layer_cfg(section: dict) -> core.InhibitionConfig:
                                  pool_lateral_inhibition=section["pool_lateral_inhibition"])
 
 
+def _init_kernel(section: dict, maps_in: int, rng: np.random.Generator) -> core.ConvKernel:
+    return core.init_kernel(section["maps"], maps_in, section["kernel_size"], rng,
+                            mean=float(section["init_mean"]), std=float(section["init_std"]),
+                            a_plus=float(section["a_plus"]), a_minus=float(section["a_minus"]))
+
+
 def cmd_train(cfg: dict, out: Path) -> dict:
     cache, _ = _encoded_paths(cfg, out, "train")
     _require(cache, "encoded train cache")
     tensors = encode.read_cache(cache)
     layer = cfg["layer"]
     plan_cfg = cfg["plan"]
-    rng = substream(cfg["seed"], "init")
-    kernel = core.init_kernel(layer["maps"], tensors[0].channels, layer["kernel_size"],
-                              rng, mean=float(layer["init_mean"]), std=float(layer["init_std"]),
-                              a_plus=float(layer["a_plus"]), a_minus=float(layer["a_minus"]))
+    kernel = _init_kernel(layer, tensors[0].channels, substream(cfg["seed"], "init"))
     plan = train.TrainPlan(n_images=plan_cfg["n_images"], stop_rule=plan_cfg["stop_rule"],
                            monitor_stride=plan_cfg["monitor_stride"],
                            band=(float(plan_cfg["band_low"]), float(plan_cfg["band_high"])))
@@ -176,12 +173,7 @@ def cmd_train(cfg: dict, out: Path) -> dict:
             pooled.append(encode.SpikeTensor.from_dense(
                 core.max_pool(spikes, pots, infer.pool_lateral_inhibition)))
         layer2 = cfg["layer2"]
-        rng2 = substream(cfg["seed"], "init-l4")
-        second = core.init_kernel(layer2["maps"], kernel.maps_out, layer2["kernel_size"],
-                                  rng2, mean=float(layer2["init_mean"]),
-                                  std=float(layer2["init_std"]),
-                                  a_plus=float(layer2["a_plus"]),
-                                  a_minus=float(layer2["a_minus"]))
+        second = _init_kernel(layer2, kernel.maps_out, substream(cfg["seed"], "init-l4"))
         monitor2 = train.train_conv_layer(plan, pooled, second, _layer_cfg(layer2))
         second_path = out / "kernel-l4.skrn"
         core.save_kernel(second_path, second)
@@ -268,10 +260,8 @@ def cmd_eval(cfg: dict, out: Path) -> dict:
     h = cfg["head"]
     head_path = out / ("head-fcn.skhd" if h["kind"] == "fcn" else "head-rstdp.skhd")
     head = heads.load_head(_require(head_path, "trained head"))
-    if isinstance(head, heads.FcnHead):
-        pred = heads.fcn_predict(head, data.values)
-    else:
-        pred = np.argmax(data.values @ head.weights.T, axis=1) // head.neurons_per_class
+    predict = heads.fcn_predict if isinstance(head, heads.FcnHead) else heads.rstdp_predict
+    pred = predict(head, data.values)
     acc = float(np.mean(pred == data.labels))
     n_classes = h["n_classes"]
     if data.labels.max(initial=0) >= n_classes:

@@ -196,10 +196,13 @@ def validate_config(raw: dict) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
+    """Load and validate a config file, or the config a run manifest embeds."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if isinstance(raw, dict) and "config" in raw and "artifacts" in raw:
+        raw = raw["config"]  # replaying a manifest
     return validate_config(raw)
 
 

@@ -10,10 +10,11 @@ gate caps how often any one map may update.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import container
 
 KERNEL_MAGIC = b"SKRN"
 KERNEL_VERSION = 1
@@ -35,8 +36,8 @@ class ConvKernel:
             raise ValueError("kernel weights must be 4-D (maps_out, maps_in, k, k)")
         if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
             raise ValueError("kernel weights must be finite and lie in [0, 1]")
-        if self.a_plus <= 0 or self.a_minus <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.a_plus < np.inf and 0 < self.a_minus < np.inf):
+            raise ValueError("learning rates must be positive and finite")
 
     @property
     def maps_out(self) -> int:
@@ -343,25 +344,15 @@ def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel) -> np.nda
 
 def save_kernel(path, kernel: ConvKernel) -> None:
     """Kernel checkpoint: magic, version, shape, rates, then f64 weights."""
-    with open(path, "wb") as f:
-        f.write(KERNEL_MAGIC)
-        f.write(struct.pack("<I", KERNEL_VERSION))
-        f.write(struct.pack("<IIII", *kernel.weights.shape))
-        f.write(struct.pack("<dd", kernel.a_plus, kernel.a_minus))
-        f.write(kernel.weights.astype("<f8").tobytes(order="C"))
+    header = ("<5I2d", KERNEL_VERSION, *kernel.weights.shape, kernel.a_plus, kernel.a_minus)
+    container.write(path, KERNEL_MAGIC, header, kernel.weights.astype("<f8"))
 
 
 def load_kernel(path) -> ConvKernel:
-    buf = open(path, "rb").read()
-    if buf[:4] != KERNEL_MAGIC:
-        raise ValueError("bad kernel magic")
-    version, = struct.unpack_from("<I", buf, 4)
+    r = container.Reader(path, KERNEL_MAGIC, "kernel checkpoint")
+    version, *shape, a_plus, a_minus = r.unpack("<5I2d")
     if version != KERNEL_VERSION:
         raise ValueError(f"unsupported kernel version {version}")
-    shape = struct.unpack_from("<IIII", buf, 8)
-    a_plus, a_minus = struct.unpack_from("<dd", buf, 24)
-    n = int(np.prod(shape))
-    if len(buf) < 40 + 8 * n:
-        raise ValueError("truncated kernel payload")
-    weights = np.frombuffer(buf, dtype="<f8", count=n, offset=40).reshape(shape)
+    weights = r.array("<f8", *shape)
+    r.done()
     return ConvKernel(weights.copy(), a_plus, a_minus)

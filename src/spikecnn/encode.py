@@ -8,19 +8,20 @@ spike-tensor form so the rest of the pipeline is agnostic to the source.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import correlate2d
+
+from . import container
 
 DOG_RADIUS = 3  # 7x7 kernel support
 DEFAULT_DOG_THRESHOLD = 50.0
 DEFAULT_BINS = 10
 DEFAULT_SILENT_BINS = 2
 
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
+IDX_IMAGE_MAGIC = b"\x00\x00\x08\x03"  # big-endian u32 0x803
+IDX_LABEL_MAGIC = b"\x00\x00\x08\x01"
 
 CACHE_MAGIC = b"SPKT"
 CACHE_VERSION = 1
@@ -176,71 +177,40 @@ def encode_image(image: np.ndarray, threshold: float = DEFAULT_DOG_THRESHOLD,
                           threshold, n_bins, silent_bins)
 
 
-def _read_u32be(buf: bytes, offset: int, what: str) -> int:
-    if offset + 4 > len(buf):
-        raise ValueError(f"truncated IDX file while reading {what}")
-    return struct.unpack_from(">I", buf, offset)[0]
-
-
 def load_idx_images(images_path, labels_path, crop: bool = True):
     """Load an IDX image/label pair.
 
     28x28 images are cropped to 27x27 by dropping the outermost (last) row
     and column band.  Returns (images float64 (n, H, W), labels int64 (n,)).
     """
-    img_buf = open(images_path, "rb").read()
-    lab_buf = open(labels_path, "rb").read()
-
-    magic = _read_u32be(img_buf, 0, "image magic")
-    if magic != IDX_IMAGE_MAGIC:
-        raise ValueError(f"bad image magic 0x{magic:08x}")
-    n = _read_u32be(img_buf, 4, "image count")
-    h = _read_u32be(img_buf, 8, "rows")
-    w = _read_u32be(img_buf, 12, "cols")
-    if len(img_buf) < 16 + n * h * w:
-        raise ValueError("truncated IDX image payload")
-    images = np.frombuffer(img_buf, dtype=np.uint8, count=n * h * w, offset=16)
-    images = images.reshape(n, h, w).astype(np.float64)
-
-    magic = _read_u32be(lab_buf, 0, "label magic")
-    if magic != IDX_LABEL_MAGIC:
-        raise ValueError(f"bad label magic 0x{magic:08x}")
-    n_lab = _read_u32be(lab_buf, 4, "label count")
-    if len(lab_buf) < 8 + n_lab:
-        raise ValueError("truncated IDX label payload")
-    if n_lab != n:
-        raise ValueError(f"image/label count mismatch ({n} vs {n_lab})")
-    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n_lab, offset=8).astype(np.int64)
-
+    r = container.Reader(images_path, IDX_IMAGE_MAGIC, "IDX image file")
+    n, h, w = r.unpack(">3I")
+    images = r.array(np.uint8, n, h, w).astype(np.float64)
+    r.done()
+    labels = load_idx_labels(labels_path)
+    if labels.shape[0] != n:
+        raise ValueError(f"image/label count mismatch ({n} vs {labels.shape[0]})")
     if crop and h == 28 and w == 28:
         images = images[:, :27, :27]
     return images, labels
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
-    images = np.asarray(images)
-    n, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(images.astype(np.uint8).tobytes())
+    images = container.u8(images, "IDX pixels")
+    container.write(path, IDX_IMAGE_MAGIC, (">3I", *images.shape), images)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.astype(np.uint8).tobytes())
+    labels = container.u8(labels, "IDX labels")
+    container.write(path, IDX_LABEL_MAGIC, (">I", labels.shape[0]), labels)
 
 
 def load_idx_labels(path) -> np.ndarray:
-    buf = open(path, "rb").read()
-    magic = _read_u32be(buf, 0, "label magic")
-    if magic != IDX_LABEL_MAGIC:
-        raise ValueError(f"bad label magic 0x{magic:08x}")
-    n = _read_u32be(buf, 4, "label count")
-    if len(buf) < 8 + n:
-        raise ValueError("truncated IDX label payload")
-    return np.frombuffer(buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+    r = container.Reader(path, IDX_LABEL_MAGIC, "IDX label file")
+    n, = r.unpack(">I")
+    labels = r.array(np.uint8, n).astype(np.int64)
+    r.done()
+    return labels
 
 
 def load_aer_recording(path, n_bins: int, silent_bins: int = DEFAULT_SILENT_BINS,
@@ -307,61 +277,26 @@ def load_aer_recording(path, n_bins: int, silent_bins: int = DEFAULT_SILENT_BINS
     return SpikeTensor(shape, quads.astype(np.uint8))
 
 
-def _write_varint(f, value: int) -> None:
-    while value >= 0x80:
-        f.write(bytes([(value & 0x7F) | 0x80]))
-        value >>= 7
-    f.write(bytes([value]))
-
-
-def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(buf):
-            raise ValueError("truncated varint in cache file")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
 def write_cache(path, tensors) -> None:
     """Write an encoded dataset cache (magic SPKT, little-endian header)."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("cannot write an empty cache")
     shape = tensors[0].shape
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IIIIII", CACHE_VERSION, *shape, len(tensors)))
-        for tensor in tensors:
-            if tensor.shape != shape:
-                raise ValueError("all cached tensors must share one shape")
-            _write_varint(f, tensor.n_events)
-            f.write(tensor.events.tobytes())
+    if any(t.shape != shape for t in tensors):
+        raise ValueError("all cached tensors must share one shape")
+    container.write(path, CACHE_MAGIC, ("<6I", CACHE_VERSION, *shape, len(tensors)),
+                    *(part for t in tensors for part in (container.varint(t.n_events), t.events)))
 
 
 def read_cache(path) -> list[SpikeTensor]:
-    buf = open(path, "rb").read()
-    if buf[:4] != CACHE_MAGIC:
-        raise ValueError("bad cache magic")
-    version, t, c, h, w, count = struct.unpack_from("<IIIIII", buf, 4)
+    r = container.Reader(path, CACHE_MAGIC, "spike cache")
+    version, *shape, count = r.unpack("<6I")
     if version != CACHE_VERSION:
         raise ValueError(f"unsupported cache version {version}")
-    shape = (t, c, h, w)
-    pos = 4 + 24
-    out = []
-    for _ in range(count):
-        n, pos = _read_varint(buf, pos)
-        end = pos + 4 * n
-        if end > len(buf):
-            raise ValueError("truncated cache payload")
-        ev = np.frombuffer(buf, dtype=np.uint8, count=4 * n, offset=pos).reshape(n, 4)
-        out.append(SpikeTensor(shape, ev.copy()))
-        pos = end
+    shape = tuple(shape)
+    out = [SpikeTensor(shape, r.array(np.uint8, r.varint(), 4).copy()) for _ in range(count)]
+    r.done()
     return out
 
 

@@ -8,18 +8,23 @@ hit/miss ratios.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
+from . import container
+
 FEATURE_MAGIC = b"FMAT"
 HEAD_MAGIC = b"SKHD"
 HEAD_VERSION = 1
 HEAD_TAG_FCN = 1
 HEAD_TAG_RSTDP = 2
+
+
+def _finite(*arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 @dataclass(eq=False)
@@ -68,6 +73,8 @@ class FcnHead:
         self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.cost not in ("cross_entropy", "quadratic"):
             raise ValueError(f"unknown cost {self.cost!r}")
+        if not _finite(self.weights, self.biases, self.eta0, self.eta_decay, self.lam):
+            raise ValueError("FCN head weights, biases and rates must be finite")
 
     @property
     def n_out(self) -> int:
@@ -152,17 +159,22 @@ def fcn_train_epoch(head: FcnHead, data: FeatureMatrix, batch: int, epoch: int,
     """
     if data.n_rows == 0:
         raise ValueError("empty training data")
-    n = n_total if n_total is not None else data.n_rows
-    y = one_hot(data.labels, head.n_out)
     order = rng.permutation(data.n_rows)
+    fcn_minibatches(head, data, order, batch, epoch,
+                    n_total if n_total is not None else data.n_rows)
+    return fcn_accuracy(head, data)
+
+
+def fcn_minibatches(head: FcnHead, data: FeatureMatrix, order: np.ndarray, batch: int,
+                    epoch: int, n_total: int) -> None:
+    """Gradient steps over the rows ``order`` names, ``batch`` rows at a time."""
+    y = one_hot(data.labels, head.n_out)
     eta = head.eta(epoch)
-    for start in range(0, data.n_rows, batch):
+    for start in range(0, len(order), batch):
         idx = order[start:start + batch]
-        gw, gb = fcn_gradients(head, data.values[idx], y[idx], n)
+        gw, gb = fcn_gradients(head, data.values[idx], y[idx], n_total)
         head.weights -= eta * gw
         head.biases -= eta * gb
-    pred = fcn_predict(head, data.values)
-    return float(np.mean(pred == data.labels))
 
 
 def fcn_accuracy(head: FcnHead, data: FeatureMatrix) -> float:
@@ -191,8 +203,13 @@ class RstdpHead:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.min(initial=0.0) < 0 or self.weights.max(initial=0.0) > 1:
+        if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
             raise ValueError("R-STDP weights must lie in [0, 1]")
+        if not _finite(self.a_r_plus, self.a_r_minus, self.a_p_plus, self.a_p_minus,
+                       self.miss_ratio):
+            raise ValueError("R-STDP rates and miss_ratio must be finite")
+        if self.window < 1 or self.neurons_per_class < 1:
+            raise ValueError("window and neurons_per_class must be >= 1")
         if self.ratio_mode not in ("batch", "per_image"):
             raise ValueError(f"unknown ratio mode {self.ratio_mode!r}")
         if not 0.0 <= self.p_drop < 1.0:
@@ -329,11 +346,13 @@ def rstdp_train_pass(head: RstdpHead, data: FeatureMatrix,
     return hits / max(1, data.n_rows)
 
 
+def rstdp_predict(head: RstdpHead, x: np.ndarray) -> np.ndarray:
+    """Class of the neuron with the highest potential, per row of ``x``."""
+    return np.argmax(x @ head.weights.T, axis=1) // head.neurons_per_class
+
+
 def rstdp_accuracy(head: RstdpHead, data: FeatureMatrix) -> float:
-    v = data.values @ head.weights.T
-    winners = np.argmax(v, axis=1)
-    pred = winners // head.neurons_per_class
-    return float(np.mean(pred == data.labels))
+    return float(np.mean(rstdp_predict(head, data.values) == data.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -353,79 +372,64 @@ def export_features(data: FeatureMatrix, path, fmt: str = "binary_matrix") -> No
                 cells = ",".join(f"{v:.17g}" for v in row)
                 f.write(f"{cells},{int(label)}\n" if cells else f"{int(label)}\n")
     elif fmt == "binary_matrix":
-        with open(path, "wb") as f:
-            f.write(FEATURE_MAGIC)
-            f.write(struct.pack("<II", data.n_rows, data.n_cols))
-            f.write(data.values.astype("<f8").tobytes(order="C"))
-            f.write(data.labels.astype(np.uint8).tobytes())
+        labels = container.u8(data.labels, "feature-matrix labels")
+        container.write(path, FEATURE_MAGIC, ("<II", data.n_rows, data.n_cols),
+                        data.values.astype("<f8"), labels)
     else:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
 def import_features(path) -> FeatureMatrix:
-    buf = open(path, "rb").read()
-    if buf[:4] != FEATURE_MAGIC:
-        raise ValueError("bad feature-matrix magic")
-    rows, cols = struct.unpack_from("<II", buf, 4)
-    need = 12 + 8 * rows * cols + rows
-    if len(buf) < need:
-        raise ValueError("truncated feature-matrix payload")
-    values = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=12)
-    labels = np.frombuffer(buf, dtype=np.uint8, count=rows, offset=12 + 8 * rows * cols)
-    return FeatureMatrix(values.reshape(rows, cols).copy(), labels.astype(np.int64))
+    r = container.Reader(path, FEATURE_MAGIC, "feature matrix")
+    rows, cols = r.unpack("<II")
+    values = r.array("<f8", rows, cols)
+    labels = r.array(np.uint8, rows)
+    r.done()
+    return FeatureMatrix(values.copy(), labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
-# Head checkpoints (same container style as kernel checkpoints)
+# Head checkpoints (same container as kernel checkpoints)
 # ---------------------------------------------------------------------------
 
 _COSTS = ["cross_entropy", "quadratic"]
 _MODES = ["batch", "per_image"]
+_FCN_SCALARS = "<II3d"    # n_out, n_in, eta0, eta_decay, lam
+_RSTDP_SCALARS = "<II4dIIdd"  # n_out, n_in, four rates, npc, window, p_drop, miss_ratio
 
 
 def save_head(path, head) -> None:
-    with open(path, "wb") as f:
-        f.write(HEAD_MAGIC)
-        if isinstance(head, FcnHead):
-            f.write(struct.pack("<III", HEAD_VERSION, HEAD_TAG_FCN, _COSTS.index(head.cost)))
-            f.write(struct.pack("<II", head.n_out, head.n_in))
-            f.write(struct.pack("<ddd", head.eta0, head.eta_decay, head.lam))
-            f.write(head.weights.astype("<f8").tobytes(order="C"))
-            f.write(head.biases.astype("<f8").tobytes(order="C"))
-        elif isinstance(head, RstdpHead):
-            f.write(struct.pack("<III", HEAD_VERSION, HEAD_TAG_RSTDP, _MODES.index(head.ratio_mode)))
-            f.write(struct.pack("<II", head.n_out, head.weights.shape[1]))
-            f.write(struct.pack("<dddd", head.a_r_plus, head.a_r_minus,
-                                head.a_p_plus, head.a_p_minus))
-            f.write(struct.pack("<IId", head.neurons_per_class, head.window, head.p_drop))
-            f.write(struct.pack("<d", head.miss_ratio))
-            f.write(head.weights.astype("<f8").tobytes(order="C"))
-        else:
-            raise TypeError(f"cannot checkpoint {type(head).__name__}")
+    if isinstance(head, FcnHead):
+        container.write(path, HEAD_MAGIC,
+                        ("<III", HEAD_VERSION, HEAD_TAG_FCN, _COSTS.index(head.cost)),
+                        (_FCN_SCALARS, head.n_out, head.n_in, head.eta0, head.eta_decay,
+                         head.lam),
+                        head.weights.astype("<f8"), head.biases.astype("<f8"))
+    elif isinstance(head, RstdpHead):
+        container.write(path, HEAD_MAGIC,
+                        ("<III", HEAD_VERSION, HEAD_TAG_RSTDP, _MODES.index(head.ratio_mode)),
+                        (_RSTDP_SCALARS, head.n_out, head.weights.shape[1], head.a_r_plus,
+                         head.a_r_minus, head.a_p_plus, head.a_p_minus, head.neurons_per_class,
+                         head.window, head.p_drop, head.miss_ratio),
+                        head.weights.astype("<f8"))
+    else:
+        raise TypeError(f"cannot checkpoint {type(head).__name__}")
 
 
 def load_head(path):
-    buf = open(path, "rb").read()
-    if buf[:4] != HEAD_MAGIC:
-        raise ValueError("bad head magic")
-    version, tag, aux = struct.unpack_from("<III", buf, 4)
+    r = container.Reader(path, HEAD_MAGIC, "head checkpoint")
+    version, tag, aux = r.unpack("<III")
     if version != HEAD_VERSION:
         raise ValueError(f"unsupported head version {version}")
-    if aux >= len(_COSTS if tag == HEAD_TAG_FCN else _MODES):
-        raise ValueError(f"unknown cost/ratio-mode tag {aux}")
-    if tag == HEAD_TAG_FCN:
-        n_out, n_in = struct.unpack_from("<II", buf, 16)
-        eta0, eta_decay, lam = struct.unpack_from("<ddd", buf, 24)
-        off = 48
-        w = np.frombuffer(buf, dtype="<f8", count=n_out * n_in, offset=off).reshape(n_out, n_in)
-        b = np.frombuffer(buf, dtype="<f8", count=n_out, offset=off + 8 * n_out * n_in)
+    if tag == HEAD_TAG_FCN and aux < len(_COSTS):
+        n_out, n_in, eta0, eta_decay, lam = r.unpack(_FCN_SCALARS)
+        w, b = r.array("<f8", n_out, n_in), r.array("<f8", n_out)
+        r.done()
         return FcnHead(w.copy(), b.copy(), _COSTS[aux], eta0, eta_decay, lam)
-    if tag == HEAD_TAG_RSTDP:
-        n_out, n_in = struct.unpack_from("<II", buf, 16)
-        rates = struct.unpack_from("<dddd", buf, 24)
-        npc, window, p_drop = struct.unpack_from("<IId", buf, 56)
-        miss_ratio, = struct.unpack_from("<d", buf, 72)
-        w = np.frombuffer(buf, dtype="<f8", count=n_out * n_in, offset=80).reshape(n_out, n_in)
+    if tag == HEAD_TAG_RSTDP and aux < len(_MODES):
+        n_out, n_in, *rates, npc, window, p_drop, miss_ratio = r.unpack(_RSTDP_SCALARS)
+        w = r.array("<f8", n_out, n_in)
+        r.done()
         return RstdpHead(w.copy(), *rates, neurons_per_class=npc, p_drop=p_drop,
                          ratio_mode=_MODES[aux], window=window, miss_ratio=miss_ratio)
-    raise ValueError(f"unknown head tag {tag}")
+    raise ValueError(f"unknown head tag {tag} or cost/ratio-mode tag {aux}")

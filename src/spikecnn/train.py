@@ -14,8 +14,8 @@ from .core import (ConvKernel, InhibitionConfig, LayerState, conv_accumulate,
                    global_max_potential, homeostasis_gate, infer_image,
                    max_pool, stdp_competition, stdp_update)
 from .encode import SpikeTensor
-from .heads import (FcnHead, FeatureMatrix, fcn_accuracy, fcn_gradients,
-                    fcn_train_epoch, init_fcn_head, one_hot)
+from .heads import (FcnHead, FeatureMatrix, fcn_accuracy, fcn_minibatches,
+                    fcn_train_epoch, init_fcn_head)
 
 
 @dataclass
@@ -421,9 +421,7 @@ def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMat
             next_probe = plan.incremental_start
             while done < pool.n_rows:
                 stop = min(next_probe, pool.n_rows)
-                idx = order[done:stop]
-                chunk = FeatureMatrix(pool.values[idx], pool.labels[idx])
-                _train_chunk(head, chunk, plan.batch, epoch, rng)
+                fcn_minibatches(head, pool, order[done:stop], plan.batch, epoch, stop - done)
                 done = stop
                 incremental.append((done, *probe()))
                 next_probe += plan.incremental_stride
@@ -432,13 +430,3 @@ def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMat
         curves.append((epoch, *probe()))
     return ForgetResult(curves, incremental)
 
-
-def _train_chunk(head: FcnHead, chunk: FeatureMatrix, batch: int, epoch: int,
-                 rng: np.random.Generator) -> None:
-    y = one_hot(chunk.labels, head.n_out)
-    eta = head.eta(epoch)
-    for start in range(0, chunk.n_rows, batch):
-        sl = slice(start, start + batch)
-        gw, gb = fcn_gradients(head, chunk.values[sl], y[sl], chunk.n_rows)
-        head.weights -= eta * gw
-        head.biases -= eta * gb

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spikecnn.cli import main
-from spikecnn.config import ConfigError, validate_config
+from spikecnn.config import ConfigError, load_config, validate_config
 from synth_digits import write_idx_dataset
 
 
@@ -273,7 +273,7 @@ class TestEvalChanceLevel:
 class TestEvalRejectsBadInput:
     """Corrupt eval inputs exit 1 with a diagnostic, never a traceback."""
 
-    def _run_eval(self, tmp_path, capsys, labels, corrupt_tag=False):
+    def _run_eval(self, tmp_path, capsys, labels, corrupt_tag=False, cut_features=None):
         from spikecnn.heads import (FeatureMatrix, export_features, init_fcn_head,
                                     save_head)
         out = tmp_path / "run"
@@ -286,6 +286,9 @@ class TestEvalRejectsBadInput:
             buf = bytearray(head_path.read_bytes())
             buf[12:16] = (9).to_bytes(4, "little")
             head_path.write_bytes(bytes(buf))
+        if cut_features is not None:
+            fmat = out / "features-test.fmat"
+            fmat.write_bytes(fmat.read_bytes()[:cut_features])
         cfg_path = write_config(tmp_path / "c.json",
                                 {"out_dir": str(out), "head": {"kind": "fcn"}})
         code = main(["eval", "--config", cfg_path])
@@ -300,6 +303,30 @@ class TestEvalRejectsBadInput:
         code, err = self._run_eval(tmp_path, capsys, [0, 1, 2], corrupt_tag=True)
         assert code == 1
         assert "error" in err and "tag" in err
+
+
+    @pytest.mark.parametrize("cut", [8, 20])
+    def test_truncated_feature_matrix(self, tmp_path, capsys, cut):
+        # 8 bytes cuts the header, which used to escape as struct.error
+        code, err = self._run_eval(tmp_path, capsys, [0, 1, 2], cut_features=cut)
+        assert code == 1
+        assert "error" in err and "truncated" in err and "Traceback" not in err
+
+
+class TestConfigLoading:
+    def test_load_config_unwraps_a_manifest(self, tmp_path):
+        cfg = validate_config({"seed": 11, "layer": {"maps": 7}})
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({"config": cfg, "artifacts": {}}))
+        assert load_config(p) == cfg
+
+    def test_aer_label_outside_u8_fails_cleanly(self, tmp_path, capsys):
+        rec = tmp_path / "rec.bin"
+        rec.write_bytes(bytes([10, 10, 0x80, 0, 1]))
+        cfg = {"out_dir": str(tmp_path / "run"),
+               "dataset": {"aer_train": [[str(rec), 300]]}}
+        assert main(["encode", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        assert "255" in capsys.readouterr().err
 
 
 class TestReconstructCommand:

@@ -49,6 +49,14 @@ class TestConvKernel:
         with pytest.raises(ValueError):
             ConvKernel(np.full((1, 1, 3, 3), 0.5), a_plus=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        # nan <= 0 is False, so a sign check alone admits a NaN rate
+        with pytest.raises(ValueError):
+            ConvKernel(np.full((1, 1, 3, 3), 0.5), a_plus=bad)
+        with pytest.raises(ValueError):
+            ConvKernel(np.full((1, 1, 3, 3), 0.5), a_minus=bad)
+
     def test_init_kernel_within_open_interval(self):
         k = init_kernel(30, 2, 5, np.random.default_rng(0))
         assert k.weights.shape == (30, 2, 5, 5)

@@ -236,6 +236,30 @@ class TestIdxFiles:
         with pytest.raises(ValueError, match="mismatch"):
             load_idx_images(ip, lp)
 
+    @pytest.mark.parametrize("bad", [256, 300, -1])
+    def test_label_outside_u8_rejected_on_write(self, tmp_path, bad):
+        # the u8 cast would store 300 as 44 and -1 as 255
+        with pytest.raises(ValueError, match="255"):
+            write_idx_labels(tmp_path / "lab.idx", np.array([0, bad]))
+
+    @pytest.mark.parametrize("bad", [256.0, 300, -1])
+    def test_pixel_outside_u8_rejected_on_write(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="255"):
+            write_idx_images(tmp_path / "img.idx", np.array([[[0, bad]]]))
+
+    def test_label_range_edges_kept(self, tmp_path):
+        lp = tmp_path / "lab.idx"
+        write_idx_labels(lp, np.array([0, 255]))
+        assert lp.read_bytes() == struct.pack(">II", 0x801, 2) + bytes([0, 255])
+        np.testing.assert_array_equal(load_idx_labels(lp), [0, 255])
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        lp = tmp_path / "lab.idx"
+        write_idx_labels(lp, np.array([1, 2]))
+        lp.write_bytes(lp.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_idx_labels(lp)
+
     def test_truncated_payload_rejected(self, tmp_path):
         ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
         ip.write_bytes(struct.pack(">IIII", 0x803, 2, 28, 28) + b"\x00" * 100)

@@ -6,11 +6,12 @@ import pytest
 
 from spikecnn.heads import (FcnHead, FeatureMatrix, RstdpHead,
                             draw_dropout_mask, export_features, fcn_cost,
-                            fcn_forward, fcn_gradients, fcn_predict,
-                            fcn_train_epoch, import_features, init_fcn_head,
-                            init_rstdp_head, load_head, one_hot,
+                            fcn_forward, fcn_gradients, fcn_minibatches,
+                            fcn_predict, fcn_train_epoch, import_features,
+                            init_fcn_head, init_rstdp_head, load_head, one_hot,
                             rstdp_accuracy, rstdp_decide, rstdp_potentials,
-                            rstdp_train_pass, rstdp_update, save_head,
+                            rstdp_predict, rstdp_train_pass, rstdp_update,
+                            save_head,
                             shift_scale_init, update_hit_miss)
 
 
@@ -290,6 +291,20 @@ class TestFeatureExport:
         export_features(back, p2, "binary_matrix")
         assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("bad", [256, 300])
+    def test_label_outside_u8_rejected_on_write(self, tmp_path, bad):
+        # the u8 label column would store 300 as 44
+        fm = FeatureMatrix(np.zeros((2, 1)), np.array([3, bad]))
+        with pytest.raises(ValueError, match="255"):
+            export_features(fm, tmp_path / "f.fmat", "binary_matrix")
+
+    def test_truncated_header_is_value_error(self, tmp_path):
+        p = tmp_path / "f.fmat"
+        export_features(FeatureMatrix(np.zeros((2, 1)), np.array([0, 1])), p)
+        p.write_bytes(p.read_bytes()[:8])  # cut inside the dims
+        with pytest.raises(ValueError, match="truncated"):
+            import_features(p)
+
     def test_delimited_line_count_and_label_column(self, tmp_path):
         fm = FeatureMatrix(np.arange(6, dtype=float).reshape(3, 2), np.array([1, 0, 2]))
         p = tmp_path / "f.csv"
@@ -353,6 +368,72 @@ class TestHeadCheckpoints:
         p.write_bytes(bytes(buf))
         with pytest.raises(ValueError, match="tag"):
             load_head(p)
+
+
+class TestHeadValidation:
+    @pytest.mark.parametrize("field", ["weights", "biases", "eta0", "eta_decay", "lam"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fcn_rejects_non_finite(self, field, bad):
+        args = {"weights": np.zeros((2, 3)), "biases": np.zeros(2)}
+        if field in args:
+            args[field][-1] = bad
+        else:
+            args[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FcnHead(**args)
+
+    @pytest.mark.parametrize("field", ["a_r_plus", "a_r_minus", "a_p_plus", "a_p_minus",
+                                       "miss_ratio"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rstdp_rejects_non_finite_scalars(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RstdpHead(np.full((2, 3), 0.5), **{field: bad})
+
+    def test_rstdp_rejects_nan_weight(self):
+        # nan < 0 and nan > 1 are both False, so min/max checks admit NaN
+        w = np.full((2, 3), 0.5)
+        w[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RstdpHead(w)
+
+    @pytest.mark.parametrize("field", ["window", "neurons_per_class"])
+    def test_rstdp_rejects_counts_below_one(self, field):
+        with pytest.raises(ValueError, match=field):
+            RstdpHead(np.full((2, 3), 0.5), ratio_mode="per_image", **{field: 0})
+
+    def test_truncated_checkpoint_header_is_value_error(self, tmp_path):
+        p = tmp_path / "h.skhd"
+        save_head(p, init_fcn_head(4, 3, np.random.default_rng(0)))
+        p.write_bytes(p.read_bytes()[:10])
+        with pytest.raises(ValueError, match="truncated"):
+            load_head(p)
+
+
+class TestSharedLoops:
+    def test_rstdp_predict_maps_winner_to_class(self):
+        w = np.array([[0.1, 0.0], [0.0, 0.2], [0.9, 0.0], [0.0, 0.1]])
+        head = RstdpHead(w, neurons_per_class=2)
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(rstdp_predict(head, x), [1, 0, 0])
+        data = FeatureMatrix(x, np.array([1, 0, 1]))
+        assert rstdp_accuracy(head, data) == pytest.approx(2 / 3)
+
+    def test_minibatches_over_a_subset_match_a_copied_chunk(self):
+        # the forgetting harness trains on slices of a permutation; this is
+        # the loop it ran over a copied chunk before sharing fcn_minibatches
+        rng = np.random.default_rng(21)
+        data = FeatureMatrix(rng.normal(size=(57, 9)), rng.integers(0, 4, size=57))
+        order = rng.permutation(57)[10:47]
+        shared = init_fcn_head(9, 4, np.random.default_rng(3), lam=0.3)
+        oracle = shared.copy()
+        fcn_minibatches(shared, data, order, 5, 2, len(order))
+        x, y = data.values[order], one_hot(data.labels[order], 4)
+        for start in range(0, len(order), 5):
+            gw, gb = fcn_gradients(oracle, x[start:start + 5], y[start:start + 5], len(order))
+            oracle.weights -= oracle.eta(2) * gw
+            oracle.biases -= oracle.eta(2) * gb
+        np.testing.assert_array_equal(shared.weights, oracle.weights)
+        np.testing.assert_array_equal(shared.biases, oracle.biases)
 
 
 class TestRstdpTrainPass:
