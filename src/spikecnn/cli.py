@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import core, encode, heads, recon, train
-from .config import (ConfigError, config_hash, load_config, substream,
-                     write_manifest)
+from .config import (ConfigError, config_hash, file_sha256, load_config,
+                     substream, write_manifest)
 
 OUT_ENV_VAR = "SPIKECNN_OUT"
 
@@ -59,9 +59,14 @@ def _load_cfg(args) -> dict:
 
 def _split_key(cfg: dict, split: str) -> str:
     ds = cfg["dataset"]
-    return config_hash({"images": ds.get(f"{split}_images"),
-                        "labels": ds.get(f"{split}_labels"),
-                        "aer": ds.get(f"aer_{split}"),
+
+    def content(path):  # a dataset file rewritten in place gets a new key
+        return path and file_sha256(path)
+
+    aer_rows = ds.get(f"aer_{split}")
+    return config_hash({"images": content(ds.get(f"{split}_images")),
+                        "labels": content(ds.get(f"{split}_labels")),
+                        "aer": aer_rows and [[content(p), label] for p, label in aer_rows],
                         "saccades": ds.get("saccade_offsets"),
                         "encoding": cfg["encoding"],
                         "limit": ds.get(f"limit_{split}")})
@@ -82,17 +87,12 @@ def _encode_split(cfg: dict, out: Path, split: str):
     if aer_rows:
         tensors, labels = [], []
         for path, label in aer_rows[:limit] if limit else aer_rows:
-            if not Path(path).exists():
-                raise FileNotFoundError(f"AER recording not found: {path}")
             tensors.append(encode.load_aer_recording(
                 path, n_bins=enc_cfg["bins"], silent_bins=enc_cfg["silent_bins"],
                 saccade_offsets=ds.get("saccade_offsets")))
             labels.append(int(label))
         labels = np.asarray(labels)
     else:
-        for p in (img_path, lab_path):
-            if not Path(p).exists():
-                raise FileNotFoundError(f"dataset file not found: {p}")
         images, labels = encode.load_idx_images(img_path, lab_path)
         if limit:
             images, labels = images[:limit], labels[:limit]
@@ -147,41 +147,31 @@ def _init_kernel(section: dict, maps_in: int, rng: np.random.Generator) -> core.
 
 def cmd_train(cfg: dict, out: Path) -> dict:
     cache, _ = _encoded_paths(cfg, out, "train")
-    _require(cache, "encoded train cache")
-    tensors = encode.read_cache(cache)
-    layer = cfg["layer"]
+    tensors = encode.read_cache(_require(cache, "encoded train cache"))
     plan_cfg = cfg["plan"]
-    kernel = _init_kernel(layer, tensors[0].channels, substream(cfg["seed"], "init"))
     plan = train.TrainPlan(n_images=plan_cfg["n_images"], stop_rule=plan_cfg["stop_rule"],
                            monitor_stride=plan_cfg["monitor_stride"],
                            band=(float(plan_cfg["band_low"]), float(plan_cfg["band_high"])))
-    monitor = train.train_conv_layer(plan, tensors, kernel, _layer_cfg(layer))
-    kernel_path = out / "kernel-l2.skrn"
-    core.save_kernel(kernel_path, kernel)
-    monitor_path = out / "monitor-l2.csv"
-    write_csv(monitor_path, ["sample", "weight_delta", "convergence_factor"], monitor.rows())
-    artifacts = {"kernel_l2": kernel_path, "monitor_l2": monitor_path}
+    artifacts = {}
+
+    def fit(section: str, tag: str, inputs, maps_in: int, stream: str):
+        kernel = _init_kernel(cfg[section], maps_in, substream(cfg["seed"], stream))
+        monitor = train.train_conv_layer(plan, inputs, kernel, _layer_cfg(cfg[section]))
+        artifacts[f"kernel_{tag}"] = out / f"kernel-{tag}.skrn"
+        core.save_kernel(artifacts[f"kernel_{tag}"], kernel)
+        artifacts[f"monitor_{tag}"] = out / f"monitor-{tag}.csv"
+        write_csv(artifacts[f"monitor_{tag}"], ["sample", "weight_delta", "convergence_factor"],
+                  monitor.samples)
+        return kernel, monitor
+
+    kernel, monitor = fit("layer", "l2", tensors, tensors[0].channels, "init")
     extra = {"stopped_early": monitor.stopped_early,
              "convergence_factor": train.convergence_factor(kernel)}
-
     if cfg["feature_mode"] == "global_max_potential":
         # second convolution layer, trained on the frozen first layer's pooled spikes
-        infer = _layer_cfg(layer)
-        pooled = []
-        for t in tensors:
-            spikes, pots = core.infer_image(t.dense(), kernel, infer)
-            pooled.append(encode.SpikeTensor.from_dense(
-                core.max_pool(spikes, pots, infer.pool_lateral_inhibition)))
-        layer2 = cfg["layer2"]
-        second = _init_kernel(layer2, kernel.maps_out, substream(cfg["seed"], "init-l4"))
-        monitor2 = train.train_conv_layer(plan, pooled, second, _layer_cfg(layer2))
-        second_path = out / "kernel-l4.skrn"
-        core.save_kernel(second_path, second)
-        monitor2_path = out / "monitor-l4.csv"
-        write_csv(monitor2_path, ["sample", "weight_delta", "convergence_factor"],
-                  monitor2.rows())
-        artifacts["kernel_l4"] = second_path
-        artifacts["monitor_l4"] = monitor2_path
+        first = train.ConvPipeline(kernel, _layer_cfg(cfg["layer"]))
+        pooled = [first.pooled(t, as_tensor=True)[0] for t in tensors]
+        second, _ = fit("layer2", "l4", pooled, kernel.maps_out, "init-l4")
         extra["convergence_factor_l4"] = train.convergence_factor(second)
     return {"artifacts": artifacts, "extra": extra}
 

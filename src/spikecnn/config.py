@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -29,21 +30,20 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-# Schema: section -> key -> (type(s), default).  A default of REQUIRED means
-# the key must be present whenever its section is used by a command.
-REQUIRED = object()
+# Schema: section -> key -> (type(s), default[, minimum]).  Only a key whose
+# default is null may be set to null; a key with a minimum may not be below it.
 
 _ENCODING_SCHEMA = {
     "threshold": ((int, float), 50.0),
-    "bins": (int, 10),
-    "silent_bins": (int, 2),
+    "bins": (int, 10, 1),
+    "silent_bins": (int, 2, 0),
     "sigma_center": ((int, float), 1.0),
     "sigma_surround": ((int, float), 2.0),
 }
 
 _LAYER_SCHEMA = {
-    "maps": (int, 30),
-    "kernel_size": (int, 5),
+    "maps": (int, 30, 1),
+    "kernel_size": (int, 5, 1),
     "threshold": ((int, float), 15.0),
     "competition_radius": (int, 5),
     "lateral_inhibition": (bool, True),
@@ -56,7 +56,7 @@ _LAYER_SCHEMA = {
 
 # The second convolution layer has no published firing threshold; 10 is the
 # package default, exposed here like every other layer knob.
-_LAYER2_SCHEMA = dict(_LAYER_SCHEMA, maps=(int, 500), threshold=((int, float), 10.0))
+_LAYER2_SCHEMA = dict(_LAYER_SCHEMA, maps=(int, 500, 1), threshold=((int, float), 10.0))
 
 _HEAD_SCHEMA = {
     "kind": (str, "fcn"),  # fcn | rstdp
@@ -65,7 +65,7 @@ _HEAD_SCHEMA = {
     "eta_decay": ((int, float), 1.007),
     "lam": ((int, float), 0.1),
     "epochs": (int, 20),
-    "batch": (int, 10),
+    "batch": (int, 10, 1),
     "n_classes": (int, 10),
     "neurons_per_class": (int, 1),
     "p_drop": ((int, float), 0.0),
@@ -81,7 +81,7 @@ _HEAD_SCHEMA = {
 _PLAN_SCHEMA = {
     "n_images": (int, 2000),
     "stop_rule": (str, "fixed_images"),  # fixed_images | convergence_band | weight_delta_jump
-    "monitor_stride": (int, 150),
+    "monitor_stride": (int, 150, 1),
     "band_low": ((int, float), 0.01),
     "band_high": ((int, float), 0.02),
 }
@@ -95,7 +95,7 @@ _DEMO_SCHEMA = {
     "pattern_rate": ((int, float), 0.04),
     "a_plus": ((int, float), 0.004),
     "a_minus": ((int, float), 0.003),
-    "stats_window": (int, 500),
+    "stats_window": (int, 500, 1),
 }
 
 _FORGET_SCHEMA = {
@@ -106,7 +106,7 @@ _FORGET_SCHEMA = {
     "epochs": (int, 20),
     "incremental": (bool, False),
     "incremental_start": (int, 500),
-    "incremental_stride": (int, 250),
+    "incremental_stride": (int, 250, 1),
 }
 
 _DATASET_SCHEMA = {
@@ -126,7 +126,7 @@ _DATASET_SCHEMA = {
 _RECON_SCHEMA = {
     "first_kernel": (str, None),
     "second_kernel": (str, None),
-    "montage_cols": (int, 10),
+    "montage_cols": (int, 10, 1),
 }
 
 _TOP_SCHEMA = {
@@ -165,9 +165,11 @@ def _apply_schema(raw: dict, schema: dict, where: str) -> dict:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     out = {}
-    for key, (types, default) in schema.items():
+    for key, (types, default, *minimum) in schema.items():
         if key in raw:
             value = raw[key]
+            if _non_finite(value):
+                raise ConfigError(f"{where}.{key}: numbers must be finite, got {value!r}")
             if isinstance(types, tuple):
                 ok = isinstance(value, types) and not isinstance(value, bool)
             elif types is bool:
@@ -176,12 +178,21 @@ def _apply_schema(raw: dict, schema: dict, where: str) -> dict:
                 ok = isinstance(value, int) and not isinstance(value, bool)
             else:
                 ok = isinstance(value, types)
-            if value is not None and not ok:
+            if (value is not None or default is not None) and not ok:
                 raise ConfigError(f"{where}.{key}: expected {types}, got {value!r}")
+            if minimum and value < minimum[0]:
+                raise ConfigError(f"{where}.{key}: must be >= {minimum[0]}, got {value!r}")
             out[key] = value
         else:
             out[key] = default
     return out
+
+
+def _non_finite(value) -> bool:
+    """NaN or +-Infinity anywhere in a value (json.loads accepts both)."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, list) and any(_non_finite(v) for v in value)
 
 
 def validate_config(raw: dict) -> dict:
@@ -192,6 +203,9 @@ def validate_config(raw: dict) -> dict:
             top[section] = _apply_schema(top[section], schema, f"config.{section}")
         else:
             top[section] = _apply_schema({}, schema, f"config.{section}")
+    enc = top["encoding"]
+    if enc["bins"] + enc["silent_bins"] > 256:
+        raise ConfigError("config.encoding: bins + silent_bins must be <= 256 (u8 event times)")
     return top
 
 

@@ -11,6 +11,7 @@ gate caps how often any one map may update.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,13 +243,33 @@ def double_learning_rates(kernel: ConvKernel, images_seen: int,
     return kernel
 
 
-def infer_image(dense_spikes: np.ndarray, kernel: ConvKernel,
-                cfg: InhibitionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run one image through a frozen layer (no competition, no learning),
-    firing and inhibiting exactly as ``fire_and_inhibit`` does bin by bin.
+class SpikePlanes(NamedTuple):
+    """A frozen layer's output for one image, one spike at most per neuron."""
 
-    Returns (out_spikes (T, M, H', W') bool, fired_potentials (M, H', W')).
-    """
+    fired: np.ndarray      # (M, H, W) bool
+    first_bin: np.ndarray  # (M, H, W) int64 bin of the spike, 0 where silent
+    potential: np.ndarray  # (M, H, W) potential at the spike, 0 where silent
+
+
+def _group_first(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Positions of each group's first entry when sorted by ``keys`` (the
+    first key most significant); ties keep the input order."""
+    order = np.lexsort(keys[::-1] + (group,))
+    return order[np.diff(group[order], prepend=-1) != 0]
+
+
+def _inhibit(loc: np.ndarray, first_bin: np.ndarray, potential: np.ndarray) -> np.ndarray:
+    """Lateral inhibition among spikes listed in map order: per location the
+    earliest bin, then the highest potential, then the lowest map wins.
+    Returns the winners' positions."""
+    return _group_first(loc, first_bin, -potential)
+
+
+def infer_image(dense_spikes: np.ndarray, kernel: ConvKernel,
+                cfg: InhibitionConfig) -> SpikePlanes:
+    """Run one image through a frozen layer (no competition, no learning),
+    firing and inhibiting exactly as ``fire_and_inhibit`` does bin by bin;
+    returns the layer's spike planes."""
     t_bins, c, h, w = dense_spikes.shape
     potentials = np.zeros((kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1))
     traj = np.empty((t_bins,) + potentials.shape)
@@ -258,26 +279,19 @@ def infer_image(dense_spikes: np.ndarray, kernel: ConvKernel,
     # Potentials never decrease: each neuron above threshold fired at its first crossing
     idx = np.flatnonzero(potentials > cfg.threshold)
     first = (flat[:, idx] > cfg.threshold).argmax(axis=0)
-    if cfg.lateral_inhibition and idx.size:
-        # per location: earliest bin, then highest potential, then lowest map
-        first_bin = np.full((kernel.maps_out, potentials[0].size), t_bins)
-        first_bin.flat[idx] = first
-        key = np.full(first_bin.shape, -np.inf)
-        key.flat[idx] = flat[first, idx]
-        key[first_bin > first_bin.min(axis=0)] = -np.inf
-        loc = np.flatnonzero(key.max(axis=0) > -np.inf)
-        idx = key[:, loc].argmax(axis=0) * key.shape[1] + loc
-        first = first_bin.flat[idx]
-    spikes = np.zeros(traj.shape, dtype=bool)
-    spikes.reshape(t_bins, -1)[first, idx] = True
-    fired_potentials = np.zeros(potentials.shape)
-    fired_potentials.flat[idx] = flat[first, idx]
-    return spikes, fired_potentials
+    if cfg.lateral_inhibition:
+        win = _inhibit(idx % potentials[0].size, first, flat[first, idx])
+        idx, first = idx[win], first[win]
+    out = SpikePlanes(np.zeros(potentials.shape, dtype=bool),
+                      np.zeros(potentials.shape, dtype=np.int64), np.zeros(potentials.shape))
+    out.fired.flat[idx] = True
+    out.first_bin.flat[idx] = first
+    out.potential.flat[idx] = flat[first, idx]
+    return out
 
 
-def max_pool(spikes: np.ndarray, spike_potentials: np.ndarray,
-             pool_lateral_inhibition: bool = False) -> np.ndarray:
-    """2x2 non-overlapping max pooling over a per-image spike record.
+def max_pool(planes: SpikePlanes, pool_lateral_inhibition: bool = False) -> SpikePlanes:
+    """2x2 non-overlapping max pooling of a layer's spike planes.
 
     Odd map dimensions lose their last row/column.  Per map and block, at
     most one spike passes: the one whose emitting neuron had the highest
@@ -286,42 +300,21 @@ def max_pool(spikes: np.ndarray, spike_potentials: np.ndarray,
     additionally only the dominant map (earliest spike, then highest
     potential, then lowest map index) survives at each pooled location.
     """
-    t_bins, maps, h, w = spikes.shape
+    maps, h, w = planes.fired.shape
     h2, w2 = h // 2, w // 2
-    spikes = spikes[:, :, :h2 * 2, :w2 * 2]
-    pot = spike_potentials[:, :h2 * 2, :w2 * 2]
-    fired = spikes.any(axis=0)
-    first_bin = np.where(fired, spikes.argmax(axis=0), t_bins)
-
-    blocks_pot = np.where(fired, pot, -np.inf).reshape(maps, h2, 2, w2, 2)
-    blocks_pot = blocks_pot.transpose(0, 1, 3, 2, 4).reshape(maps, h2, w2, 4)
-    blocks_fired = fired.reshape(maps, h2, 2, w2, 2)
-    blocks_fired = blocks_fired.transpose(0, 1, 3, 2, 4).reshape(maps, h2, w2, 4)
-    blocks_bin = first_bin.reshape(maps, h2, 2, w2, 2)
-    blocks_bin = blocks_bin.transpose(0, 1, 3, 2, 4).reshape(maps, h2, w2, 4)
-
-    has_spike = blocks_fired.any(axis=-1)
-    pick = blocks_pot.argmax(axis=-1)
-    m_idx, u_idx, v_idx = np.nonzero(has_spike)
-    sel = pick[m_idx, u_idx, v_idx]
-    sel_bin = blocks_bin[m_idx, u_idx, v_idx, sel]
-    sel_pot = blocks_pot[m_idx, u_idx, v_idx, sel]
-
-    out = np.zeros((t_bins, maps, h2, w2), dtype=bool)
-    out[sel_bin, m_idx, u_idx, v_idx] = True
-
-    if pool_lateral_inhibition and m_idx.size:
-        keep = np.zeros((t_bins, maps, h2, w2), dtype=bool)
-        # Dominant map per pooled location: earliest bin, then highest
-        # potential, then lowest map index.
-        order = np.lexsort((m_idx, -sel_pot, sel_bin))
-        taken = np.zeros((h2, w2), dtype=bool)
-        for i in order:
-            u, v = u_idx[i], v_idx[i]
-            if not taken[u, v]:
-                taken[u, v] = True
-                keep[sel_bin[i], m_idx[i], u, v] = True
-        out = keep
+    fired = planes.fired[:, :2 * h2, :2 * w2]
+    m, u, v = np.unravel_index(np.flatnonzero(fired), fired.shape)  # 3-D nonzero is slower
+    first_bin, potential = planes.first_bin[m, u, v], planes.potential[m, u, v]
+    loc = u // 2 * w2 + v // 2
+    win = _group_first(m * (h2 * w2) + loc, -potential)
+    if pool_lateral_inhibition:
+        win = win[_inhibit(loc[win], first_bin[win], potential[win])]
+    out = SpikePlanes(np.zeros((maps, h2, w2), dtype=bool),
+                      np.zeros((maps, h2, w2), dtype=np.int64), np.zeros((maps, h2, w2)))
+    at = (m[win], u[win] // 2, v[win] // 2)
+    out.fired[at] = True
+    out.first_bin[at] = first_bin[win]
+    out.potential[at] = potential[win]
     return out
 
 

@@ -294,6 +294,8 @@ def read_cache(path) -> list[SpikeTensor]:
     version, *shape, count = r.unpack("<6I")
     if version != CACHE_VERSION:
         raise ValueError(f"unsupported cache version {version}")
+    if count == 0:
+        raise ValueError("spike cache is empty")
     shape = tuple(shape)
     out = [SpikeTensor(shape, r.array(np.uint8, r.varint(), 4).copy()) for _ in range(count)]
     r.done()

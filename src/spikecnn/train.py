@@ -38,9 +38,6 @@ class MonitorSeries:
     samples: list[tuple[int, float, float]] = field(default_factory=list)
     stopped_early: bool = False
 
-    def rows(self):
-        return [(i, d, f) for i, d, f in self.samples]
-
 
 def weight_delta(prev: np.ndarray, curr: np.ndarray) -> float:
     """Signed mean of (previous - current) over all weights."""
@@ -158,20 +155,28 @@ class ConvPipeline:
         if self.feature_mode == "global_max_potential" and self.second_kernel is None:
             raise ValueError("global_max_potential needs a second kernel")
 
+    def pooled(self, tensor: SpikeTensor, as_tensor: bool = False):
+        """(pooled first-layer output, first-layer spike count) for one image.
+
+        The output is ``max_pool``'s planes, or with ``as_tensor`` the same
+        spikes as a ``SpikeTensor`` with the input's bins (a second layer's
+        training input).
+        """
+        planes = infer_image(tensor.dense(), self.kernel, self.cfg)
+        pooled = max_pool(planes, self.cfg.pool_lateral_inhibition)
+        if as_tensor:
+            m, u, v = np.unravel_index(np.flatnonzero(pooled.fired), pooled.fired.shape)
+            events = np.column_stack([pooled.first_bin[m, u, v], m, u, v])
+            pooled = SpikeTensor((tensor.bins,) + pooled.fired.shape, events)
+        return pooled, np.count_nonzero(planes.fired)
+
     def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
         """(feature vector, conv-layer spike count) for one image."""
-        spikes, potentials = infer_image(tensor.dense(), self.kernel, self.cfg)
-        n_spikes = np.count_nonzero(spikes)
-        if self.feature_mode == "spike_count" and not self.cfg.pool_lateral_inhibition:
-            # max_pool passes one spike per block and map: the count is a block-OR
-            m, h, w = potentials.shape
-            fired = spikes.any(axis=0)[:, :h - h % 2, :w - w % 2]
-            blocks = fired.reshape(m, h // 2, 2, w // 2, 2)
-            return blocks.any(axis=(2, 4)).ravel().astype(np.float64), n_spikes
-        pooled = max_pool(spikes, potentials, self.cfg.pool_lateral_inhibition)
         if self.feature_mode == "spike_count":
-            return pooled.any(axis=0).ravel().astype(np.float64), n_spikes
-        return global_max_potential(pooled, self.second_kernel), n_spikes
+            pooled, n_spikes = self.pooled(tensor)
+            return pooled.fired.ravel().astype(np.float64), n_spikes
+        pooled, n_spikes = self.pooled(tensor, as_tensor=True)
+        return global_max_potential(pooled.dense(), self.second_kernel), n_spikes
 
 
 def _worker_features(args):
@@ -187,30 +192,24 @@ def extract_features(pipeline: ConvPipeline, tensors: list[SpikeTensor],
     1 images are farmed out to a process pool; results are identical to the
     serial path because each image is processed independently.
     """
+    if len(tensors) == 0:
+        raise ValueError("no images to extract features from")
     if labels is None:
         labels = np.zeros(len(tensors), dtype=np.int64)
-    if len(tensors) == 0:
-        dim = _feature_dim(pipeline)
-        return FeatureMatrix(np.zeros((0, dim)), np.zeros(0, dtype=np.int64)), 0.0
     if threads > 1:
-        chunks = [tensors[i::threads] for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_worker_features, [(pipeline, ch) for ch in chunks]))
-        results: list = [None] * len(tensors)
-        for lane, part in enumerate(parts):
-            for j, item in enumerate(part):
-                results[lane + j * threads] = item
+            parts = list(pool.map(_worker_features,
+                                  [(pipeline, tensors[i::threads]) for i in range(threads)]))
     else:
-        results = [pipeline.features_one(t) for t in tensors]
-    values = np.stack([vec for vec, _ in results])
-    mean_spikes = float(np.mean([n for _, n in results]))
-    return FeatureMatrix(values, np.asarray(labels, dtype=np.int64)), mean_spikes
-
-
-def _feature_dim(pipeline: ConvPipeline) -> int:
-    if pipeline.feature_mode == "global_max_potential":
-        return pipeline.second_kernel.maps_out
-    return 0  # unknown without an input shape; empty datasets only
+        parts = [map(pipeline.features_one, tensors)]  # rows go straight into the matrix
+    values, spikes = None, np.empty(len(tensors))
+    for lane, part in enumerate(parts):
+        for j, (vec, n) in enumerate(part):
+            row = lane + j * len(parts)
+            if values is None:
+                values = np.empty((len(tensors), vec.size))
+            values[row], spikes[row] = vec, n
+    return FeatureMatrix(values, np.asarray(labels, dtype=np.int64)), float(spikes.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from spikecnn.cli import main
+from spikecnn import container
 from spikecnn.config import ConfigError, load_config, validate_config
+from spikecnn.encode import encode_dataset, load_idx_images, read_cache
 from synth_digits import write_idx_dataset
 
 
@@ -83,6 +85,31 @@ class TestEncodeCommand:
         manifest = json.loads((out / "manifest-encode.json").read_text())
         assert manifest["cache_hits"]["train"] is True
         assert cache.read_bytes() == first_bytes
+
+    def test_rewritten_dataset_is_not_a_cache_hit(self, tmp_path):
+        data = tmp_path / "data"
+        paths = write_idx_dataset(data, n_train=30, n_test=10, seed=1)
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json", base_config(paths, out))
+        assert main(["encode", "--config", cfg_path]) == 0
+        write_idx_dataset(data, n_train=30, n_test=10, seed=2)  # same paths, new corpus
+        assert main(["encode", "--config", cfg_path]) == 0
+        manifest = json.loads((out / "manifest-encode.json").read_text())
+        assert manifest["cache_hits"] == {"train": False, "test": False}
+        images, _ = load_idx_images(paths["train_images"], paths["train_labels"])
+        want = encode_dataset(images, threshold=30.0)
+        got = read_cache(manifest["artifact_paths"]["encoded_train"])
+        assert [t.events.tobytes() for t in got] == [t.events.tobytes() for t in want]
+
+    def test_empty_cache_fails_cleanly(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json", base_config(dataset, out))
+        assert main(["encode", "--config", cfg_path]) == 0
+        cache = next(out.glob("encoded-train-*.spkt"))
+        container.write(cache, b"SPKT", ("<6I", 1, 12, 2, 27, 27, 0))  # zero images
+        assert main(["train", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "empty" in err
 
     def test_corrupt_idx_fails_with_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"
@@ -311,6 +338,58 @@ class TestEvalRejectsBadInput:
         code, err = self._run_eval(tmp_path, capsys, [0, 1, 2], cut_features=cut)
         assert code == 1
         assert "error" in err and "truncated" in err and "Traceback" not in err
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("section,key,value", [
+        ("plan", "monitor_stride", 0), ("forget", "incremental_stride", 0),
+        ("head", "batch", 0), ("demo", "stats_window", 0), ("recon", "montage_cols", 0),
+        ("encoding", "bins", 0), ("encoding", "silent_bins", -1),
+        ("layer", "maps", 0), ("layer", "kernel_size", 0),
+        ("layer2", "maps", 0), ("layer2", "kernel_size", -3),
+        ("plan", "monitor_stride", None)])
+    def test_below_minimum(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            validate_config({section: {key: value}})
+
+    @pytest.mark.parametrize("raw", [{"seed": None}, {"threads": None},
+                                     {"head": {"epochs": None}}, {"demo": {"duration": None}},
+                                     {"layer": {"threshold": None}}])
+    def test_null_only_where_the_default_is_null(self, raw):
+        with pytest.raises(ConfigError, match="got None"):
+            validate_config(raw)
+        validate_config({"dataset": {"train_images": None, "limit_train": None}})
+
+    def test_minimums_are_allowed(self):
+        cfg = validate_config({"plan": {"monitor_stride": 1}, "head": {"batch": 1},
+                               "encoding": {"bins": 1, "silent_bins": 0},
+                               "layer": {"maps": 1, "kernel_size": 1}})
+        assert cfg["encoding"]["bins"] == 1 and cfg["layer"]["maps"] == 1
+
+    def test_bins_fit_the_u8_event_axis(self):
+        validate_config({"encoding": {"bins": 250, "silent_bins": 6}})
+        with pytest.raises(ConfigError, match="256"):
+            validate_config({"encoding": {"bins": 250, "silent_bins": 7}})
+
+    @pytest.mark.parametrize("doc", [
+        '{"encoding": {"threshold": NaN}}',
+        '{"layer": {"threshold": Infinity}}',
+        '{"head": {"eta0": -Infinity}}',
+        '{"forget": {"rehearsal_fractions": [0.1, NaN]}}',
+        '{"dataset": {"saccade_offsets": [[0, Infinity, 1]]}}'])
+    def test_non_finite_numbers_rejected(self, tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(doc)
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(p)
+
+    def test_out_of_range_value_exits_1_before_any_work(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, plan={"n_images": 10, "monitor_stride": 0})
+        assert main(["encode", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "monitor_stride" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfigLoading:

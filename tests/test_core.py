@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
-                           conv_accumulate, depress_map,
+                           SpikePlanes, conv_accumulate, depress_map,
                            double_learning_rates, fire_and_inhibit,
                            global_max_potential, homeostasis_gate, infer_image,
                            init_kernel, load_kernel, max_pool, save_kernel,
@@ -155,8 +155,7 @@ class TestFireAndInhibit:
         kernel = init_kernel(8, 2, 5, rng)
         for _ in range(20):
             dense = rng.random((6, 2, 16, 16)) < 0.25
-            spikes, _ = infer_image(dense, kernel, cfg)
-            per_location = spikes.sum(axis=(0, 1))
+            per_location = infer_image(dense, kernel, cfg).fired.sum(axis=0)
             assert per_location.max(initial=0) <= 1
 
 
@@ -316,47 +315,47 @@ class TestLearningRateDoubling:
         assert k.a_minus == pytest.approx(0.096)
 
 
+def spike_planes(maps, h, w, spikes=()):
+    """SpikePlanes holding the given (map, row, col, bin, potential) spikes."""
+    out = SpikePlanes(np.zeros((maps, h, w), dtype=bool),
+                      np.zeros((maps, h, w), dtype=np.int64), np.zeros((maps, h, w)))
+    for m, u, v, t, pot in spikes:
+        out.fired[m, u, v] = True
+        out.first_bin[m, u, v] = t
+        out.potential[m, u, v] = pot
+    return out
+
+
 class TestMaxPool:
     def test_empty_block_no_spike(self):
-        spikes = np.zeros((3, 1, 4, 4), dtype=bool)
-        out = max_pool(spikes, np.zeros((1, 4, 4)))
-        assert not out.any()
+        out = max_pool(spike_planes(1, 4, 4))
+        assert not out.fired.any()
 
     def test_highest_potential_passes(self):
-        spikes = np.zeros((3, 1, 2, 2), dtype=bool)
-        spikes[0, 0, 0, 0] = True   # potential 15.7
-        spikes[2, 0, 1, 1] = True   # potential 16.2
-        pot = np.zeros((1, 2, 2))
-        pot[0, 0, 0] = 15.7
-        pot[0, 1, 1] = 16.2
-        out = max_pool(spikes, pot)
-        assert out.sum() == 1 and out[2, 0, 0, 0]
+        out = max_pool(spike_planes(1, 2, 2, [(0, 0, 0, 0, 15.7), (0, 1, 1, 2, 16.2)]))
+        assert out.fired.sum() == 1 and out.fired[0, 0, 0]
+        assert out.first_bin[0, 0, 0] == 2 and out.potential[0, 0, 0] == 16.2
+
+    def test_equal_potentials_go_to_the_first_in_row_major_order(self):
+        out = max_pool(spike_planes(1, 2, 2, [(0, 1, 0, 3, 16.0), (0, 0, 1, 1, 16.0)]))
+        assert out.first_bin[0, 0, 0] == 1
 
     def test_odd_dimensions_trimmed(self):
-        spikes = np.zeros((2, 30, 23, 23), dtype=bool)
-        out = max_pool(spikes, np.zeros((30, 23, 23)))
-        assert out.shape == (2, 30, 11, 11)
+        out = max_pool(spike_planes(30, 23, 23))
+        assert all(a.shape == (30, 11, 11) for a in out)
 
     def test_keeps_original_bin(self):
-        spikes = np.zeros((5, 1, 2, 2), dtype=bool)
-        spikes[3, 0, 0, 1] = True
-        pot = np.zeros((1, 2, 2))
-        pot[0, 0, 1] = 20.0
-        out = max_pool(spikes, pot)
-        assert out[3, 0, 0, 0]
+        out = max_pool(spike_planes(1, 2, 2, [(0, 0, 1, 3, 20.0)]))
+        assert out.fired[0, 0, 0] and out.first_bin[0, 0, 0] == 3
 
     def test_pool_lateral_inhibition_one_per_location(self):
-        spikes = np.zeros((4, 3, 2, 2), dtype=bool)
-        pot = np.zeros((3, 2, 2))
-        spikes[1, 0, 0, 0] = True
-        pot[0, 0, 0] = 16.0
-        spikes[0, 1, 1, 1] = True   # earlier bin wins the pooled location
-        pot[1, 1, 1] = 15.5
-        spikes[2, 2, 0, 1] = True
-        pot[2, 0, 1] = 17.0
-        out = max_pool(spikes, pot, pool_lateral_inhibition=True)
-        assert out.sum(axis=(0, 1)).max() == 1
-        assert out[0, 1, 0, 0]  # bin 0 beats bin 1 and bin 2 at location (0,0)
+        planes = spike_planes(3, 2, 2, [(0, 0, 0, 1, 16.0),
+                                        (1, 1, 1, 0, 15.5),   # earlier bin wins (0,0)
+                                        (2, 0, 1, 2, 17.0)])
+        out = max_pool(planes, pool_lateral_inhibition=True)
+        assert out.fired.sum(axis=0).max() == 1
+        assert out.fired[1, 0, 0] and out.first_bin[1, 0, 0] == 0
+        assert not out.first_bin[0].any() and not out.potential[0].any()  # losers go silent
 
 
 class TestGlobalMaxPotential:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikecnn import container
 from spikecnn.encode import (ContrastMap, SpikeTensor, dog_filter,
                              encode_image, latency_encode, load_aer_recording,
                              load_idx_images, load_idx_labels, make_dog_kernel,
@@ -375,6 +376,12 @@ class TestCacheFile:
         write_cache(p1, tensors)
         write_cache(p2, tensors)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_zero_count_rejected(self, tmp_path):
+        p = tmp_path / "empty.spkt"
+        container.write(p, b"SPKT", ("<6I", 1, 12, 2, 9, 9, 0))
+        with pytest.raises(ValueError, match="empty"):
+            read_cache(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.spkt"

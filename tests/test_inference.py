@@ -1,10 +1,11 @@
-"""Single-pass frozen-layer inference against a per-bin reference loop.
+"""Single-pass frozen-layer inference and plane pooling against oracles.
 
-``per_bin_oracle`` is the reference: it accumulates potentials one bin at a
-time and fires through ``fire_and_inhibit`` with a ``LayerState``, exactly as
-training does.  ``infer_image`` must match it bit for bit, and the pipeline's
-spike-count features must equal the per-neuron spike counts of ``max_pool``'s
-output.
+``per_bin_oracle`` is the reference layer: it accumulates potentials one bin
+at a time and fires through ``fire_and_inhibit`` with a ``LayerState``,
+exactly as training does.  ``oracle_max_pool`` is the reference pooling over
+the full (T, M, H', W') spike record.  ``infer_image`` and ``max_pool`` must
+match them bit for bit, and so must the pipeline's pooled planes, its
+second-layer ``SpikeTensor`` and its spike-count features.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
                            conv_accumulate, fire_and_inhibit, infer_image,
-                           init_kernel, max_pool)
+                           init_kernel)
 from spikecnn.encode import SpikeTensor
 from spikecnn.train import ConvPipeline
 
@@ -34,20 +35,79 @@ def per_bin_oracle(dense, kernel, cfg):
     return out, fired_potential
 
 
+def oracle_max_pool(spikes, spike_potentials, pool_lateral_inhibition=False):
+    """2x2 pooling of a (T, M, H', W') spike record: per map and block the
+    highest-potential spike passes at its own bin (ties in row-major block
+    order); with pool inhibition only the dominant map (earliest bin, then
+    highest potential, then lowest map) survives at each pooled location."""
+    t_bins, maps, h, w = spikes.shape
+    h2, w2 = h // 2, w // 2
+    spikes = spikes[:, :, :h2 * 2, :w2 * 2]
+    pot = spike_potentials[:, :h2 * 2, :w2 * 2]
+    fired = spikes.any(axis=0)
+    first_bin = np.where(fired, spikes.argmax(axis=0), t_bins)
+
+    def blocks(a):
+        return a.reshape(maps, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(maps, h2, w2, 4)
+
+    blocks_pot = blocks(np.where(fired, pot, -np.inf))
+    m_idx, u_idx, v_idx = np.nonzero(blocks(fired).any(axis=-1))
+    sel = blocks_pot.argmax(axis=-1)[m_idx, u_idx, v_idx]
+    sel_bin = blocks(first_bin)[m_idx, u_idx, v_idx, sel]
+    sel_pot = blocks_pot[m_idx, u_idx, v_idx, sel]
+    out = np.zeros((t_bins, maps, h2, w2), dtype=bool)
+    if not pool_lateral_inhibition:
+        out[sel_bin, m_idx, u_idx, v_idx] = True
+        return out
+    taken = np.zeros((h2, w2), dtype=bool)
+    for i in np.lexsort((m_idx, -sel_pot, sel_bin)):
+        u, v = u_idx[i], v_idx[i]
+        if not taken[u, v]:
+            taken[u, v] = True
+            out[sel_bin[i], m_idx[i], u, v] = True
+    return out
+
+
+def oracle_block_max(spikes, spike_potentials):
+    """Highest potential among the fired neurons of each 2x2 block."""
+    fired = spikes.any(axis=0)
+    maps, h, w = fired.shape
+    pot = np.where(fired, spike_potentials, -np.inf)[:, :h // 2 * 2, :w // 2 * 2]
+    return pot.reshape(maps, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+
+
 def count_spikes(spikes):
     """Per-neuron spike count across bins, flattened map-major."""
     return spikes.sum(axis=0, dtype=np.float64).ravel()
 
 
-def assert_matches_oracle(dense, kernel, cfg):
-    spikes, potentials = infer_image(dense, kernel, cfg)
-    want_spikes, want_potentials = per_bin_oracle(dense, kernel, cfg)
-    np.testing.assert_array_equal(spikes, want_spikes)
-    np.testing.assert_array_equal(potentials, want_potentials)
+def assert_planes_match(planes, spikes, potentials):
+    """``planes`` hold exactly the (T, M, H', W') record ``spikes``; silent
+    neurons read bin 0 and potential 0."""
+    fired = spikes.any(axis=0)
+    np.testing.assert_array_equal(planes.fired, fired)
+    np.testing.assert_array_equal(planes.first_bin, np.where(fired, spikes.argmax(axis=0), 0))
+    np.testing.assert_array_equal(planes.potential, np.where(fired, potentials, 0.0))
 
-    features, n_spikes = ConvPipeline(kernel, cfg).features_one(SpikeTensor.from_dense(dense))
-    pooled = max_pool(want_spikes, want_potentials, cfg.pool_lateral_inhibition)
-    np.testing.assert_array_equal(features, count_spikes(pooled))
+
+def assert_matches_oracle(dense, kernel, cfg):
+    want_spikes, want_potentials = per_bin_oracle(dense, kernel, cfg)
+    assert_planes_match(infer_image(dense, kernel, cfg), want_spikes, want_potentials)
+
+    pipe = ConvPipeline(kernel, cfg)
+    tensor = SpikeTensor.from_dense(dense)
+    want_pooled = oracle_max_pool(want_spikes, want_potentials, cfg.pool_lateral_inhibition)
+    pooled, n_spikes = pipe.pooled(tensor)
+    assert_planes_match(pooled, want_pooled,
+                        oracle_block_max(want_spikes, want_potentials))
+    assert n_spikes == int(want_spikes.sum())
+
+    layer2, _ = pipe.pooled(tensor, as_tensor=True)
+    assert layer2.shape == want_pooled.shape
+    np.testing.assert_array_equal(layer2.events, SpikeTensor.from_dense(want_pooled).events)
+
+    features, n_spikes = pipe.features_one(tensor)
+    np.testing.assert_array_equal(features, count_spikes(want_pooled))
     assert features.dtype == np.float64
     assert n_spikes == int(want_spikes.sum())
 

@@ -183,8 +183,8 @@ class TestExtractFeatures:
     def test_empty_dataset(self):
         rng = np.random.default_rng(6)
         pipe = ConvPipeline(init_kernel(4, 2, 5, rng), InhibitionConfig(threshold=15))
-        matrix, spikes = extract_features(pipe, [])
-        assert matrix.n_rows == 0 and spikes == 0.0
+        with pytest.raises(ValueError, match="no images"):
+            extract_features(pipe, [])
 
     def test_identical_images_identical_rows(self):
         rng = np.random.default_rng(7)
@@ -208,6 +208,9 @@ class TestExtractFeatures:
         parallel, s2 = extract_features(pipe, tensors, threads=3)
         np.testing.assert_array_equal(serial.values, parallel.values)
         assert s1 == s2
+        zero, s0 = extract_features(pipe, tensors, threads=0)  # below 1 runs serially
+        np.testing.assert_array_equal(serial.values, zero.values)
+        assert s1 == s0
 
     def test_global_max_potential_mode(self):
         rng = np.random.default_rng(10)
@@ -244,11 +247,7 @@ class TestFrozenLayerIntegrity:
         save_kernel(p1, first)
         pipe = ConvPipeline(first, InhibitionConfig(threshold=10))
         tensors = random_tensors(15, rng, shape=(12, 2, 27, 27), density=0.2)
-        pooled = []
-        for t in tensors:
-            from spikecnn.core import infer_image, max_pool
-            spikes, pots = infer_image(t.dense(), first, pipe.cfg)
-            pooled.append(SpikeTensor.from_dense(max_pool(spikes, pots)))
+        pooled = [pipe.pooled(t, as_tensor=True)[0] for t in tensors]
         second = init_kernel(8, 6, 5, rng)
         train_conv_layer(TrainPlan(n_images=30), pooled, second,
                          InhibitionConfig(threshold=2.0))
