@@ -148,6 +148,14 @@ def _init_kernel(section: dict, maps_in: int, rng: np.random.Generator) -> core.
 def cmd_train(cfg: dict, out: Path) -> dict:
     cache, _ = _encoded_paths(cfg, out, "train")
     tensors = encode.read_cache(_require(cache, "encoded train cache"))
+    side = min(tensors[0].shape[2:])
+    inputs = {"layer": side}
+    if cfg["feature_mode"] == "global_max_potential":  # layer 2 reads layer 1's pooled maps
+        inputs["layer2"] = (side - cfg["layer"]["kernel_size"] + 1) // 2
+    for section, side in inputs.items():  # checked before any layer trains
+        if cfg[section]["kernel_size"] > side:
+            raise ValueError(f"{section}.kernel_size {cfg[section]['kernel_size']} "
+                             f"exceeds its input size {side}")
     plan_cfg = cfg["plan"]
     plan = train.TrainPlan(n_images=plan_cfg["n_images"], stop_rule=plan_cfg["stop_rule"],
                            monitor_stride=plan_cfg["monitor_stride"],
@@ -208,9 +216,15 @@ def cmd_features(cfg: dict, out: Path) -> dict:
     return {"artifacts": artifacts}
 
 
+def _check_labels(data: heads.FeatureMatrix, n_classes: int, split: str) -> None:
+    if data.labels.max(initial=0) >= n_classes:
+        raise ValueError(f"{split} label {data.labels.max()} >= head.n_classes {n_classes}")
+
+
 def cmd_classify(cfg: dict, out: Path) -> dict:
     data = heads.import_features(_require(out / "features-train.fmat", "training features"))
     h = cfg["head"]
+    _check_labels(data, h["n_classes"], "training")
     rng = substream(cfg["seed"], "head-init")
     shuffle_rng = substream(cfg["seed"], "head-shuffle")
     curve = []
@@ -248,14 +262,13 @@ def cmd_classify(cfg: dict, out: Path) -> dict:
 def cmd_eval(cfg: dict, out: Path) -> dict:
     data = heads.import_features(_require(out / "features-test.fmat", "test features"))
     h = cfg["head"]
+    n_classes = h["n_classes"]
+    _check_labels(data, n_classes, "test")
     head_path = out / ("head-fcn.skhd" if h["kind"] == "fcn" else "head-rstdp.skhd")
     head = heads.load_head(_require(head_path, "trained head"))
     predict = heads.fcn_predict if isinstance(head, heads.FcnHead) else heads.rstdp_predict
     pred = predict(head, data.values)
     acc = float(np.mean(pred == data.labels))
-    n_classes = h["n_classes"]
-    if data.labels.max(initial=0) >= n_classes:
-        raise ValueError(f"test label {data.labels.max()} >= head.n_classes {n_classes}")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for truth, guess in zip(data.labels, pred):
         confusion[truth, guess] += 1

@@ -117,20 +117,26 @@ def conv_accumulate(spikes_bin: np.ndarray, weights: np.ndarray,
     """Add one bin's valid-mode correlation response into the potentials.
 
     ``spikes_bin`` is (maps_in, H, W); ``potentials`` is
-    (maps_out, H-k+1, W-k+1) and is updated in place.
+    (maps_out, H-k+1, W-k+1) and is updated in place.  The product is one
+    dgemm over the same operands ``tensordot`` would build, so its bits match.
     """
     maps_out, maps_in, k, _ = weights.shape
     c, h, w = spikes_bin.shape
     if c != maps_in:
         raise ValueError(f"spike channels {c} != kernel maps_in {maps_in}")
+    if k > h or k > w:
+        raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
     expect = (maps_out, h - k + 1, w - k + 1)
     if potentials.shape != expect:
         raise ValueError(f"potentials shape {potentials.shape} != {expect}")
     if not spikes_bin.any():
         return potentials
-    windows = np.lib.stride_tricks.sliding_window_view(
-        spikes_bin.astype(np.float64), (k, k), axis=(1, 2))
-    potentials += np.tensordot(weights, windows, axes=([1, 2, 3], [0, 3, 4]))
+    # im2col: cols[(c, dy, dx), (u, v)] = spikes_bin[c, u + dy, v + dx]
+    sc, sh, sw = spikes_bin.strides
+    cols = np.empty((c * k * k, expect[1] * expect[2]))
+    np.copyto(cols.reshape(c, k, k, *expect[1:]), np.lib.stride_tricks.as_strided(
+        spikes_bin, (c, k, k, *expect[1:]), (sc, sh, sw, sh, sw), writeable=False))
+    potentials += np.dot(weights.reshape(maps_out, -1), cols).reshape(expect)
     return potentials
 
 
@@ -146,21 +152,14 @@ def fire_and_inhibit(potentials: np.ndarray, state: LayerState,
     eligible = (potentials > cfg.threshold) & ~state.fired
     if cfg.lateral_inhibition:
         eligible &= ~state.location_locked[None, :, :]
-    if not eligible.any():
-        return np.zeros_like(eligible)
-
-    if cfg.lateral_inhibition:
-        masked = np.where(eligible, potentials, -np.inf)
-        winner_map = masked.argmax(axis=0)  # first max wins -> lower map index
-        any_here = eligible.any(axis=0)
-        fired_now = np.zeros_like(eligible)
-        uu, vv = np.nonzero(any_here)
-        fired_now[winner_map[uu, vv], uu, vv] = True
-        state.location_locked |= any_here
-    else:
-        fired_now = eligible
-
-    state.fired |= fired_now
+    idx = np.flatnonzero(eligible)  # map-major, so ties go to the lower map
+    if cfg.lateral_inhibition and idx.size:
+        loc = idx % state.location_locked.size
+        state.location_locked.flat[loc] = True
+        idx = idx[_group_first(loc, -potentials.flat[idx])]
+    fired_now = np.zeros_like(eligible)
+    fired_now.flat[idx] = True
+    state.fired.flat[idx] = True
     return fired_now
 
 
@@ -175,23 +174,14 @@ def stdp_competition(fired_now: np.ndarray, potentials: np.ndarray,
     and a map that wins is done updating for this image.
     """
     winners: list[tuple[int, int, int]] = []
-    maps_out = fired_now.shape[0]
-    cands = []
-    for m in range(maps_out):
-        if state.map_updated[m]:
-            continue
-        mask = fired_now[m]
-        if not mask.any():
-            continue
-        flat = np.where(mask, potentials[m], -np.inf).ravel()
-        idx = int(flat.argmax())
-        u, v = divmod(idx, fired_now.shape[2])
-        cands.append((-potentials[m, u, v], m, u, v))
-    cands.sort()
+    idx = np.flatnonzero(fired_now)
+    idx = idx[~state.map_updated[idx // potentials[0].size]]
+    maps, rows, cols = np.unravel_index(idx, potentials.shape)
+    neg = -potentials.flat[idx]
+    cand = _group_first(maps, neg)  # per map the highest potential, first in row-major order
+    cand = cand[np.lexsort((maps[cand], neg[cand]))]
     span = 2 * radius
-    for _, m, u, v in cands:
-        if state.map_updated[m]:
-            continue
+    for m, u, v in zip(maps[cand].tolist(), rows[cand].tolist(), cols[cand].tolist()):
         clash = any(abs(u - pu) <= span and abs(v - pv) <= span
                     for pu, pv in state.winner_positions)
         if clash:
@@ -255,7 +245,10 @@ def _group_first(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     """Positions of each group's first entry when sorted by ``keys`` (the
     first key most significant); ties keep the input order."""
     order = np.lexsort(keys[::-1] + (group,))
-    return order[np.diff(group[order], prepend=-1) != 0]
+    group = group[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    return order[first]
 
 
 def _inhibit(loc: np.ndarray, first_bin: np.ndarray, potential: np.ndarray) -> np.ndarray:

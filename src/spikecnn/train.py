@@ -62,10 +62,16 @@ def train_image(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
     state.begin_image()
     potentials = np.zeros(state.out_shape)
     k = kernel.k
-    n_spikes = 0
+    n_spikes = above = 0
     for t in range(t_bins):
         state.input_cum |= dense[t]
         conv_accumulate(dense[t], kernel.weights, potentials)
+        # Potentials never decrease and a fire step leaves every neuron above
+        # threshold fired or locked: no new crossing, nothing can fire.
+        now = np.count_nonzero(potentials > cfg.threshold)
+        if now == above:
+            continue
+        above = now
         fired = fire_and_inhibit(potentials, state, cfg)
         if not fired.any():
             continue

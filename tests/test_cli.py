@@ -340,6 +340,45 @@ class TestEvalRejectsBadInput:
         assert "error" in err and "truncated" in err and "Traceback" not in err
 
 
+class TestClassifyRejectsBadLabels:
+    @pytest.mark.parametrize("kind", ["fcn", "rstdp"])
+    def test_label_beyond_n_classes(self, tmp_path, capsys, kind):
+        # The FCN head used to raise IndexError mid-epoch; the R-STDP head
+        # trained silently and reported accuracy 0.1.
+        from spikecnn.heads import FeatureMatrix, export_features
+        out = tmp_path / "run"
+        out.mkdir()
+        rng = np.random.default_rng(0)
+        export_features(FeatureMatrix(rng.random((20, 8)), np.arange(20) % 10),
+                        out / "features-train.fmat", "binary_matrix")
+        cfg_path = write_config(tmp_path / "c.json", {
+            "out_dir": str(out), "head": {"kind": kind, "n_classes": 2, "epochs": 2}})
+        assert main(["classify", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "training label 9 >= head.n_classes 2" in err and "Traceback" not in err
+        assert not list(out.glob("head-*.skhd"))
+
+
+class TestTrainRejectsOversizeKernel:
+    @pytest.mark.parametrize("section,overrides", [
+        ("layer", {"layer": {"maps": 4, "kernel_size": 28}}),  # 27x27 input
+        ("layer2", {"layer": {"maps": 4}, "layer2": {"maps": 4, "kernel_size": 12},
+                    "feature_mode": "global_max_potential"}),  # 11x11 pooled maps
+    ])
+    def test_exits_1_before_any_layer_trains(self, dataset, tmp_path, capsys,
+                                             section, overrides):
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, **overrides)
+        cfg["plan"] = {"n_images": 10, "monitor_stride": 5}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["encode", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.kernel_size" in err and "Traceback" not in err
+        assert not list(out.glob("kernel-*.skrn"))
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("section,key,value", [
         ("plan", "monitor_stride", 0), ("forget", "incremental_stride", 0),

@@ -1,0 +1,274 @@
+"""The training layer step against the straightforward implementation.
+
+The oracles are the layer step as first written: ``tensordot`` over a
+``sliding_window_view`` for the convolution, a dense ``argmax`` over maps for
+lateral inhibition, a per-map Python loop for the competition candidates and
+a ``train_image`` that fires on every bin.  The package's layer step must
+agree with them byte for byte: potentials, spikes, winners, layer state,
+trained weights and monitor samples.  Both paths run in the same process, so
+no golden hash pins the BLAS build.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from spikecnn import train
+from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
+                           conv_accumulate, depress_map, fire_and_inhibit,
+                           homeostasis_gate, init_kernel, stdp_competition,
+                           stdp_update)
+from spikecnn.encode import SpikeTensor
+
+
+def oracle_conv_accumulate(spikes_bin, weights, potentials):
+    k = weights.shape[2]
+    if not spikes_bin.any():
+        return potentials
+    windows = np.lib.stride_tricks.sliding_window_view(
+        spikes_bin.astype(np.float64), (k, k), axis=(1, 2))
+    potentials += np.tensordot(weights, windows, axes=([1, 2, 3], [0, 3, 4]))
+    return potentials
+
+
+def oracle_fire_and_inhibit(potentials, state, cfg):
+    eligible = (potentials > cfg.threshold) & ~state.fired
+    if cfg.lateral_inhibition:
+        eligible &= ~state.location_locked[None, :, :]
+    if not eligible.any():
+        return np.zeros_like(eligible)
+    if cfg.lateral_inhibition:
+        masked = np.where(eligible, potentials, -np.inf)
+        winner_map = masked.argmax(axis=0)
+        any_here = eligible.any(axis=0)
+        fired_now = np.zeros_like(eligible)
+        uu, vv = np.nonzero(any_here)
+        fired_now[winner_map[uu, vv], uu, vv] = True
+        state.location_locked |= any_here
+    else:
+        fired_now = eligible
+    state.fired |= fired_now
+    return fired_now
+
+
+def oracle_stdp_competition(fired_now, potentials, state, radius):
+    winners = []
+    cands = []
+    for m in range(fired_now.shape[0]):
+        if state.map_updated[m] or not fired_now[m].any():
+            continue
+        idx = int(np.where(fired_now[m], potentials[m], -np.inf).argmax())
+        u, v = divmod(idx, fired_now.shape[2])
+        cands.append((-potentials[m, u, v], m, u, v))
+    cands.sort()
+    span = 2 * radius
+    for _, m, u, v in cands:
+        if any(abs(u - pu) <= span and abs(v - pv) <= span
+               for pu, pv in state.winner_positions):
+            continue
+        winners.append((m, u, v))
+        state.winner_positions.append((u, v))
+        state.map_updated[m] = True
+    return winners
+
+
+def oracle_train_image(dense, kernel, cfg, state):
+    state.begin_image()
+    potentials = np.zeros(state.out_shape)
+    k = kernel.k
+    n_spikes = 0
+    for t in range(dense.shape[0]):
+        state.input_cum |= dense[t]
+        oracle_conv_accumulate(dense[t], kernel.weights, potentials)
+        fired = oracle_fire_and_inhibit(potentials, state, cfg)
+        if not fired.any():
+            continue
+        n_spikes += int(fired.sum())
+        for m, u, v in oracle_stdp_competition(fired, potentials, state,
+                                               cfg.competition_radius):
+            if homeostasis_gate(state, m):
+                stdp_update(kernel, m, state.input_cum[:, u:u + k, v:v + k])
+            else:
+                depress_map(kernel, m)
+    state.images_seen += 1
+    return n_spikes
+
+
+def assert_bytes_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_states_equal(got, want):
+    for name in ("fired", "location_locked", "map_updated", "input_cum", "homeo_counts"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.winner_positions == want.winner_positions
+    assert got.images_seen == want.images_seen
+
+
+# Weights on a quarter grid make potentials exact multiples of 0.25, so maps
+# tie and potentials land exactly on the threshold.
+QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def geometry(draw):
+    maps = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    maps_in = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    h = draw(st.sampled_from([k, k, k + 1, k + 3, k + 7]))  # k == H often
+    w = draw(st.sampled_from([k, k + 2, k + 6]))
+    elements = QUARTERS if draw(st.booleans()) else st.floats(0.0, 1.0)
+    weights = draw(hnp.arrays(np.float64, (maps, maps_in, k, k), elements=elements))
+    if maps > 1 and draw(st.booleans()):
+        weights[-1] = weights[0]  # identical maps tie everywhere
+    return maps, maps_in, k, h, w, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometry(), st.data())
+def test_conv_accumulate_matches_tensordot(geo, data):
+    maps, maps_in, k, h, w, weights = geo
+    if data.draw(st.booleans()):  # float spike counts, as a sum over bins
+        spikes = data.draw(hnp.arrays(np.float64, (maps_in, h, w),
+                                      elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5])))
+    else:
+        spikes = data.draw(hnp.arrays(np.bool_, (maps_in, h, w)))
+    start = data.draw(hnp.arrays(np.float64, (maps, h - k + 1, w - k + 1),
+                                 elements=st.floats(0.0, 20.0)))
+    got, want = start.copy(), start.copy()
+    assert conv_accumulate(spikes, weights, got) is got
+    oracle_conv_accumulate(spikes, weights, want)
+    assert_bytes_equal(got, want)
+
+
+def test_conv_accumulate_reference_and_layer2_shapes():
+    rng = np.random.default_rng(3)
+    for maps, maps_in, k, size, rate in [(30, 2, 5, 27, 0.05), (500, 30, 5, 11, 0.02),
+                                         (1, 1, 1, 6, 0.5)]:
+        weights = init_kernel(maps, maps_in, k, rng).weights
+        got = np.zeros((maps, size - k + 1, size - k + 1))
+        want = got.copy()
+        for _ in range(12):
+            spikes = rng.random((maps_in, size, size)) < rate
+            conv_accumulate(spikes, weights, got)
+            oracle_conv_accumulate(spikes, weights, want)
+            assert_bytes_equal(got, want)
+
+
+@pytest.mark.parametrize("h,w", [(4, 6), (6, 4)])
+def test_conv_accumulate_rejects_a_kernel_larger_than_its_input(h, w):
+    with pytest.raises(ValueError, match="exceeds"):
+        conv_accumulate(np.ones((1, h, w), dtype=bool), np.ones((2, 1, 5, 5)),
+                        np.zeros((2, h - 4, w - 4)))
+
+
+@st.composite
+def layer_cases(draw):
+    maps, maps_in, k, h, w, weights = draw(geometry())
+    n_images = draw(st.integers(1, 4))
+    t_bins = draw(st.integers(1, 6))
+    images = draw(st.lists(hnp.arrays(np.bool_, (t_bins, maps_in, h, w)),
+                           min_size=n_images, max_size=n_images))
+    threshold = draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.75]))
+    cfg = InhibitionConfig(threshold=threshold,
+                           competition_radius=draw(st.sampled_from([0, 1, 5])),
+                           lateral_inhibition=draw(st.booleans()))
+    return images, ConvKernel(weights, a_plus=0.1, a_minus=0.08), cfg
+
+
+def run_layer(step, images, kernel, cfg):
+    t_bins, c, h, w = images[0].shape
+    state = LayerState(kernel.maps_out, c, h - kernel.k + 1, w - kernel.k + 1, h, w,
+                       homeo_window=2, homeo_limit=1)
+    spikes = [step(dense, kernel, cfg, state) for dense in images]
+    return spikes, state
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer_cases())
+def test_train_image_matches_oracle(case):
+    images, kernel, cfg = case
+    got_kernel, want_kernel = kernel.copy(), kernel.copy()
+    got_spikes, got_state = run_layer(train.train_image, images, got_kernel, cfg)
+    want_spikes, want_state = run_layer(oracle_train_image, images, want_kernel, cfg)
+    assert got_spikes == want_spikes
+    assert_bytes_equal(got_kernel.weights, want_kernel.weights)
+    assert_states_equal(got_state, want_state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fire_and_competition_match_oracles(data):
+    maps = data.draw(st.sampled_from([1, 2, 5, 30]))
+    h = data.draw(st.integers(1, 9))
+    w = data.draw(st.integers(1, 9))
+    shape = (maps, h, w)
+    potentials = data.draw(hnp.arrays(np.float64, shape, elements=QUARTERS))
+    cfg = InhibitionConfig(threshold=data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5])),
+                           lateral_inhibition=data.draw(st.booleans()))
+    radius = data.draw(st.sampled_from([0, 1, 5]))
+    got = LayerState(maps, 1, h, w, h, w)
+    got.fired = data.draw(hnp.arrays(np.bool_, shape))
+    got.location_locked = data.draw(hnp.arrays(np.bool_, (h, w)))
+    got.map_updated = data.draw(hnp.arrays(np.bool_, maps))
+    got.winner_positions = data.draw(st.lists(st.tuples(st.integers(0, h - 1),
+                                                        st.integers(0, w - 1)), max_size=3))
+    want = LayerState(maps, 1, h, w, h, w)
+    for name in ("fired", "location_locked", "map_updated"):
+        setattr(want, name, getattr(got, name).copy())
+    want.winner_positions = list(got.winner_positions)
+
+    fired = fire_and_inhibit(potentials, got, cfg)
+    assert_bytes_equal(fired, oracle_fire_and_inhibit(potentials, want, cfg))
+    assert_states_equal(got, want)
+    # any fired plane, not only one fire_and_inhibit could emit
+    plane = data.draw(hnp.arrays(np.bool_, shape))
+    assert (stdp_competition(plane, potentials, got, radius)
+            == oracle_stdp_competition(plane, potentials, want, radius))
+    assert_states_equal(got, want)
+
+
+@pytest.mark.parametrize("lateral", [True, False])
+def test_layer2_shape_matches_oracle(lateral):
+    # 500 maps over 30 pooled 11x11 input maps, as the second layer trains
+    rng = np.random.default_rng(11)
+    kernel = init_kernel(500, 30, 5, rng)
+    cfg = InhibitionConfig(threshold=10.0, lateral_inhibition=lateral)
+    images = [rng.random((12, 30, 11, 11)) < 0.01 for _ in range(6)]
+    got_kernel, want_kernel = kernel.copy(), kernel.copy()
+    got_spikes, got_state = run_layer(train.train_image, images, got_kernel, cfg)
+    want_spikes, want_state = run_layer(oracle_train_image, images, want_kernel, cfg)
+    assert got_spikes == want_spikes and sum(got_spikes) > 0
+    assert_bytes_equal(got_kernel.weights, want_kernel.weights)
+    assert_states_equal(got_state, want_state)
+
+
+@pytest.mark.parametrize("radius,lateral", [(5, True), (0, True), (5, False)])
+def test_train_conv_layer_matches_oracle(monkeypatch, radius, lateral):
+    # The reference geometry: 30 maps of 5x5 over 27x27 ON/OFF input.
+    rng = np.random.default_rng(4)
+    dataset = []
+    for _ in range(15):
+        dense = rng.random((12, 2, 27, 27)) < rng.uniform(0.01, 0.05)
+        dense[10:] = False  # silent bins
+        dataset.append(SpikeTensor.from_dense(dense))
+    kernel = init_kernel(30, 2, 5, rng)
+    cfg = InhibitionConfig(threshold=15.0, competition_radius=radius,
+                           lateral_inhibition=lateral)
+    plan = train.TrainPlan(n_images=40, monitor_stride=10)
+
+    def fit():
+        trained = kernel.copy()
+        monitor = train.train_conv_layer(plan, dataset, trained, cfg, rate_doubling_every=20)
+        return trained, monitor
+
+    got_kernel, got_monitor = fit()
+    monkeypatch.setattr(train, "train_image", oracle_train_image)
+    want_kernel, want_monitor = fit()
+    assert_bytes_equal(got_kernel.weights, want_kernel.weights)
+    assert (got_kernel.a_plus, got_kernel.a_minus) == (want_kernel.a_plus, want_kernel.a_minus)
+    assert np.array(got_monitor.samples).tobytes() == np.array(want_monitor.samples).tobytes()
+    assert len(got_monitor.samples) == 4
