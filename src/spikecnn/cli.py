@@ -49,12 +49,9 @@ def _out_dir(cfg: dict, args) -> Path:
 
 
 def _load_cfg(args) -> dict:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    return cfg
+    overrides = {key: getattr(args, key) for key in ("seed", "threads")
+                 if getattr(args, key) is not None}
+    return load_config(args.config, overrides)
 
 
 def _split_key(cfg: dict, split: str) -> str:
@@ -145,51 +142,58 @@ def _init_kernel(section: dict, maps_in: int, rng: np.random.Generator) -> core.
                             a_plus=float(section["a_plus"]), a_minus=float(section["a_minus"]))
 
 
+def _stack(cfg: dict) -> list[tuple[str, str, str]]:
+    """The conv layers in order: (config section, artifact tag, init substream).
+    A second layer exists only as the global_max_potential readout."""
+    stack = [("layer", "l2", "init")]
+    if cfg["feature_mode"] == "global_max_potential":
+        stack.append(("layer2", "l4", "init-l4"))
+    return stack
+
+
 def cmd_train(cfg: dict, out: Path) -> dict:
     cache, _ = _encoded_paths(cfg, out, "train")
-    tensors = encode.read_cache(_require(cache, "encoded train cache"))
-    side = min(tensors[0].shape[2:])
-    inputs = {"layer": side}
-    if cfg["feature_mode"] == "global_max_potential":  # layer 2 reads layer 1's pooled maps
-        inputs["layer2"] = (side - cfg["layer"]["kernel_size"] + 1) // 2
-    for section, side in inputs.items():  # checked before any layer trains
-        if cfg[section]["kernel_size"] > side:
-            raise ValueError(f"{section}.kernel_size {cfg[section]['kernel_size']} "
-                             f"exceeds its input size {side}")
+    inputs = encode.read_cache(_require(cache, "encoded train cache"))
+    side = min(inputs[0].shape[2:])
+    for section, _, _ in _stack(cfg):  # checked before any layer trains
+        k = cfg[section]["kernel_size"]
+        if k > side:
+            raise ValueError(f"{section}.kernel_size {k} exceeds its input size {side}")
+        side = (side - k + 1) // 2  # the next layer reads this one's pooled maps
     plan_cfg = cfg["plan"]
     plan = train.TrainPlan(n_images=plan_cfg["n_images"], stop_rule=plan_cfg["stop_rule"],
                            monitor_stride=plan_cfg["monitor_stride"],
                            band=(float(plan_cfg["band_low"]), float(plan_cfg["band_high"])))
-    artifacts = {}
-
-    def fit(section: str, tag: str, inputs, maps_in: int, stream: str):
-        kernel = _init_kernel(cfg[section], maps_in, substream(cfg["seed"], stream))
-        monitor = train.train_conv_layer(plan, inputs, kernel, _layer_cfg(cfg[section]))
+    artifacts, extra = {}, {}
+    for n, (section, tag, stream) in enumerate(_stack(cfg)):
+        if n:  # trains on the frozen previous layer's pooled spikes
+            inputs = [previous.pooled(t, as_tensor=True)[0] for t in inputs]
+        layer_cfg = _layer_cfg(cfg[section])
+        kernel = _init_kernel(cfg[section], inputs[0].channels, substream(cfg["seed"], stream))
+        monitor = train.train_conv_layer(plan, inputs, kernel, layer_cfg)
+        previous = train.ConvPipeline(kernel, layer_cfg)
         artifacts[f"kernel_{tag}"] = out / f"kernel-{tag}.skrn"
         core.save_kernel(artifacts[f"kernel_{tag}"], kernel)
         artifacts[f"monitor_{tag}"] = out / f"monitor-{tag}.csv"
         write_csv(artifacts[f"monitor_{tag}"], ["sample", "weight_delta", "convergence_factor"],
                   monitor.samples)
-        return kernel, monitor
-
-    kernel, monitor = fit("layer", "l2", tensors, tensors[0].channels, "init")
-    extra = {"stopped_early": monitor.stopped_early,
-             "convergence_factor": train.convergence_factor(kernel)}
-    if cfg["feature_mode"] == "global_max_potential":
-        # second convolution layer, trained on the frozen first layer's pooled spikes
-        first = train.ConvPipeline(kernel, _layer_cfg(cfg["layer"]))
-        pooled = [first.pooled(t, as_tensor=True)[0] for t in tensors]
-        second, _ = fit("layer2", "l4", pooled, kernel.maps_out, "init-l4")
-        extra["convergence_factor_l4"] = train.convergence_factor(second)
+        key = "convergence_factor" + (f"_{tag}" if n else "")  # layer 1's key has no tag
+        extra[key] = train.convergence_factor(kernel)
+        extra.setdefault("stopped_early", monitor.stopped_early)  # layer 1's
     return {"artifacts": artifacts, "extra": extra}
 
 
 def _pipeline(cfg: dict, out: Path) -> train.ConvPipeline:
-    kernel = core.load_kernel(_require(out / "kernel-l2.skrn", "trained kernel"))
-    second = None
-    if cfg["feature_mode"] == "global_max_potential":
-        second = core.load_kernel(_require(out / "kernel-l4.skrn", "second-layer kernel"))
-    return train.ConvPipeline(kernel, _layer_cfg(cfg["layer"]), cfg["feature_mode"], second)
+    kernels = [core.load_kernel(_require(out / f"kernel-{tag}.skrn", f"{section} kernel"))
+               for section, tag, _ in _stack(cfg)]
+    return train.ConvPipeline(kernels[0], _layer_cfg(cfg["layer"]), *kernels[1:])
+
+
+def _split_features(cfg: dict, out: Path, pipeline: train.ConvPipeline, split: str):
+    """(FeatureMatrix, mean conv spikes per image) of one encoded split."""
+    cache, labels_file = _encoded_paths(cfg, out, split)
+    return train.extract_features(pipeline, encode.read_cache(cache),
+                                  encode.load_idx_labels(labels_file), threads=cfg["threads"])
 
 
 def cmd_features(cfg: dict, out: Path) -> dict:
@@ -197,15 +201,11 @@ def cmd_features(cfg: dict, out: Path) -> dict:
     artifacts = {}
     stats_rows = []
     for split in ("train", "test"):
-        cache, labels_file = _encoded_paths(cfg, out, split)
-        if not cache.exists():
+        if not _encoded_paths(cfg, out, split)[0].exists():
             continue
-        tensors = encode.read_cache(cache)
-        labels = encode.load_idx_labels(labels_file)
-        matrix, mean_spikes = train.extract_features(pipeline, tensors, labels,
-                                                     threads=cfg["threads"])
+        matrix, mean_spikes = _split_features(cfg, out, pipeline, split)
         path = out / f"features-{split}.fmat"
-        heads.export_features(matrix, path, "binary_matrix")
+        heads.export_features(matrix, path)
         artifacts[f"features_{split}"] = path
         stats_rows.append((split, matrix.n_rows, matrix.n_cols, mean_spikes))
     if not artifacts:
@@ -235,8 +235,7 @@ def cmd_classify(cfg: dict, out: Path) -> dict:
         for epoch in range(h["epochs"]):
             acc = heads.fcn_train_epoch(head, data, h["batch"], epoch, shuffle_rng)
             curve.append((epoch, acc))
-        head_path = out / "head-fcn.skhd"
-    elif h["kind"] == "rstdp":
+    else:  # rstdp
         n_out = h["n_classes"] * h["neurons_per_class"]
         head = heads.init_rstdp_head(
             data.n_cols, n_out, rng,
@@ -250,9 +249,7 @@ def cmd_classify(cfg: dict, out: Path) -> dict:
             acc = heads.rstdp_train_pass(head, data, shuffle_rng,
                                          dropout_rng=dropout_rng)
             curve.append((epoch, acc))
-        head_path = out / "head-rstdp.skhd"
-    else:
-        raise ConfigError(f"unknown head kind {h['kind']!r}")
+    head_path = out / f"head-{h['kind']}.skhd"
     heads.save_head(head_path, head)
     curve_path = out / "classify-curve.csv"
     write_csv(curve_path, ["epoch", "train_accuracy"], curve)
@@ -264,8 +261,7 @@ def cmd_eval(cfg: dict, out: Path) -> dict:
     h = cfg["head"]
     n_classes = h["n_classes"]
     _check_labels(data, n_classes, "test")
-    head_path = out / ("head-fcn.skhd" if h["kind"] == "fcn" else "head-rstdp.skhd")
-    head = heads.load_head(_require(head_path, "trained head"))
+    head = heads.load_head(_require(out / f"head-{h['kind']}.skhd", "trained head"))
     predict = heads.fcn_predict if isinstance(head, heads.FcnHead) else heads.rstdp_predict
     pred = predict(head, data.values)
     acc = float(np.mean(pred == data.labels))
@@ -314,17 +310,10 @@ def cmd_demo_stdp(cfg: dict, out: Path) -> dict:
 def cmd_forget(cfg: dict, out: Path) -> dict:
     f = cfg["forget"]
     pipeline = _pipeline(cfg, out)
-    train_cache, train_labels = _encoded_paths(cfg, out, "train")
-    test_cache, test_labels = _encoded_paths(cfg, out, "test")
-    _require(train_cache, "encoded train cache")
-    _require(test_cache, "encoded test cache")
-    tensors = encode.read_cache(train_cache)
-    labels = encode.load_idx_labels(train_labels)
-    val_tensors = encode.read_cache(test_cache)
-    val_labels = encode.load_idx_labels(test_labels)
-    threads = cfg["threads"]
-    matrix, _ = train.extract_features(pipeline, tensors, labels, threads=threads)
-    val_matrix, _ = train.extract_features(pipeline, val_tensors, val_labels, threads=threads)
+    for split in ("train", "test"):  # both checked before any extraction
+        _require(_encoded_paths(cfg, out, split)[0], f"encoded {split} cache")
+    matrix, _ = _split_features(cfg, out, pipeline, "train")
+    val_matrix, _ = _split_features(cfg, out, pipeline, "test")
 
     a_classes = tuple(f["task_a_classes"])
     b_classes = tuple(f["task_b_classes"])

@@ -30,47 +30,49 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-# Schema: section -> key -> (type(s), default[, minimum]).  Only a key whose
-# default is null may be set to null; a key with a minimum may not be below it.
+# Schema: section -> key -> (type(s), default[, allowed]).  Only a key whose
+# default is null may be set to null.  ``allowed`` is an interval written like
+# "[0, 1)" or "(0, inf)", or a tuple of the allowed strings.
 
 _ENCODING_SCHEMA = {
     "threshold": ((int, float), 50.0),
-    "bins": (int, 10, 1),
-    "silent_bins": (int, 2, 0),
+    "bins": (int, 10, "[1, inf)"),
+    "silent_bins": (int, 2, "[0, inf)"),
     "sigma_center": ((int, float), 1.0),
     "sigma_surround": ((int, float), 2.0),
 }
 
 _LAYER_SCHEMA = {
-    "maps": (int, 30, 1),
-    "kernel_size": (int, 5, 1),
-    "threshold": ((int, float), 15.0),
-    "competition_radius": (int, 5),
+    "maps": (int, 30, "[1, inf)"),
+    "kernel_size": (int, 5, "[1, inf)"),
+    "threshold": ((int, float), 15.0, "(0, inf)"),
+    "competition_radius": (int, 5, "[0, inf)"),
     "lateral_inhibition": (bool, True),
     "pool_lateral_inhibition": (bool, False),
     "init_mean": ((int, float), 0.8),
-    "init_std": ((int, float), 0.05),
-    "a_plus": ((int, float), 0.004),
-    "a_minus": ((int, float), 0.003),
+    "init_std": ((int, float), 0.05, "[0, inf)"),
+    "a_plus": ((int, float), 0.004, "(0, 1]"),
+    "a_minus": ((int, float), 0.003, "(0, 1]"),
 }
 
 # The second convolution layer has no published firing threshold; 10 is the
 # package default, exposed here like every other layer knob.
-_LAYER2_SCHEMA = dict(_LAYER_SCHEMA, maps=(int, 500, 1), threshold=((int, float), 10.0))
+_LAYER2_SCHEMA = dict(_LAYER_SCHEMA, maps=(int, 500, "[1, inf)"),
+                      threshold=((int, float), 10.0, "(0, inf)"))
 
 _HEAD_SCHEMA = {
-    "kind": (str, "fcn"),  # fcn | rstdp
-    "cost": (str, "cross_entropy"),
+    "kind": (str, "fcn", ("fcn", "rstdp")),
+    "cost": (str, "cross_entropy", ("cross_entropy", "quadratic")),
     "eta0": ((int, float), 0.1),
     "eta_decay": ((int, float), 1.007),
     "lam": ((int, float), 0.1),
     "epochs": (int, 20),
-    "batch": (int, 10, 1),
-    "n_classes": (int, 10),
+    "batch": (int, 10, "[1, inf)"),
+    "n_classes": (int, 10, "[1, inf)"),
     "neurons_per_class": (int, 1),
-    "p_drop": ((int, float), 0.0),
-    "ratio_mode": (str, "batch"),
-    "window": (int, 100),
+    "p_drop": ((int, float), 0.0, "[0, 1)"),
+    "ratio_mode": (str, "batch", ("batch", "per_image")),
+    "window": (int, 100, "[1, inf)"),
     "init_miss_ratio": ((int, float), 0.5),
     "a_r_plus": ((int, float), 0.004),
     "a_r_minus": ((int, float), 0.003),
@@ -79,9 +81,10 @@ _HEAD_SCHEMA = {
 }
 
 _PLAN_SCHEMA = {
-    "n_images": (int, 2000),
-    "stop_rule": (str, "fixed_images"),  # fixed_images | convergence_band | weight_delta_jump
-    "monitor_stride": (int, 150, 1),
+    "n_images": (int, 2000, "[0, inf)"),
+    "stop_rule": (str, "fixed_images",
+                  ("fixed_images", "convergence_band", "weight_delta_jump")),
+    "monitor_stride": (int, 150, "[1, inf)"),
     "band_low": ((int, float), 0.01),
     "band_high": ((int, float), 0.02),
 }
@@ -95,7 +98,7 @@ _DEMO_SCHEMA = {
     "pattern_rate": ((int, float), 0.04),
     "a_plus": ((int, float), 0.004),
     "a_minus": ((int, float), 0.003),
-    "stats_window": (int, 500, 1),
+    "stats_window": (int, 500, "[1, inf)"),
 }
 
 _FORGET_SCHEMA = {
@@ -106,7 +109,7 @@ _FORGET_SCHEMA = {
     "epochs": (int, 20),
     "incremental": (bool, False),
     "incremental_start": (int, 500),
-    "incremental_stride": (int, 250, 1),
+    "incremental_stride": (int, 250, "[1, inf)"),
 }
 
 _DATASET_SCHEMA = {
@@ -126,12 +129,12 @@ _DATASET_SCHEMA = {
 _RECON_SCHEMA = {
     "first_kernel": (str, None),
     "second_kernel": (str, None),
-    "montage_cols": (int, 10, 1),
+    "montage_cols": (int, 10, "[1, inf)"),
 }
 
 _TOP_SCHEMA = {
-    "seed": (int, 0),
-    "threads": (int, 1),
+    "seed": (int, 0, "[0, inf)"),
+    "threads": (int, 1, "[1, inf)"),
     "out_dir": (str, "runs"),
     "dataset": (dict, None),
     "encoding": (dict, None),
@@ -142,7 +145,7 @@ _TOP_SCHEMA = {
     "demo": (dict, None),
     "forget": (dict, None),
     "recon": (dict, None),
-    "feature_mode": (str, "spike_count"),  # spike_count | global_max_potential
+    "feature_mode": (str, "spike_count", ("spike_count", "global_max_potential")),
 }
 
 _SECTION_SCHEMAS = {
@@ -165,7 +168,7 @@ def _apply_schema(raw: dict, schema: dict, where: str) -> dict:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     out = {}
-    for key, (types, default, *minimum) in schema.items():
+    for key, (types, default, *allowed) in schema.items():
         if key in raw:
             value = raw[key]
             if _non_finite(value):
@@ -180,12 +183,20 @@ def _apply_schema(raw: dict, schema: dict, where: str) -> dict:
                 ok = isinstance(value, types)
             if (value is not None or default is not None) and not ok:
                 raise ConfigError(f"{where}.{key}: expected {types}, got {value!r}")
-            if minimum and value < minimum[0]:
-                raise ConfigError(f"{where}.{key}: must be >= {minimum[0]}, got {value!r}")
+            if allowed and not _allows(allowed[0], value):
+                raise ConfigError(f"{where}.{key}: must be in {allowed[0]}, got {value!r}")
             out[key] = value
         else:
             out[key] = default
     return out
+
+
+def _allows(allowed, value) -> bool:
+    if isinstance(allowed, tuple):
+        return value in allowed
+    lo, hi = (float(end) for end in allowed[1:-1].split(","))
+    return ((lo < value if allowed[0] == "(" else lo <= value)
+            and (value < hi if allowed[-1] == ")" else value <= hi))
 
 
 def _non_finite(value) -> bool:
@@ -209,14 +220,17 @@ def validate_config(raw: dict) -> dict:
     return top
 
 
-def load_config(path: str | Path) -> dict:
-    """Load and validate a config file, or the config a run manifest embeds."""
+def load_config(path: str | Path, overrides: dict | None = None) -> dict:
+    """Load and validate a config file, or the config a run manifest embeds,
+    with top-level ``overrides`` (such as a CLI seed) applied before validation."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if isinstance(raw, dict) and "config" in raw and "artifacts" in raw:
         raw = raw["config"]  # replaying a manifest
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return validate_config(raw)
 
 

@@ -37,8 +37,9 @@ class ConvKernel:
             raise ValueError("kernel weights must be 4-D (maps_out, maps_in, k, k)")
         if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
             raise ValueError("kernel weights must be finite and lie in [0, 1]")
-        if not (0 < self.a_plus < np.inf and 0 < self.a_minus < np.inf):
-            raise ValueError("learning rates must be positive and finite")
+        # w += a·w(1-w) keeps w in [0, 1] only while a <= 1
+        if not (0 < self.a_plus <= 1 and 0 < self.a_minus <= 1):
+            raise ValueError("learning rates must lie in (0, 1]")
 
     @property
     def maps_out(self) -> int:

@@ -123,6 +123,15 @@ def dog_filter(image: np.ndarray, kernel: DoGKernel) -> ContrastMap:
     return ContrastMap(values, kernel.polarity)
 
 
+def _equal_count_bins(n: int, n_bins: int) -> np.ndarray:
+    """Bin of each of ``n`` ordered events split into ``n_bins`` nearly
+    equal-count bins, the first (n mod n_bins) bins taking one extra."""
+    base, extra = divmod(n, n_bins)
+    counts = np.full(n_bins, base, dtype=np.int64)
+    counts[:extra] += 1
+    return np.repeat(np.arange(n_bins), counts)
+
+
 def latency_encode(on: ContrastMap, off: ContrastMap, threshold: float,
                    n_bins: int = DEFAULT_BINS,
                    silent_bins: int = DEFAULT_SILENT_BINS) -> SpikeTensor:
@@ -158,11 +167,7 @@ def latency_encode(on: ContrastMap, off: ContrastMap, threshold: float,
     key = np.concatenate(keys)
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0], key))
     coords = coords[order]
-    n = coords.shape[0]
-    base, extra = divmod(n, n_bins)
-    counts = np.full(n_bins, base, dtype=np.int64)
-    counts[:extra] += 1
-    bins = np.repeat(np.arange(n_bins), counts)
+    bins = _equal_count_bins(coords.shape[0], n_bins)
     events = np.column_stack([bins, coords[:, 0], coords[:, 1], coords[:, 2]])
     return SpikeTensor(shape, events.astype(np.uint8))
 
@@ -171,10 +176,8 @@ def encode_image(image: np.ndarray, threshold: float = DEFAULT_DOG_THRESHOLD,
                  n_bins: int = DEFAULT_BINS, silent_bins: int = DEFAULT_SILENT_BINS,
                  sigma_center: float = 1.0, sigma_surround: float = 2.0) -> SpikeTensor:
     """Full image-to-spikes path: DoG pair -> latency code."""
-    on_k = make_dog_kernel(sigma_center, sigma_surround)
-    off_k = make_dog_kernel(sigma_surround, sigma_center)
-    return latency_encode(dog_filter(image, on_k), dog_filter(image, off_k),
-                          threshold, n_bins, silent_bins)
+    return encode_dataset(np.asarray(image)[None], threshold, n_bins, silent_bins,
+                          sigma_center, sigma_surround)[0]
 
 
 def load_idx_images(images_path, labels_path, crop: bool = True):
@@ -262,17 +265,12 @@ def load_aer_recording(path, n_bins: int, silent_bins: int = DEFAULT_SILENT_BINS
 
     order = np.argsort(ts, kind="stable")
     x, y, pol = x[order], y[order], pol[order]
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:
         return SpikeTensor(shape, np.empty((0, 4), dtype=np.uint8))
-    base, extra = divmod(n, n_bins)
-    counts = np.full(n_bins, base, dtype=np.int64)
-    counts[:extra] += 1
-    bins = np.repeat(np.arange(n_bins), counts)
 
     # Polarity bit 1 is the brightness-increase (ON) channel.
     chan = np.where(pol == 1, ON, OFF)
-    quads = np.column_stack([bins, chan, y, x])
+    quads = np.column_stack([_equal_count_bins(x.shape[0], n_bins), chan, y, x])
     quads = np.unique(quads, axis=0)
     return SpikeTensor(shape, quads.astype(np.uint8))
 

@@ -359,24 +359,12 @@ def rstdp_accuracy(head: RstdpHead, data: FeatureMatrix) -> float:
 # Feature matrix export / import
 # ---------------------------------------------------------------------------
 
-def export_features(data: FeatureMatrix, path, fmt: str = "binary_matrix") -> None:
-    """Write a feature matrix to disk.
-
-    ``delimited_text``: one comma-separated row per image, label last.
-    ``binary_matrix``: magic FMAT, u32 dims, f64 little-endian values
-    (row-major), then one u8 label per row.
-    """
-    if fmt == "delimited_text":
-        with open(path, "w") as f:
-            for row, label in zip(data.values, data.labels):
-                cells = ",".join(f"{v:.17g}" for v in row)
-                f.write(f"{cells},{int(label)}\n" if cells else f"{int(label)}\n")
-    elif fmt == "binary_matrix":
-        labels = container.u8(data.labels, "feature-matrix labels")
-        container.write(path, FEATURE_MAGIC, ("<II", data.n_rows, data.n_cols),
-                        data.values.astype("<f8"), labels)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
+def export_features(data: FeatureMatrix, path) -> None:
+    """Write a feature matrix: magic FMAT, u32 dims, f64 little-endian values
+    (row-major), then one u8 label per row."""
+    labels = container.u8(data.labels, "feature-matrix labels")
+    container.write(path, FEATURE_MAGIC, ("<II", data.n_rows, data.n_cols),
+                    data.values.astype("<f8"), labels)
 
 
 def import_features(path) -> FeatureMatrix:

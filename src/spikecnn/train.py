@@ -142,24 +142,17 @@ def _should_stop(plan: TrainPlan, monitor: MonitorSeries) -> bool:
 
 @dataclass
 class ConvPipeline:
-    """Frozen single- or double-conv feature extractor.
+    """Frozen conv layer, optionally followed by a readout conv layer.
 
     Inference keeps lateral inhibition but never the training competition.
-    ``feature_mode`` is ``spike_count`` (flattened pooled spike counts) or
-    ``global_max_potential`` (per-bin map maxima under ``second_kernel``,
-    summed over bins).
+    Without a ``readout`` the features are the flattened pooled spike counts;
+    with one they are its per-bin map maxima summed over bins
+    (``global_max_potential``).
     """
 
     kernel: ConvKernel
     cfg: InhibitionConfig
-    feature_mode: str = "spike_count"
-    second_kernel: ConvKernel | None = None
-
-    def __post_init__(self):
-        if self.feature_mode not in ("spike_count", "global_max_potential"):
-            raise ValueError(f"unknown feature mode {self.feature_mode!r}")
-        if self.feature_mode == "global_max_potential" and self.second_kernel is None:
-            raise ValueError("global_max_potential needs a second kernel")
+    readout: ConvKernel | None = None
 
     def pooled(self, tensor: SpikeTensor, as_tensor: bool = False):
         """(pooled first-layer output, first-layer spike count) for one image.
@@ -178,11 +171,11 @@ class ConvPipeline:
 
     def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
         """(feature vector, conv-layer spike count) for one image."""
-        if self.feature_mode == "spike_count":
+        if self.readout is None:
             pooled, n_spikes = self.pooled(tensor)
             return pooled.fired.ravel().astype(np.float64), n_spikes
         pooled, n_spikes = self.pooled(tensor, as_tensor=True)
-        return global_max_potential(pooled.dense(), self.second_kernel), n_spikes
+        return global_max_potential(pooled.dense(), self.readout), n_spikes
 
 
 def _worker_features(args):

@@ -278,6 +278,48 @@ class TestTwoConvPipeline:
         assert main(["reconstruct", "--config", cfg_path]) == 0
         assert (out / "recon-l4-montage.ppm").exists()
 
+    def test_train_matches_the_layer_api(self, dataset, tmp_path):
+        from spikecnn.cli import write_csv
+        from spikecnn.config import substream
+        from spikecnn.core import InhibitionConfig, init_kernel, save_kernel
+        from spikecnn.train import ConvPipeline, TrainPlan, train_conv_layer
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, feature_mode="global_max_potential",
+                          plan={"n_images": 60, "monitor_stride": 20})
+        cfg["layer2"] = {"maps": 20}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        # the same two layers through the API, in this process
+        api = tmp_path / "api"
+        api.mkdir()
+        plan = TrainPlan(n_images=60, monitor_stride=20)
+        inputs = read_cache(next(out.glob("encoded-train-*.spkt")))
+        for tag, maps, threshold, stream in (("l2", 12, 15.0, "init"),
+                                             ("l4", 20, 10.0, "init-l4")):
+            if tag == "l4":
+                inputs = [pipe.pooled(t, as_tensor=True)[0] for t in inputs]
+            layer_cfg = InhibitionConfig(threshold=threshold)
+            kernel = init_kernel(maps, inputs[0].channels, 5, substream(5, stream))
+            monitor = train_conv_layer(plan, inputs, kernel, layer_cfg)
+            pipe = ConvPipeline(kernel, layer_cfg)
+            save_kernel(api / f"kernel-{tag}.skrn", kernel)
+            write_csv(api / f"monitor-{tag}.csv",
+                      ["sample", "weight_delta", "convergence_factor"], monitor.samples)
+        for name in ("kernel-l2.skrn", "kernel-l4.skrn", "monitor-l2.csv", "monitor-l4.csv"):
+            assert (out / name).read_bytes() == (api / name).read_bytes(), name
+
+    def test_unknown_feature_mode_exits_1_before_training(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        good = write_config(tmp_path / "good.json", base_config(dataset, out))
+        assert main(["encode", "--config", good]) == 0
+        bogus = write_config(tmp_path / "bogus.json",
+                             base_config(dataset, out, feature_mode="bogus"))
+        capsys.readouterr()
+        assert main(["train", "--config", bogus]) == 1
+        assert "feature_mode" in capsys.readouterr().err
+        assert not list(out.glob("kernel-*.skrn"))
+
 
 class TestEvalChanceLevel:
     def test_all_zero_features_score_near_chance(self, tmp_path):
@@ -288,7 +330,7 @@ class TestEvalChanceLevel:
         rng = np.random.default_rng(0)
         labels = np.tile(np.arange(10), 30)
         zeros = FeatureMatrix(np.zeros((300, 40)), labels)
-        export_features(zeros, out / "features-test.fmat", "binary_matrix")
+        export_features(zeros, out / "features-test.fmat")
         save_head(out / "head-fcn.skhd", init_fcn_head(40, 10, rng))
         cfg_path = write_config(tmp_path / "c.json",
                                 {"out_dir": str(out), "head": {"kind": "fcn"}})
@@ -306,7 +348,7 @@ class TestEvalRejectsBadInput:
         out = tmp_path / "run"
         out.mkdir()
         export_features(FeatureMatrix(np.zeros((len(labels), 8)), np.asarray(labels)),
-                        out / "features-test.fmat", "binary_matrix")
+                        out / "features-test.fmat")
         head_path = out / "head-fcn.skhd"
         save_head(head_path, init_fcn_head(8, 10, np.random.default_rng(0)))
         if corrupt_tag:
@@ -350,7 +392,7 @@ class TestClassifyRejectsBadLabels:
         out.mkdir()
         rng = np.random.default_rng(0)
         export_features(FeatureMatrix(rng.random((20, 8)), np.arange(20) % 10),
-                        out / "features-train.fmat", "binary_matrix")
+                        out / "features-train.fmat")
         cfg_path = write_config(tmp_path / "c.json", {
             "out_dir": str(out), "head": {"kind": kind, "n_classes": 2, "epochs": 2}})
         assert main(["classify", "--config", cfg_path]) == 1
@@ -386,10 +428,27 @@ class TestConfigRanges:
         ("encoding", "bins", 0), ("encoding", "silent_bins", -1),
         ("layer", "maps", 0), ("layer", "kernel_size", 0),
         ("layer2", "maps", 0), ("layer2", "kernel_size", -3),
-        ("plan", "monitor_stride", None)])
+        ("plan", "monitor_stride", None),
+        ("layer", "competition_radius", -1), ("layer", "threshold", -5),
+        ("layer2", "threshold", 0), ("layer", "init_std", -1), ("layer", "a_plus", 3.0),
+        ("layer2", "a_minus", 0), ("head", "p_drop", 2.0), ("head", "p_drop", 1.0),
+        ("head", "n_classes", 0), ("head", "window", 0), ("plan", "n_images", -1),
+        ("config", "threads", -3), ("config", "seed", -1),
+        ("config", "feature_mode", "bogus"), ("head", "kind", "svm"),
+        ("head", "cost", "hinge"), ("head", "ratio_mode", "never"),
+        ("plan", "stop_rule", "when_bored")])
     def test_below_minimum(self, section, key, value):
+        raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
-            validate_config({section: {key: value}})
+            validate_config(raw)
+
+    @pytest.mark.parametrize("flag,value", [("--threads", "-3"), ("--seed", "-1")])
+    def test_override_flags_are_validated(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json", {"out_dir": str(out)})
+        assert main(["demo-stdp", "--config", cfg_path, flag, value]) == 1
+        assert f"config.{flag[2:]}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("raw", [{"seed": None}, {"threads": None},
                                      {"head": {"epochs": None}}, {"demo": {"duration": None}},
@@ -400,9 +459,12 @@ class TestConfigRanges:
         validate_config({"dataset": {"train_images": None, "limit_train": None}})
 
     def test_minimums_are_allowed(self):
-        cfg = validate_config({"plan": {"monitor_stride": 1}, "head": {"batch": 1},
+        cfg = validate_config({"plan": {"monitor_stride": 1, "n_images": 0},
+                               "head": {"batch": 1, "p_drop": 0, "window": 1},
                                "encoding": {"bins": 1, "silent_bins": 0},
-                               "layer": {"maps": 1, "kernel_size": 1}})
+                               "layer": {"maps": 1, "kernel_size": 1, "competition_radius": 0,
+                                         "a_plus": 1, "a_minus": 1, "threshold": 1e-9},
+                               "seed": 0, "threads": 1})
         assert cfg["encoding"]["bins"] == 1 and cfg["layer"]["maps"] == 1
 
     def test_bins_fit_the_u8_event_axis(self):

@@ -49,9 +49,10 @@ class TestConvKernel:
         with pytest.raises(ValueError):
             ConvKernel(np.full((1, 1, 3, 3), 0.5), a_plus=0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
     def test_rejects_non_finite_rates(self, bad):
-        # nan <= 0 is False, so a sign check alone admits a NaN rate
+        # nan <= 0 is False, so a sign check alone admits a NaN rate; and
+        # w += a·w(1-w) leaves [0, 1] once a > 1 (a = 1.5 steps w = 0.9 to 1.035)
         with pytest.raises(ValueError):
             ConvKernel(np.full((1, 1, 3, 3), 0.5), a_plus=bad)
         with pytest.raises(ValueError):

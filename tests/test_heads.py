@@ -283,12 +283,12 @@ class TestFeatureExport:
         rng = np.random.default_rng(11)
         fm = FeatureMatrix(rng.normal(size=(2, 3)), np.array([7, 2]))
         p = tmp_path / "f.fmat"
-        export_features(fm, p, "binary_matrix")
+        export_features(fm, p)
         back = import_features(p)
         np.testing.assert_array_equal(back.values, fm.values)
         np.testing.assert_array_equal(back.labels, fm.labels)
         p2 = tmp_path / "g.fmat"
-        export_features(back, p2, "binary_matrix")
+        export_features(back, p2)
         assert p.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("bad", [256, 300])
@@ -296,7 +296,7 @@ class TestFeatureExport:
         # the u8 label column would store 300 as 44
         fm = FeatureMatrix(np.zeros((2, 1)), np.array([3, bad]))
         with pytest.raises(ValueError, match="255"):
-            export_features(fm, tmp_path / "f.fmat", "binary_matrix")
+            export_features(fm, tmp_path / "f.fmat")
 
     def test_truncated_header_is_value_error(self, tmp_path):
         p = tmp_path / "f.fmat"
@@ -304,19 +304,6 @@ class TestFeatureExport:
         p.write_bytes(p.read_bytes()[:8])  # cut inside the dims
         with pytest.raises(ValueError, match="truncated"):
             import_features(p)
-
-    def test_delimited_line_count_and_label_column(self, tmp_path):
-        fm = FeatureMatrix(np.arange(6, dtype=float).reshape(3, 2), np.array([1, 0, 2]))
-        p = tmp_path / "f.csv"
-        export_features(fm, p, "delimited_text")
-        lines = p.read_text().strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].split(",")[-1] == "1"
-
-    def test_unknown_format(self, tmp_path):
-        fm = FeatureMatrix(np.zeros((1, 1)), np.zeros(1, dtype=int))
-        with pytest.raises(ValueError):
-            export_features(fm, tmp_path / "x", "parquet")
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -216,16 +216,10 @@ class TestExtractFeatures:
         rng = np.random.default_rng(10)
         second = init_kernel(9, 4, 5, rng)
         pipe = ConvPipeline(init_kernel(4, 2, 5, rng), InhibitionConfig(threshold=10),
-                            feature_mode="global_max_potential", second_kernel=second)
+                            readout=second)
         tensors = random_tensors(2, rng, shape=(12, 2, 27, 27), density=0.15)
         matrix, _ = extract_features(pipe, tensors)
         assert matrix.n_cols == 9
-
-    def test_missing_second_kernel_rejected(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError):
-            ConvPipeline(init_kernel(4, 2, 5, rng), InhibitionConfig(threshold=10),
-                         feature_mode="global_max_potential")
 
 
 class TestFrozenLayerIntegrity:
