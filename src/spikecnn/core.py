@@ -20,7 +20,7 @@ from . import container
 KERNEL_MAGIC = b"SKRN"
 KERNEL_VERSION = 1
 
-RATE_CAP = 0.15  # doubling of a_plus stops once it would exceed this
+RATE_CAP = 0.15  # rate doubling stops once either rate would exceed this
 
 
 @dataclass
@@ -118,8 +118,11 @@ def conv_accumulate(spikes_bin: np.ndarray, weights: np.ndarray,
     """Add one bin's valid-mode correlation response into the potentials.
 
     ``spikes_bin`` is (maps_in, H, W); ``potentials`` is
-    (maps_out, H-k+1, W-k+1) and is updated in place.  The product is one
-    dgemm over the same operands ``tensordot`` would build, so its bits match.
+    (maps_out, H-k+1, W-k+1) and is updated in place.  Only the im2col rows
+    (c, dy, dx) whose window holds a spike are multiplied: one dgemm of the
+    gathered weight columns ``W[:, rows]`` (F-ordered, as the gather leaves
+    them) against those rows.  A silent row adds exact zeros, but the BLAS
+    may round the shorter product differently from the all-rows one.
     """
     maps_out, maps_in, k, _ = weights.shape
     c, h, w = spikes_bin.shape
@@ -130,14 +133,22 @@ def conv_accumulate(spikes_bin: np.ndarray, weights: np.ndarray,
     expect = (maps_out, h - k + 1, w - k + 1)
     if potentials.shape != expect:
         raise ValueError(f"potentials shape {potentials.shape} != {expect}")
-    if not spikes_bin.any():
+    active = np.flatnonzero(spikes_bin.reshape(c, -1).any(axis=1))
+    if not active.size:
         return potentials
-    # im2col: cols[(c, dy, dx), (u, v)] = spikes_bin[c, u + dy, v + dx]
-    sc, sh, sw = spikes_bin.strides
-    cols = np.empty((c * k * k, expect[1] * expect[2]))
-    np.copyto(cols.reshape(c, k, k, *expect[1:]), np.lib.stride_tricks.as_strided(
-        spikes_bin, (c, k, k, *expect[1:]), (sc, sh, sw, sh, sw), writeable=False))
-    potentials += np.dot(weights.reshape(maps_out, -1), cols).reshape(expect)
+    # A silent map's rows are all silent, so only the spiking maps are
+    # windowed: win[(a, dy, dx), (u, v)] = spikes_bin[active[a], u + dy, v + dx].
+    # Over a C-ordered copy a plain ndarray view is safe, and cheaper than
+    # as_strided.
+    spiking = np.ascontiguousarray(spikes_bin[active])
+    sc, sh, sw = spiking.strides
+    win = np.ndarray((active.size, k, k, *expect[1:]), spiking.dtype, spiking, 0,
+                     (sc, sh, sw, sh, sw)).reshape(active.size * k * k, -1)
+    held = win.any(axis=1)
+    hit = np.zeros((c, k * k), dtype=bool)
+    hit[active] = held.reshape(active.size, k * k)
+    wm = weights.reshape(maps_out, -1)[:, np.flatnonzero(hit)]
+    potentials += np.dot(wm, win[held].astype(np.float64, copy=False)).reshape(expect)
     return potentials
 
 
@@ -226,9 +237,10 @@ def homeostasis_gate(state: LayerState, map_index: int) -> bool:
 
 def double_learning_rates(kernel: ConvKernel, images_seen: int,
                           every: int = 1000, cap: float = RATE_CAP) -> ConvKernel:
-    """Double both learning rates at each ``every``-image mark, capped."""
+    """Double both learning rates at each ``every``-image mark while neither
+    would exceed ``cap``."""
     if images_seen > 0 and images_seen % every == 0:
-        if kernel.a_plus * 2.0 <= cap:
+        if max(kernel.a_plus, kernel.a_minus) * 2.0 <= cap:
             kernel.a_plus *= 2.0
             kernel.a_minus *= 2.0
     return kernel
@@ -316,13 +328,14 @@ def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel) -> np.nda
     """Per-bin fresh response, per-map spatial max, summed across bins.
 
     Yields one real value per output map; the layer's potentials are reset
-    between bins rather than accumulated.
+    between bins rather than accumulated.  A silent bin's maxima are all 0.0
+    and adding them is exact, so only bins that hold a spike are visited.
     """
     t_bins, c, h, w = dense_spikes.shape
     out_h, out_w = h - kernel.k + 1, w - kernel.k + 1
     total = np.zeros(kernel.maps_out)
     potentials = np.zeros((kernel.maps_out, out_h, out_w))
-    for t in range(t_bins):
+    for t in np.flatnonzero(dense_spikes.reshape(t_bins, -1).any(axis=1)):
         potentials[:] = 0.0
         conv_accumulate(dense_spikes[t], kernel.weights, potentials)
         total += potentials.max(axis=(1, 2))

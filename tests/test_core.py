@@ -12,6 +12,9 @@ from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
                            global_max_potential, homeostasis_gate, infer_image,
                            init_kernel, load_kernel, max_pool, save_kernel,
                            stdp_competition, stdp_update)
+from spikecnn.encode import encode_dataset
+from spikecnn.train import ConvPipeline
+from synth_digits import make_dataset
 
 
 def fresh_state(maps_out=3, maps_in=2, out_h=8, out_w=8, in_h=12, in_w=12):
@@ -315,6 +318,15 @@ class TestLearningRateDoubling:
         assert k.a_plus == pytest.approx(0.128)
         assert k.a_minus == pytest.approx(0.096)
 
+    def test_cap_holds_for_a_minus_above_a_plus(self, tmp_path):
+        k = ConvKernel(np.full((1, 1, 3, 3), 0.5), a_plus=0.004, a_minus=0.6)
+        double_learning_rates(k, 1000)
+        assert (k.a_plus, k.a_minus) == (0.004, 0.6)
+        save_kernel(tmp_path / "k.skrn", k)
+        back = load_kernel(tmp_path / "k.skrn")
+        assert (back.a_plus, back.a_minus) == (0.004, 0.6)
+        np.testing.assert_array_equal(back.weights, k.weights)
+
 
 def spike_planes(maps, h, w, spikes=()):
     """SpikePlanes holding the given (map, row, col, bin, potential) spikes."""
@@ -359,6 +371,17 @@ class TestMaxPool:
         assert not out.first_bin[0].any() and not out.potential[0].any()  # losers go silent
 
 
+def all_bins_global_max(dense, kernel):
+    """``global_max_potential`` visiting every bin, the silent ones included."""
+    t_bins, _, h, w = dense.shape
+    total = np.zeros(kernel.maps_out)
+    for t in range(t_bins):
+        pot = np.zeros((kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1))
+        conv_accumulate(dense[t], kernel.weights, pot)
+        total += pot.max(axis=(1, 2))
+    return total
+
+
 class TestGlobalMaxPotential:
     def test_zero_input(self):
         k = ConvKernel(np.full((4, 2, 3, 3), 0.5))
@@ -388,6 +411,30 @@ class TestGlobalMaxPotential:
         out = global_max_potential(spikes, k)
         # fresh accumulation per bin: 1 + 1, not 1 + 2
         assert out[0] == pytest.approx(2.0)
+
+    def assert_matches_all_bins(self, dense, kernel):
+        got, want = global_max_potential(dense, kernel), all_bins_global_max(dense, kernel)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_silent_bins_skipped_exactly(self):
+        rng = np.random.default_rng(14)
+        k = init_kernel(6, 3, 3, rng)
+        spikes = rng.random((8, 3, 9, 9)) < 0.1
+        spikes[[0, 1, 4, 6, 7]] = False  # leading, inner and trailing silent bins
+        self.assert_matches_all_bins(spikes, k)
+        self.assert_matches_all_bins(np.zeros_like(spikes), k)
+
+    def test_real_pooled_layer2_tensor_matches_all_bins(self):
+        rng = np.random.default_rng(15)
+        images, _ = make_dataset(4, rng)
+        pipe = ConvPipeline(init_kernel(30, 2, 5, rng), InhibitionConfig(threshold=15.0))
+        readout = init_kernel(500, 30, 5, rng)
+        for tensor in encode_dataset(images, threshold=30.0):
+            pooled, _ = pipe.pooled(tensor, as_tensor=True)
+            dense = pooled.dense()
+            busy = dense.reshape(dense.shape[0], -1).any(axis=1)
+            assert busy.any() and not busy.all()
+            self.assert_matches_all_bins(dense, readout)
 
 
 class TestKernelCheckpoint:

@@ -1,12 +1,18 @@
 """The training layer step against the straightforward implementation.
 
-The oracles are the layer step as first written: ``tensordot`` over a
-``sliding_window_view`` for the convolution, a dense ``argmax`` over maps for
-lateral inhibition, a per-map Python loop for the competition candidates and
-a ``train_image`` that fires on every bin.  The package's layer step must
-agree with them byte for byte: potentials, spikes, winners, layer state,
-trained weights and monitor samples.  Both paths run in the same process, so
-no golden hash pins the BLAS build.
+The oracles are the layer step written plainly: ``tensordot`` over the
+``sliding_window_view`` rows that hold a spike for the convolution, a dense
+``argmax`` over maps for lateral inhibition, a per-map Python loop for the
+competition candidates and a ``train_image`` that fires on every bin.  The
+package's layer step must agree with them byte for byte: potentials, spikes,
+winners, layer state, trained weights and monitor samples.  Both paths run in
+the same process, so no golden hash pins the BLAS build.
+
+Skipping the silent rows changes which dgemm the BLAS runs, so with raw
+weights the bits may differ from the all-rows ``tensordot`` (the BLAS may
+block the longer sum and round its parts in another order).  With dyadic
+weights every partial sum is exact, and the convolution must then equal the
+all-rows ``tensordot`` bit for bit as well.
 """
 
 import numpy as np
@@ -23,14 +29,34 @@ from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
 from spikecnn.encode import SpikeTensor
 
 
+def windows(spikes_bin, k):
+    """(maps_in, H-k+1, W-k+1, k, k) float64 sliding windows of one bin."""
+    return np.lib.stride_tricks.sliding_window_view(
+        spikes_bin.astype(np.float64), (k, k), axis=(1, 2))
+
+
 def oracle_conv_accumulate(spikes_bin, weights, potentials):
-    k = weights.shape[2]
+    """``tensordot`` over the im2col rows (c, dy, dx) that hold a spike."""
+    maps, _, k, _ = weights.shape
     if not spikes_bin.any():
         return potentials
-    windows = np.lib.stride_tricks.sliding_window_view(
-        spikes_bin.astype(np.float64), (k, k), axis=(1, 2))
-    potentials += np.tensordot(weights, windows, axes=([1, 2, 3], [0, 3, 4]))
+    cols = windows(spikes_bin, k).transpose(0, 3, 4, 1, 2).reshape(-1, potentials[0].size)
+    rows = np.flatnonzero(cols.any(axis=1))
+    potentials += np.tensordot(weights.reshape(maps, -1)[:, rows], cols[rows],
+                               axes=1).reshape(potentials.shape)
     return potentials
+
+
+def all_rows_tensordot(spikes_bin, weights, potentials):
+    """The convolution as first written: ``tensordot`` over every window row."""
+    k = weights.shape[2]
+    potentials += np.tensordot(weights, windows(spikes_bin, k), axes=([1, 2, 3], [0, 3, 4]))
+    return potentials
+
+
+def dyadic(weights):
+    """Weights rounded to multiples of 2**-10: every partial sum is exact."""
+    return np.round(weights * 1024.0) / 1024.0
 
 
 def oracle_fire_and_inhibit(potentials, state, cfg):
@@ -142,6 +168,11 @@ def test_conv_accumulate_matches_tensordot(geo, data):
     assert conv_accumulate(spikes, weights, got) is got
     oracle_conv_accumulate(spikes, weights, want)
     assert_bytes_equal(got, want)
+    # On dyadic weights skipping the silent rows cannot move a bit
+    got, want = start.copy(), start.copy()
+    conv_accumulate(spikes, dyadic(weights), got)
+    all_rows_tensordot(spikes, dyadic(weights), want)
+    assert_bytes_equal(got, want)
 
 
 def test_conv_accumulate_reference_and_layer2_shapes():
@@ -149,13 +180,26 @@ def test_conv_accumulate_reference_and_layer2_shapes():
     for maps, maps_in, k, size, rate in [(30, 2, 5, 27, 0.05), (500, 30, 5, 11, 0.02),
                                          (1, 1, 1, 6, 0.5)]:
         weights = init_kernel(maps, maps_in, k, rng).weights
-        got = np.zeros((maps, size - k + 1, size - k + 1))
-        want = got.copy()
-        for _ in range(12):
-            spikes = rng.random((maps_in, size, size)) < rate
-            conv_accumulate(spikes, weights, got)
-            oracle_conv_accumulate(spikes, weights, want)
-            assert_bytes_equal(got, want)
+        for w, oracle in [(weights, oracle_conv_accumulate), (dyadic(weights), all_rows_tensordot)]:
+            got = np.zeros((maps, size - k + 1, size - k + 1))
+            want = got.copy()
+            for _ in range(12):
+                spikes = rng.random((maps_in, size, size)) < rate
+                conv_accumulate(spikes, w, got)
+                oracle(spikes, w, want)
+                assert_bytes_equal(got, want)
+
+
+def test_conv_accumulate_ignores_the_spike_layout():
+    rng = np.random.default_rng(4)
+    weights = init_kernel(4, 3, 3, rng).weights
+    spikes = rng.random((3, 12, 12)) < 0.2
+    want = oracle_conv_accumulate(spikes, weights, np.zeros((4, 10, 10)))
+    wide = np.zeros((3, 12, 24), dtype=bool)
+    wide[:, :, ::2] = spikes
+    for layout in (np.asfortranarray(spikes), spikes.transpose(2, 1, 0).copy().transpose(2, 1, 0),
+                   wide[:, :, ::2], spikes.astype(np.float64)):
+        assert_bytes_equal(conv_accumulate(layout, weights, np.zeros((4, 10, 10))), want)
 
 
 @pytest.mark.parametrize("h,w", [(4, 6), (6, 4)])
