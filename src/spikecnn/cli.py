@@ -233,8 +233,8 @@ def cmd_classify(cfg: dict, out: Path) -> dict:
                                    eta0=float(h["eta0"]), eta_decay=float(h["eta_decay"]),
                                    lam=float(h["lam"]))
         for epoch in range(h["epochs"]):
-            acc = heads.fcn_train_epoch(head, data, h["batch"], epoch, shuffle_rng)
-            curve.append((epoch, acc))
+            heads.fcn_train_epoch(head, data, h["batch"], epoch, shuffle_rng)
+            curve.append((epoch, heads.fcn_accuracy(head, data)))
     else:  # rstdp
         n_out = h["n_classes"] * h["neurons_per_class"]
         head = heads.init_rstdp_head(
@@ -322,24 +322,24 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
     b_pool = _take_per_class(matrix, b_classes, per_class)
 
     h = cfg["head"]
+    fractions = tuple(float(frac) for frac in f["rehearsal_fractions"])
+    plan = train.ForgetPlan(task_a_classes=a_classes, task_b_classes=b_classes,
+                            rehearsal_fractions=fractions, epochs=f["epochs"],
+                            batch=h["batch"], eta0=float(h["eta0"]),
+                            eta_decay=float(h["eta_decay"]), lam=float(h["lam"]),
+                            seed=cfg["seed"], incremental=f["incremental"],
+                            incremental_start=f["incremental_start"],
+                            incremental_stride=f["incremental_stride"])
     artifacts = {}
-    for frac in f["rehearsal_fractions"]:
-        plan = train.ForgetPlan(task_a_classes=a_classes, task_b_classes=b_classes,
-                                rehearsal_fraction=float(frac), epochs=f["epochs"],
-                                batch=h["batch"], eta0=float(h["eta0"]),
-                                eta_decay=float(h["eta_decay"]), lam=float(h["lam"]),
-                                seed=cfg["seed"], incremental=f["incremental"],
-                                incremental_start=f["incremental_start"],
-                                incremental_stride=f["incremental_stride"])
-        result = train.run_forgetting(plan, a_pool, b_pool, val_matrix)
-        path = out / f"forget-r{float(frac):0.3f}.csv"
+    for frac, result in zip(fractions, train.run_forgetting(plan, a_pool, b_pool, val_matrix)):
+        path = out / f"forget-r{frac:0.3f}.csv"
         write_csv(path, ["epoch", "task_a", "task_b", "combined"], result.curves)
-        artifacts[f"forget_r{float(frac):0.3f}"] = path
+        artifacts[f"forget_r{frac:0.3f}"] = path
         if result.incremental:
-            inc_path = out / f"forget-incremental-r{float(frac):0.3f}.csv"
+            inc_path = out / f"forget-incremental-r{frac:0.3f}.csv"
             write_csv(inc_path, ["images", "task_a", "task_b", "combined"],
                       result.incremental)
-            artifacts[f"forget_incremental_r{float(frac):0.3f}"] = inc_path
+            artifacts[f"forget_incremental_r{frac:0.3f}"] = inc_path
     return {"artifacts": artifacts}
 
 

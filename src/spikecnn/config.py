@@ -66,7 +66,7 @@ _HEAD_SCHEMA = {
     "eta0": ((int, float), 0.1),
     "eta_decay": ((int, float), 1.007),
     "lam": ((int, float), 0.1),
-    "epochs": (int, 20),
+    "epochs": (int, 20, "[0, inf)"),
     "batch": (int, 10, "[1, inf)"),
     "n_classes": (int, 10, "[1, inf)"),
     "neurons_per_class": (int, 1),
@@ -104,11 +104,11 @@ _DEMO_SCHEMA = {
 _FORGET_SCHEMA = {
     "task_a_classes": (list, [0, 1, 2, 3, 4]),
     "task_b_classes": (list, [5, 6, 7, 8, 9]),
-    "images_per_class": (int, 500),
+    "images_per_class": (int, 500, "[1, inf)"),
     "rehearsal_fractions": (list, [0.0, 0.10, 0.15, 0.25, 0.275, 0.30]),
-    "epochs": (int, 20),
+    "epochs": (int, 20, "[0, inf)"),
     "incremental": (bool, False),
-    "incremental_start": (int, 500),
+    "incremental_start": (int, 500, "[1, inf)"),
     "incremental_stride": (int, 250, "[1, inf)"),
 }
 

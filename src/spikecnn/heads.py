@@ -151,8 +151,8 @@ def fcn_gradients(head: FcnHead, x: np.ndarray, y: np.ndarray,
 
 
 def fcn_train_epoch(head: FcnHead, data: FeatureMatrix, batch: int, epoch: int,
-                    rng: np.random.Generator, n_total: int | None = None) -> float:
-    """One epoch of mini-batch gradient descent; returns post-epoch accuracy.
+                    rng: np.random.Generator, n_total: int | None = None) -> None:
+    """One epoch of mini-batch gradient descent over a fresh permutation.
 
     The learning rate follows eta0 / decay^epoch and the weight update
     includes the L2 term scaled by lam/n over the full training-set size.
@@ -162,7 +162,6 @@ def fcn_train_epoch(head: FcnHead, data: FeatureMatrix, batch: int, epoch: int,
     order = rng.permutation(data.n_rows)
     fcn_minibatches(head, data, order, batch, epoch,
                     n_total if n_total is not None else data.n_rows)
-    return fcn_accuracy(head, data)
 
 
 def fcn_minibatches(head: FcnHead, data: FeatureMatrix, order: np.ndarray, batch: int,

@@ -4,6 +4,7 @@ harness, and feature extraction over frozen layers."""
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ from .core import (ConvKernel, InhibitionConfig, LayerState, conv_accumulate,
                    global_max_potential, homeostasis_gate, infer_image,
                    max_pool, stdp_competition, stdp_update)
 from .encode import SpikeTensor
-from .heads import (FcnHead, FeatureMatrix, fcn_accuracy, fcn_minibatches,
+from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
                     fcn_train_epoch, init_fcn_head)
 
 
@@ -344,7 +345,7 @@ def run_noise_demo(cfg: NoiseDemoConfig) -> NoiseDemoResult:
 class ForgetPlan:
     task_a_classes: tuple = (0, 1, 2, 3, 4)
     task_b_classes: tuple = (5, 6, 7, 8, 9)
-    rehearsal_fraction: float = 0.0
+    rehearsal_fractions: tuple = (0.0,)
     epochs: int = 20
     batch: int = 10
     eta0: float = 0.1
@@ -368,40 +369,51 @@ class ForgetResult:
         return a, b, c
 
 
-def _subset(data: FeatureMatrix, classes) -> FeatureMatrix:
-    mask = np.isin(data.labels, list(classes))
-    return FeatureMatrix(data.values[mask], data.labels[mask])
-
-
 def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMatrix,
                    val: FeatureMatrix, n_classes: int = 10,
-                   head: FcnHead | None = None) -> ForgetResult:
-    """Sequential-task head training with optional rehearsal.
+                   head: FcnHead | None = None) -> list[ForgetResult]:
+    """Sequential-task head training with a rehearsal sweep; one result per
+    entry of ``plan.rehearsal_fractions``, in order.
 
-    Phase 1 trains a fresh head on task A.  Phase 2 keeps the (frozen)
-    feature extractor and the phase-1 head, then continues training on task B
-    plus ``rehearsal_fraction`` x |task B| images drawn from the task-A pool,
-    interleaved uniformly at random.  Validation accuracy on task A, task B,
-    and both combined is probed after every epoch (and, in incremental mode,
-    every ``incremental_stride`` images of the first pass).
+    Phase 1 trains a fresh head on task A once (or starts from ``head``).
+    Each fraction's phase 2 continues a copy of the phase-1 head, and of the
+    rng as phase 1 left it, on task B plus fraction x |task B| images drawn
+    from the task-A pool, interleaved uniformly at random.  Validation
+    accuracy on task A, task B, and both combined is probed after every epoch
+    (and, in incremental mode, every ``incremental_stride`` images of the
+    first pass).
     """
-    rng = np.random.default_rng(plan.seed)
-    val_a = _subset(val, plan.task_a_classes)
-    val_b = _subset(val, plan.task_b_classes)
+    if head is None and plan.epochs > 0 and train_a.n_rows == 0:
+        raise ValueError("empty training data")
+    sizes = []
+    for frac in plan.rehearsal_fractions:  # all checked before any training
+        n_rehearse = int(round(frac * train_b.n_rows))
+        if frac < 0 or n_rehearse > train_a.n_rows:
+            raise ValueError(f"rehearsal fraction {frac} needs {n_rehearse} task-A images; "
+                             f"the pool holds {train_a.n_rows}")
+        sizes.append(n_rehearse)
 
+    rng = np.random.default_rng(plan.seed)
     if head is None:
         head = init_fcn_head(train_a.n_cols, n_classes, rng, cost="cross_entropy",
                              eta0=plan.eta0, eta_decay=plan.eta_decay, lam=plan.lam)
         for epoch in range(plan.epochs):
             fcn_train_epoch(head, train_a, plan.batch, epoch, rng)
 
-    def probe() -> tuple[float, float, float]:
-        return (fcn_accuracy(head, val_a), fcn_accuracy(head, val_b),
-                fcn_accuracy(head, val))
+    in_a = np.isin(val.labels, plan.task_a_classes)
+    in_b = np.isin(val.labels, plan.task_b_classes)
 
-    n_rehearse = int(round(plan.rehearsal_fraction * train_b.n_rows))
-    if n_rehearse > train_a.n_rows:
-        raise ValueError("rehearsal fraction exceeds the task-A pool")
+    def probe(h: FcnHead) -> tuple[float, float, float]:
+        hits = fcn_predict(h, val.values) == val.labels
+        return float(np.mean(hits[in_a])), float(np.mean(hits[in_b])), float(np.mean(hits))
+
+    return [_rehearse(plan, head.copy(), copy.deepcopy(rng), n, train_a, train_b, probe)
+            for n in sizes]
+
+
+def _rehearse(plan: ForgetPlan, head: FcnHead, rng: np.random.Generator, n_rehearse: int,
+              train_a: FeatureMatrix, train_b: FeatureMatrix, probe) -> ForgetResult:
+    """Phase 2 of one rehearsal fraction; trains ``head`` in place."""
     if n_rehearse:
         idx = rng.choice(train_a.n_rows, size=n_rehearse, replace=False)
         pool = FeatureMatrix(
@@ -410,7 +422,7 @@ def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMat
     else:
         pool = train_b
 
-    curves = [(-1, *probe())]
+    curves = [(-1, *probe(head))]
     incremental: list[tuple[int, float, float, float]] = []
     for epoch in range(plan.epochs):
         if plan.incremental and epoch == 0:
@@ -421,10 +433,9 @@ def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMat
                 stop = min(next_probe, pool.n_rows)
                 fcn_minibatches(head, pool, order[done:stop], plan.batch, epoch, stop - done)
                 done = stop
-                incremental.append((done, *probe()))
+                incremental.append((done, *probe(head)))
                 next_probe += plan.incremental_stride
         else:
             fcn_train_epoch(head, pool, plan.batch, epoch, rng)
-        curves.append((epoch, *probe()))
+        curves.append((epoch, *probe(head)))
     return ForgetResult(curves, incremental)
-

@@ -271,7 +271,8 @@ def test_criterion_7_forgetting(corpus):
     train_b = FeatureMatrix(feats.values[~a_mask], feats.labels[~a_mask])
 
     # phase 1 is identical across fractions: train once, replay copies
-    base_plan = ForgetPlan(rehearsal_fraction=0.0, epochs=20, seed=3)
+    fractions = (0.0, 0.10, 0.15, 0.25, 0.275, 0.30)
+    base_plan = ForgetPlan(rehearsal_fractions=fractions, epochs=20, seed=3)
     phase1_rng = np.random.default_rng(base_plan.seed)
     phase1 = init_fcn_head(train_a.n_cols, 10, phase1_rng, cost="cross_entropy",
                            eta0=base_plan.eta0, eta_decay=base_plan.eta_decay,
@@ -279,12 +280,10 @@ def test_criterion_7_forgetting(corpus):
     for epoch in range(base_plan.epochs):
         fcn_train_epoch(phase1, train_a, base_plan.batch, epoch, phase1_rng)
 
-    fractions = [0.0, 0.10, 0.15, 0.25, 0.275, 0.30]
     retention = {}
     combined = {}
-    for frac in fractions:
-        plan = ForgetPlan(rehearsal_fraction=frac, epochs=20, seed=3)
-        result = run_forgetting(plan, train_a, train_b, val, head=phase1.copy())
+    for frac, result in zip(fractions, run_forgetting(base_plan, train_a, train_b, val,
+                                                      head=phase1)):
         final_a, _, final_comb = result.final()
         retention[frac] = final_a
         combined[frac] = final_comb

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikecnn.cli import main
+from spikecnn.cli import _take_per_class, main, write_csv
 from spikecnn import container
 from spikecnn.config import ConfigError, load_config, validate_config
 from spikecnn.encode import encode_dataset, load_idx_images, read_cache
+from spikecnn.heads import import_features
+from spikecnn.train import ForgetPlan
+from forget_oracle import oracle_run_forgetting
 from synth_digits import write_idx_dataset
 
 
@@ -225,6 +228,49 @@ class TestForgetCommand:
         header = files[0].read_text().split("\n")[0]
         assert header == "epoch,task_a,task_b,combined"
 
+    def test_csv_rows_equal_per_fraction_runs(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, plan={"n_images": 60, "monitor_stride": 30})
+        fractions = [0.0, 0.25, 1.0]  # 1.0 takes the whole task-A pool
+        cfg["forget"] = {"images_per_class": 8, "epochs": 2, "incremental": True,
+                         "incremental_start": 10, "incremental_stride": 15,
+                         "rehearsal_fractions": fractions}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train", "features", "forget"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        train_m = import_features(out / "features-train.fmat")
+        val = import_features(out / "features-test.fmat")
+        a_pool = _take_per_class(train_m, (0, 1, 2, 3, 4), 8)
+        b_pool = _take_per_class(train_m, (5, 6, 7, 8, 9), 8)
+        assert a_pool.n_rows == b_pool.n_rows == 40
+        plan = ForgetPlan(epochs=2, seed=5, incremental=True, incremental_start=10,
+                          incremental_stride=15)
+        for frac in fractions:
+            oracle = oracle_run_forgetting(plan, frac, a_pool, b_pool, val)
+            write_csv(tmp_path / "curve.csv", ["epoch", "task_a", "task_b", "combined"],
+                      oracle.curves)
+            write_csv(tmp_path / "inc.csv", ["images", "task_a", "task_b", "combined"],
+                      oracle.incremental)
+            assert (out / f"forget-r{frac:0.3f}.csv").read_bytes() == \
+                (tmp_path / "curve.csv").read_bytes()
+            assert (out / f"forget-incremental-r{frac:0.3f}.csv").read_bytes() == \
+                (tmp_path / "inc.csv").read_bytes()
+
+    @pytest.mark.parametrize("fractions,bad", [([0.0, -0.1], "-0.1"), ([0.1, 0.0, 9.0], "9.0")])
+    def test_bad_fraction_fails_before_any_curve(self, dataset, tmp_path, capsys,
+                                                  fractions, bad):
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, plan={"n_images": 20, "monitor_stride": 10})
+        cfg["forget"] = {"images_per_class": 8, "epochs": 1, "rehearsal_fractions": fractions}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        capsys.readouterr()
+        assert main(["forget", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert f"fraction {bad}" in err and "Traceback" not in err
+        assert not list(out.glob("forget-*.csv"))
+
 
 class TestAerIngestion:
     def test_encode_aer_recordings(self, tmp_path):
@@ -436,7 +482,9 @@ class TestConfigRanges:
         ("config", "threads", -3), ("config", "seed", -1),
         ("config", "feature_mode", "bogus"), ("head", "kind", "svm"),
         ("head", "cost", "hinge"), ("head", "ratio_mode", "never"),
-        ("plan", "stop_rule", "when_bored")])
+        ("plan", "stop_rule", "when_bored"),
+        ("forget", "images_per_class", 0), ("forget", "images_per_class", -1),
+        ("forget", "incremental_start", -5), ("forget", "epochs", -1), ("head", "epochs", -1)])
     def test_below_minimum(self, section, key, value):
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
@@ -464,8 +512,11 @@ class TestConfigRanges:
                                "encoding": {"bins": 1, "silent_bins": 0},
                                "layer": {"maps": 1, "kernel_size": 1, "competition_radius": 0,
                                          "a_plus": 1, "a_minus": 1, "threshold": 1e-9},
+                               "forget": {"images_per_class": 1, "incremental_start": 1,
+                                          "epochs": 0},
                                "seed": 0, "threads": 1})
         assert cfg["encoding"]["bins"] == 1 and cfg["layer"]["maps"] == 1
+        assert validate_config({"head": {"epochs": 0}})["head"]["epochs"] == 0
 
     def test_bins_fit_the_u8_event_axis(self):
         validate_config({"encoding": {"bins": 250, "silent_bins": 6}})

@@ -6,7 +6,7 @@ import pytest
 
 from spikecnn.heads import (FcnHead, FeatureMatrix, RstdpHead,
                             draw_dropout_mask, export_features, fcn_cost,
-                            fcn_forward, fcn_gradients, fcn_minibatches,
+                            fcn_accuracy, fcn_forward, fcn_gradients, fcn_minibatches,
                             fcn_predict, fcn_train_epoch, import_features,
                             init_fcn_head, init_rstdp_head, load_head, one_hot,
                             rstdp_accuracy, rstdp_decide, rstdp_potentials,
@@ -94,8 +94,8 @@ class TestFcnTraining:
         data = FeatureMatrix(x, labels)
         head = init_fcn_head(8, 3, rng, eta0=0.5, lam=0.0)
         for epoch in range(15):
-            acc = fcn_train_epoch(head, data, batch=10, epoch=epoch, rng=rng)
-        assert acc > 0.95
+            fcn_train_epoch(head, data, batch=10, epoch=epoch, rng=rng)
+        assert fcn_accuracy(head, data) > 0.95
 
     def test_eta_schedule(self):
         head = FcnHead(np.zeros((2, 2)), np.zeros(2), eta0=0.1, eta_decay=1.007)

@@ -7,11 +7,13 @@ import pytest
 from spikecnn.config import substream
 from spikecnn.core import ConvKernel, InhibitionConfig, init_kernel, save_kernel
 from spikecnn.encode import SpikeTensor
-from spikecnn.heads import FeatureMatrix
+from spikecnn import train as train_mod
+from spikecnn.heads import FeatureMatrix, init_fcn_head
 from spikecnn.train import (ConvPipeline, ForgetPlan, MonitorSeries,
                             NoiseDemoConfig, TrainPlan, convergence_factor,
                             extract_features, run_forgetting, run_noise_demo,
                             train_conv_layer, weight_delta, _should_stop)
+from forget_oracle import oracle_run_forgetting
 
 
 def random_tensors(n, rng, shape=(12, 2, 16, 16), density=0.04):
@@ -261,23 +263,44 @@ def separable_features(rng, n_per_class=30, n_classes=10, dim=40, noise=0.05):
     return FeatureMatrix(x[order], labels[order])
 
 
+def task_split(data):
+    mask = data.labels <= 4
+    return (FeatureMatrix(data.values[mask], data.labels[mask]),
+            FeatureMatrix(data.values[~mask], data.labels[~mask]))
+
+
 class TestForgettingHarness:
     def test_rehearsal_exceeding_pool_rejected(self):
         rng = np.random.default_rng(14)
         data = separable_features(rng)
-        a = FeatureMatrix(data.values[data.labels <= 4], data.labels[data.labels <= 4])
-        b = FeatureMatrix(data.values[data.labels >= 5], data.labels[data.labels >= 5])
-        with pytest.raises(ValueError):
-            run_forgetting(ForgetPlan(rehearsal_fraction=2.0, epochs=1), a, b, data)
+        a, b = task_split(data)
+        with pytest.raises(ValueError, match="fraction 2.0"):
+            run_forgetting(ForgetPlan(rehearsal_fractions=(2.0,), epochs=1), a, b, data)
+
+    @pytest.mark.parametrize("fractions,bad", [((0.0, -0.1), "-0.1"), ((0.1, 1.5), "1.5")])
+    def test_every_fraction_checked_before_phase_one(self, monkeypatch, fractions, bad):
+        a, b = task_split(separable_features(np.random.default_rng(14)))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("phase 1 started before the fractions were checked")
+
+        monkeypatch.setattr(train_mod, "init_fcn_head", no_training)
+        with pytest.raises(ValueError, match=f"fraction {bad}"):
+            run_forgetting(ForgetPlan(rehearsal_fractions=fractions, epochs=1), a, b, a)
+
+    @pytest.mark.parametrize("fractions", [(0.0,), (0.0, 0.1)])
+    def test_empty_task_a_pool_rejected(self, fractions):
+        _, b = task_split(separable_features(np.random.default_rng(14)))
+        empty = FeatureMatrix(np.zeros((0, b.n_cols)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="empty training data"):
+            run_forgetting(ForgetPlan(rehearsal_fractions=fractions, epochs=1), empty, b, b)
 
     def test_curves_structure_and_probe_before_phase_two(self):
         rng = np.random.default_rng(15)
         data = separable_features(rng)
-        mask = data.labels <= 4
-        a = FeatureMatrix(data.values[mask], data.labels[mask])
-        b = FeatureMatrix(data.values[~mask], data.labels[~mask])
-        res = run_forgetting(ForgetPlan(rehearsal_fraction=0.1, epochs=3, seed=1),
-                             a, b, data)
+        a, b = task_split(data)
+        [res] = run_forgetting(ForgetPlan(rehearsal_fractions=(0.1,), epochs=3, seed=1),
+                               a, b, data)
         assert [row[0] for row in res.curves] == [-1, 0, 1, 2]
         pre = res.curves[0]
         assert pre[1] > 0.9       # task A learned in phase 1
@@ -288,25 +311,49 @@ class TestForgettingHarness:
     def test_rehearsal_helps_retention(self):
         rng = np.random.default_rng(16)
         data = separable_features(rng, noise=0.3)
-        mask = data.labels <= 4
-        a = FeatureMatrix(data.values[mask], data.labels[mask])
-        b = FeatureMatrix(data.values[~mask], data.labels[~mask])
-        no_reh = run_forgetting(ForgetPlan(rehearsal_fraction=0.0, epochs=10, seed=2),
-                                a, b, data).final()
-        with_reh = run_forgetting(ForgetPlan(rehearsal_fraction=0.3, epochs=10, seed=2),
-                                  a, b, data).final()
+        a, b = task_split(data)
+        no_reh, with_reh = (res.final() for res in run_forgetting(
+            ForgetPlan(rehearsal_fractions=(0.0, 0.3), epochs=10, seed=2), a, b, data))
         assert with_reh[0] >= no_reh[0]
 
     def test_incremental_probes(self):
         rng = np.random.default_rng(17)
         data = separable_features(rng)
-        mask = data.labels <= 4
-        a = FeatureMatrix(data.values[mask], data.labels[mask])
-        b = FeatureMatrix(data.values[~mask], data.labels[~mask])
-        plan = ForgetPlan(rehearsal_fraction=0.0, epochs=1, seed=3, incremental=True,
+        a, b = task_split(data)
+        plan = ForgetPlan(rehearsal_fractions=(0.0,), epochs=1, seed=3, incremental=True,
                           incremental_start=50, incremental_stride=25)
-        res = run_forgetting(plan, a, b, data)
+        [res] = run_forgetting(plan, a, b, data)
         assert res.incremental
         assert res.incremental[0][0] == 50
         assert res.incremental[1][0] == 75
         assert res.incremental[-1][0] == b.n_rows
+
+
+class TestForgettingSweepOracle:
+    """The sweep trains phase 1 once and scores each probe in one pass; every
+    row must equal a per-fraction run that retrains phase 1 from scratch."""
+
+    # no rehearsal, a middle fraction, and one that takes the whole task-A pool
+    FRACTIONS = (0.0, 0.3, 1.0)
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("given_head", [False, True])
+    def test_sweep_matches_per_fraction_runs(self, incremental, given_head):
+        data = separable_features(np.random.default_rng(18), noise=0.4)
+        a, b = task_split(data)
+        assert round(self.FRACTIONS[-1] * b.n_rows) == a.n_rows
+        plan = ForgetPlan(rehearsal_fractions=self.FRACTIONS, epochs=3, seed=4,
+                          incremental=incremental, incremental_start=40,
+                          incremental_stride=35)
+        start = init_fcn_head(a.n_cols, 10, np.random.default_rng(9))
+
+        def given():
+            return start.copy() if given_head else None
+
+        sweep = run_forgetting(plan, a, b, data, head=given())
+        assert len(sweep) == len(self.FRACTIONS)
+        for frac, res in zip(self.FRACTIONS, sweep):
+            oracle = oracle_run_forgetting(plan, frac, a, b, data, head=given())
+            assert res.curves == oracle.curves
+            assert res.incremental == oracle.incremental
+            assert bool(res.incremental) == incremental
