@@ -10,13 +10,13 @@ reconstruction) and a CLI that drives all of it from a JSON config.
 __version__ = "0.1.0"
 
 from .core import ConvKernel, InhibitionConfig, init_kernel, load_kernel, save_kernel
-from .encode import SpikeTensor, encode_dataset, encode_image, load_idx_images
+from .encode import SpikeTensor, encode_dataset, load_idx_images
 from .heads import FcnHead, FeatureMatrix, RstdpHead
 from .train import ConvPipeline, TrainPlan, extract_features, train_conv_layer
 
 __all__ = [
     "ConvKernel", "InhibitionConfig", "init_kernel", "load_kernel", "save_kernel",
-    "SpikeTensor", "encode_dataset", "encode_image", "load_idx_images",
+    "SpikeTensor", "encode_dataset", "load_idx_images",
     "FcnHead", "FeatureMatrix", "RstdpHead",
     "ConvPipeline", "TrainPlan", "extract_features", "train_conv_layer",
     "__version__",

@@ -165,11 +165,13 @@ def cmd_train(cfg: dict, out: Path) -> dict:
                            monitor_stride=plan_cfg["monitor_stride"],
                            band=(float(plan_cfg["band_low"]), float(plan_cfg["band_high"])))
     artifacts, extra = {}, {}
+    maps_in = inputs[0].channels
     for n, (section, tag, stream) in enumerate(_stack(cfg)):
-        if n:  # trains on the frozen previous layer's pooled spikes
-            inputs = [previous.pooled(t, as_tensor=True)[0] for t in inputs]
+        if n:  # trains on the frozen previous layer's pooled spikes, only those it reads
+            inputs = [previous.pooled(t, as_tensor=True)[0] for t in inputs[:plan.n_images]]
         layer_cfg = _layer_cfg(cfg[section])
-        kernel = _init_kernel(cfg[section], inputs[0].channels, substream(cfg["seed"], stream))
+        kernel = _init_kernel(cfg[section], maps_in, substream(cfg["seed"], stream))
+        maps_in = kernel.maps_out
         monitor = train.train_conv_layer(plan, inputs, kernel, layer_cfg)
         previous = train.ConvPipeline(kernel, layer_cfg)
         artifacts[f"kernel_{tag}"] = out / f"kernel-{tag}.skrn"
@@ -216,15 +218,15 @@ def cmd_features(cfg: dict, out: Path) -> dict:
     return {"artifacts": artifacts}
 
 
-def _check_labels(data: heads.FeatureMatrix, n_classes: int, split: str) -> None:
-    if data.labels.max(initial=0) >= n_classes:
-        raise ValueError(f"{split} label {data.labels.max()} >= head.n_classes {n_classes}")
+def _check_labels(labels: np.ndarray, n_classes: int, split: str) -> None:
+    if labels.max(initial=0) >= n_classes:
+        raise ValueError(f"{split} label {labels.max()} >= head.n_classes {n_classes}")
 
 
 def cmd_classify(cfg: dict, out: Path) -> dict:
     data = heads.import_features(_require(out / "features-train.fmat", "training features"))
     h = cfg["head"]
-    _check_labels(data, h["n_classes"], "training")
+    _check_labels(data.labels, h["n_classes"], "training")
     rng = substream(cfg["seed"], "head-init")
     shuffle_rng = substream(cfg["seed"], "head-shuffle")
     curve = []
@@ -260,7 +262,7 @@ def cmd_eval(cfg: dict, out: Path) -> dict:
     data = heads.import_features(_require(out / "features-test.fmat", "test features"))
     h = cfg["head"]
     n_classes = h["n_classes"]
-    _check_labels(data, n_classes, "test")
+    _check_labels(data.labels, n_classes, "test")
     head = heads.load_head(_require(out / f"head-{h['kind']}.skhd", "trained head"))
     predict = heads.fcn_predict if isinstance(head, heads.FcnHead) else heads.rstdp_predict
     pred = predict(head, data.values)
@@ -309,9 +311,12 @@ def cmd_demo_stdp(cfg: dict, out: Path) -> dict:
 
 def cmd_forget(cfg: dict, out: Path) -> dict:
     f = cfg["forget"]
+    h = cfg["head"]
     pipeline = _pipeline(cfg, out)
     for split in ("train", "test"):  # both checked before any extraction
-        _require(_encoded_paths(cfg, out, split)[0], f"encoded {split} cache")
+        cache, labels_file = _encoded_paths(cfg, out, split)
+        _require(cache, f"encoded {split} cache")
+        _check_labels(encode.load_idx_labels(labels_file), h["n_classes"], split)
     matrix, _ = _split_features(cfg, out, pipeline, "train")
     val_matrix, _ = _split_features(cfg, out, pipeline, "test")
 
@@ -321,7 +326,6 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
     a_pool = _take_per_class(matrix, a_classes, per_class)
     b_pool = _take_per_class(matrix, b_classes, per_class)
 
-    h = cfg["head"]
     fractions = tuple(float(frac) for frac in f["rehearsal_fractions"])
     plan = train.ForgetPlan(task_a_classes=a_classes, task_b_classes=b_classes,
                             rehearsal_fractions=fractions, epochs=f["epochs"],
@@ -331,7 +335,8 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
                             incremental_start=f["incremental_start"],
                             incremental_stride=f["incremental_stride"])
     artifacts = {}
-    for frac, result in zip(fractions, train.run_forgetting(plan, a_pool, b_pool, val_matrix)):
+    results = train.run_forgetting(plan, a_pool, b_pool, val_matrix, n_classes=h["n_classes"])
+    for frac, result in zip(fractions, results):
         path = out / f"forget-r{frac:0.3f}.csv"
         write_csv(path, ["epoch", "task_a", "task_b", "combined"], result.curves)
         artifacts[f"forget_r{frac:0.3f}"] = path

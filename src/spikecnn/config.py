@@ -217,6 +217,10 @@ def validate_config(raw: dict) -> dict:
     enc = top["encoding"]
     if enc["bins"] + enc["silent_bins"] > 256:
         raise ConfigError("config.encoding: bins + silent_bins must be <= 256 (u8 event times)")
+    for frac in top["forget"]["rehearsal_fractions"]:
+        if isinstance(frac, bool) or not isinstance(frac, (int, float)) or frac < 0:
+            raise ConfigError(f"config.forget.rehearsal_fractions: fraction {frac!r} "
+                              "must be a number >= 0")
     return top
 
 

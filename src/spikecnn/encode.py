@@ -1,9 +1,10 @@
 """Retina-style spike encoding.
 
-Grayscale images are converted to ON/OFF contrast maps with a pair of
-difference-of-Gaussian filters, then latency-coded: the strongest responses
-spike first.  Event-camera recordings (AER) are ingested into the same
-spike-tensor form so the rest of the pipeline is agnostic to the source.
+Grayscale images are converted to ON/OFF contrast maps with a
+difference-of-Gaussian filter and its negation, then latency-coded: the
+strongest responses spike first.  Event-camera recordings (AER) are ingested
+into the same spike-tensor form so the rest of the pipeline is agnostic to
+the source.
 """
 
 from __future__ import annotations
@@ -27,22 +28,6 @@ CACHE_MAGIC = b"SPKT"
 CACHE_VERSION = 1
 
 ON, OFF = 0, 1
-
-
-@dataclass(frozen=True)
-class DoGKernel:
-    """7x7 difference-of-Gaussians filter."""
-
-    values: np.ndarray
-    sigma_center: float
-    sigma_surround: float
-    polarity: str  # "on" | "off"
-
-
-@dataclass(frozen=True)
-class ContrastMap:
-    values: np.ndarray
-    polarity: str
 
 
 @dataclass(eq=False)
@@ -94,7 +79,7 @@ class SpikeTensor:
         return cls(tuple(dense.shape), np.argwhere(dense))
 
 
-def make_dog_kernel(sigma_center: float, sigma_surround: float) -> DoGKernel:
+def make_dog_kernel(sigma_center: float, sigma_surround: float) -> np.ndarray:
     """Build the 7x7 two-Gaussian difference filter.
 
     Center sigma smaller than surround gives the ON (bright-center) filter;
@@ -109,18 +94,15 @@ def make_dog_kernel(sigma_center: float, sigma_surround: float) -> DoGKernel:
     def gauss(sigma):
         return np.exp(-d2 / (2.0 * sigma**2)) / (2.0 * np.pi * sigma**2)
 
-    values = gauss(sigma_center) - gauss(sigma_surround)
-    polarity = "on" if sigma_center < sigma_surround else "off"
-    return DoGKernel(values, float(sigma_center), float(sigma_surround), polarity)
+    return gauss(sigma_center) - gauss(sigma_surround)
 
 
-def dog_filter(image: np.ndarray, kernel: DoGKernel) -> ContrastMap:
+def dog_filter(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Same-mode filtering of an image; borders are zero padded."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or min(image.shape) < 1:
         raise ValueError("image must be a 2-D matrix")
-    values = correlate2d(image, kernel.values, mode="same", boundary="fill", fillvalue=0.0)
-    return ContrastMap(values, kernel.polarity)
+    return correlate2d(image, kernel, mode="same", boundary="fill", fillvalue=0.0)
 
 
 def _equal_count_bins(n: int, n_bins: int) -> np.ndarray:
@@ -132,10 +114,10 @@ def _equal_count_bins(n: int, n_bins: int) -> np.ndarray:
     return np.repeat(np.arange(n_bins), counts)
 
 
-def latency_encode(on: ContrastMap, off: ContrastMap, threshold: float,
+def latency_encode(on: np.ndarray, off: np.ndarray, threshold: float,
                    n_bins: int = DEFAULT_BINS,
                    silent_bins: int = DEFAULT_SILENT_BINS) -> SpikeTensor:
-    """Latency-code a pair of contrast maps into a spike tensor.
+    """Latency-code a pair of ON/OFF contrast maps into a spike tensor.
 
     A pixel spikes once iff its response exceeds ``threshold`` strictly.  The
     arrival time of each spike is 1/response; spikes are sorted by arrival
@@ -145,39 +127,17 @@ def latency_encode(on: ContrastMap, off: ContrastMap, threshold: float,
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    if on.values.shape != off.values.shape:
+    if on.shape != off.shape:
         raise ValueError("ON/OFF map shapes differ")
-    h, w = on.values.shape
-    rows = []
-    keys = []
-    for channel, cmap in ((ON, on), (OFF, off)):
-        resp = cmap.values
-        mask = resp > threshold
-        if not mask.any():
-            continue
-        uu, vv = np.nonzero(mask)
-        # ascending arrival time 1/response == descending response; sorting
-        # on -response keeps the order well defined for any threshold sign
-        rows.append(np.column_stack([np.full(uu.shape, channel), uu, vv]))
-        keys.append(-resp[mask])
-    shape = (n_bins + silent_bins, 2, h, w)
-    if not rows:
-        return SpikeTensor(shape, np.empty((0, 4), dtype=np.uint8))
-    coords = np.concatenate(rows).astype(np.int64)
-    key = np.concatenate(keys)
-    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0], key))
-    coords = coords[order]
-    bins = _equal_count_bins(coords.shape[0], n_bins)
-    events = np.column_stack([bins, coords[:, 0], coords[:, 1], coords[:, 2]])
-    return SpikeTensor(shape, events.astype(np.uint8))
-
-
-def encode_image(image: np.ndarray, threshold: float = DEFAULT_DOG_THRESHOLD,
-                 n_bins: int = DEFAULT_BINS, silent_bins: int = DEFAULT_SILENT_BINS,
-                 sigma_center: float = 1.0, sigma_surround: float = 2.0) -> SpikeTensor:
-    """Full image-to-spikes path: DoG pair -> latency code."""
-    return encode_dataset(np.asarray(image)[None], threshold, n_bins, silent_bins,
-                          sigma_center, sigma_surround)[0]
+    flat = np.stack([on, off]).ravel()
+    idx = np.flatnonzero(flat > threshold)  # in (channel, row, col) order
+    # ascending arrival time 1/response == descending response; sorting on
+    # -response keeps the order well defined for any threshold sign, and a
+    # stable sort keeps equal responses in (channel, row, col) order
+    idx = idx[np.argsort(-flat[idx], kind="stable")]
+    c, u, v = np.unravel_index(idx, (2, *on.shape))
+    events = np.column_stack([_equal_count_bins(idx.size, n_bins), c, u, v])
+    return SpikeTensor((n_bins + silent_bins, 2, *on.shape), events)
 
 
 def load_idx_images(images_path, labels_path, crop: bool = True):
@@ -303,12 +263,14 @@ def read_cache(path) -> list[SpikeTensor]:
 def encode_dataset(images: np.ndarray, threshold: float = DEFAULT_DOG_THRESHOLD,
                    n_bins: int = DEFAULT_BINS, silent_bins: int = DEFAULT_SILENT_BINS,
                    sigma_center: float = 1.0, sigma_surround: float = 2.0) -> list[SpikeTensor]:
-    """Encode a stack of images; pure per image, order preserved."""
-    on_k = make_dog_kernel(sigma_center, sigma_surround)
-    off_k = make_dog_kernel(sigma_surround, sigma_center)
+    """Encode a stack of images; pure per image, order preserved.
+
+    One correlation per image: the OFF kernel is the ON kernel negated, and
+    IEEE negation is exact, so ``-resp`` is the OFF response bit for bit.
+    """
+    kernel = make_dog_kernel(sigma_center, sigma_surround)
     out = []
     for img in images:
-        on = dog_filter(img, on_k)
-        off = dog_filter(img, off_k)
-        out.append(latency_encode(on, off, threshold, n_bins, silent_bins))
+        resp = dog_filter(img, kernel)
+        out.append(latency_encode(resp, -resp, threshold, n_bins, silent_bins))
     return out

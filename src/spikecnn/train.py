@@ -4,7 +4,9 @@ harness, and feature extraction over frozen layers."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -179,36 +181,29 @@ class ConvPipeline:
         return global_max_potential(pooled.dense(), self.readout), n_spikes
 
 
-def _worker_features(args):
-    pipeline, tensors = args
-    return [pipeline.features_one(t) for t in tensors]
-
-
 def extract_features(pipeline: ConvPipeline, tensors: list[SpikeTensor],
                      labels: np.ndarray | None = None, threads: int = 1):
     """Run every image through the frozen stack; row order = input order.
 
     Returns (FeatureMatrix, mean conv spikes per image).  With ``threads`` >
-    1 images are farmed out to a process pool; results are identical to the
-    serial path because each image is processed independently.
+    1 images are farmed out to a process pool in ``threads`` contiguous
+    chunks; results are identical to the serial path because each image is
+    processed independently.
     """
-    if len(tensors) == 0:
+    n = len(tensors)
+    if n == 0:
         raise ValueError("no images to extract features from")
     if labels is None:
-        labels = np.zeros(len(tensors), dtype=np.int64)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_worker_features,
-                                  [(pipeline, tensors[i::threads]) for i in range(threads)]))
-    else:
-        parts = [map(pipeline.features_one, tensors)]  # rows go straight into the matrix
-    values, spikes = None, np.empty(len(tensors))
-    for lane, part in enumerate(parts):
-        for j, (vec, n) in enumerate(part):
-            row = lane + j * len(parts)
+        labels = np.zeros(n, dtype=np.int64)
+    values, spikes = None, np.empty(n)
+    with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        # either way rows arrive in input order and go straight into the matrix
+        rows = (pool.map(pipeline.features_one, tensors, chunksize=math.ceil(n / threads))
+                if pool else map(pipeline.features_one, tensors))
+        for i, (vec, n_spikes) in enumerate(rows):
             if values is None:
-                values = np.empty((len(tensors), vec.size))
-            values[row], spikes[row] = vec, n
+                values = np.empty((n, vec.size))
+            values[i], spikes[i] = vec, n_spikes
     return FeatureMatrix(values, np.asarray(labels, dtype=np.int64)), float(spikes.mean())
 
 

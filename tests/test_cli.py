@@ -10,7 +10,8 @@ import pytest
 from spikecnn.cli import _take_per_class, main, write_csv
 from spikecnn import container
 from spikecnn.config import ConfigError, load_config, validate_config
-from spikecnn.encode import encode_dataset, load_idx_images, read_cache
+from spikecnn.encode import (encode_dataset, load_idx_images, load_idx_labels, read_cache,
+                             write_idx_labels)
 from spikecnn.heads import import_features
 from spikecnn.train import ForgetPlan
 from forget_oracle import oracle_run_forgetting
@@ -261,15 +262,41 @@ class TestForgetCommand:
                                                   fractions, bad):
         out = tmp_path / "run"
         cfg = base_config(dataset, out, plan={"n_images": 20, "monitor_stride": 10})
-        cfg["forget"] = {"images_per_class": 8, "epochs": 1, "rehearsal_fractions": fractions}
-        cfg_path = write_config(tmp_path / "c.json", cfg)
+        cfg["forget"] = {"images_per_class": 8, "epochs": 1, "rehearsal_fractions": [0.0]}
+        good = write_config(tmp_path / "good.json", cfg)
         for cmd in ("encode", "train"):
-            assert main([cmd, "--config", cfg_path]) == 0, cmd
+            assert main([cmd, "--config", good]) == 0, cmd
+        cfg["forget"]["rehearsal_fractions"] = fractions
+        cfg_path = write_config(tmp_path / "c.json", cfg)
         capsys.readouterr()
         assert main(["forget", "--config", cfg_path]) == 1
         err = capsys.readouterr().err
         assert f"fraction {bad}" in err and "Traceback" not in err
         assert not list(out.glob("forget-*.csv"))
+
+    @pytest.mark.parametrize("n_classes,code", [(12, 0), (10, 1)])
+    def test_labels_checked_against_head_n_classes(self, tmp_path, capsys, n_classes, code):
+        data = write_idx_dataset(tmp_path / "data", n_train=120, n_test=40, seed=9)
+        for split in ("train", "test"):  # class 9 becomes class 11
+            labels = load_idx_labels(data[f"{split}_labels"])
+            write_idx_labels(data[f"{split}_labels"], np.where(labels == 9, 11, labels))
+        out = tmp_path / "run"
+        cfg = base_config(data, out, plan={"n_images": 20, "monitor_stride": 10})
+        cfg["head"] = {"n_classes": n_classes}
+        cfg["forget"] = {"images_per_class": 8, "epochs": 1, "rehearsal_fractions": [0.0],
+                         "task_b_classes": [5, 6, 7, 8, 11]}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        capsys.readouterr()
+        assert main(["forget", "--config", cfg_path]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert "label 11 >= head.n_classes 10" in err
+            assert not list(out.glob("forget-*.csv"))
+        else:
+            assert (out / "forget-r0.000.csv").exists()
 
 
 class TestAerIngestion:
@@ -354,6 +381,30 @@ class TestTwoConvPipeline:
                       ["sample", "weight_delta", "convergence_factor"], monitor.samples)
         for name in ("kernel-l2.skrn", "kernel-l4.skrn", "monitor-l2.csv", "monitor-l4.csv"):
             assert (out / name).read_bytes() == (api / name).read_bytes(), name
+
+    @pytest.mark.parametrize("n_images,calls", [(60, 60), (0, 0), (200, 120)])
+    def test_layer2_input_is_pooled_only_for_images_it_trains_on(
+            self, dataset, tmp_path, monkeypatch, n_images, calls):
+        from spikecnn.core import load_kernel
+        from spikecnn.train import ConvPipeline
+        pooled = ConvPipeline.pooled
+        seen = []
+
+        def counting(self, tensor, as_tensor=False):
+            seen.append(tensor)
+            return pooled(self, tensor, as_tensor)
+
+        monkeypatch.setattr(ConvPipeline, "pooled", counting)
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, feature_mode="global_max_potential",
+                          plan={"n_images": n_images, "monitor_stride": 20})
+        cfg["layer2"] = {"maps": 20}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train"):  # the train split holds 120 images
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        assert len(seen) == calls
+        assert load_kernel(out / "kernel-l2.skrn").maps_out == 12
+        assert load_kernel(out / "kernel-l4.skrn").weights.shape == (20, 12, 5, 5)
 
     def test_unknown_feature_mode_exits_1_before_training(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -484,7 +535,10 @@ class TestConfigRanges:
         ("head", "cost", "hinge"), ("head", "ratio_mode", "never"),
         ("plan", "stop_rule", "when_bored"),
         ("forget", "images_per_class", 0), ("forget", "images_per_class", -1),
-        ("forget", "incremental_start", -5), ("forget", "epochs", -1), ("head", "epochs", -1)])
+        ("forget", "incremental_start", -5), ("forget", "epochs", -1), ("head", "epochs", -1),
+        ("forget", "rehearsal_fractions", [0.1, -0.1]), ("forget", "rehearsal_fractions", [True]),
+        ("forget", "rehearsal_fractions", ["0.1"]), ("forget", "rehearsal_fractions", [None]),
+        ("forget", "rehearsal_fractions", [[0.1]])])
     def test_below_minimum(self, section, key, value):
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):

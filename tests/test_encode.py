@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecnn import container
-from spikecnn.encode import (ContrastMap, SpikeTensor, dog_filter,
-                             encode_image, latency_encode, load_aer_recording,
-                             load_idx_images, load_idx_labels, make_dog_kernel,
-                             read_cache, write_cache, write_idx_images,
-                             write_idx_labels)
+from spikecnn.encode import (SpikeTensor, dog_filter, encode_dataset,
+                             latency_encode, load_aer_recording, load_idx_images,
+                             load_idx_labels, make_dog_kernel, read_cache,
+                             write_cache, write_idx_images, write_idx_labels)
+from encode_oracle import oracle_encode_dataset
 
 
 def dog_value(i, j, s1, s2):
@@ -42,21 +42,19 @@ def brute_force_same_conv(image, kernel):
 class TestDogKernel:
     def test_center_value(self):
         k = make_dog_kernel(1, 2)
-        assert k.values.shape == (7, 7)
-        assert k.values[3, 3] == pytest.approx(3 / (8 * np.pi), rel=1e-12)
-        assert k.values[3, 3] == pytest.approx(dog_value(0, 0, 1, 2), rel=1e-12)
+        assert k.shape == (7, 7)
+        assert k[3, 3] == pytest.approx(3 / (8 * np.pi), rel=1e-12)
+        assert k[3, 3] == pytest.approx(dog_value(0, 0, 1, 2), rel=1e-12)
 
     def test_corner_value(self):
         k = make_dog_kernel(1, 2)
-        assert k.values[6, 6] == pytest.approx(dog_value(3, 3, 1, 2), rel=1e-12)
-        assert k.values[6, 6] == pytest.approx(-4.174e-3, rel=1e-3)
+        assert k[6, 6] == pytest.approx(dog_value(3, 3, 1, 2), rel=1e-12)
+        assert k[6, 6] == pytest.approx(-4.174e-3, rel=1e-3)
 
     def test_swap_symmetry(self):
         on = make_dog_kernel(1, 2)
         off = make_dog_kernel(2, 1)
-        np.testing.assert_array_equal(off.values, -on.values)
-        assert on.polarity == "on"
-        assert off.polarity == "off"
+        np.testing.assert_array_equal(off, -on)
 
     @pytest.mark.parametrize("s1,s2", [(0, 1), (1, 0), (-1, 2)])
     def test_invalid_sigma(self, s1, s2):
@@ -68,14 +66,14 @@ class TestDogFilter:
     def test_zero_image(self):
         k = make_dog_kernel(1, 2)
         out = dog_filter(np.zeros((27, 27)), k)
-        np.testing.assert_array_equal(out.values, 0.0)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_impulse_embeds_kernel(self):
         k = make_dog_kernel(1, 2)
         img = np.zeros((27, 27))
         img[13, 13] = 1.0
-        out = dog_filter(img, k).values
-        np.testing.assert_allclose(out[10:17, 10:17], k.values, atol=1e-15)
+        out = dog_filter(img, k)
+        np.testing.assert_allclose(out[10:17, 10:17], k, atol=1e-15)
         assert np.abs(out[:10]).max() == 0.0
 
     def test_matches_brute_force(self):
@@ -83,8 +81,8 @@ class TestDogFilter:
         k = make_dog_kernel(1, 2)
         for _ in range(3):
             img = rng.uniform(0, 255, size=(27, 27))
-            got = dog_filter(img, k).values
-            want = brute_force_same_conv(img, k.values)
+            got = dog_filter(img, k)
+            want = brute_force_same_conv(img, k)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_rejects_bad_dims(self):
@@ -95,7 +93,7 @@ class TestDogFilter:
 def maps_from_responses(on_resp, off_resp=None):
     h, w = on_resp.shape
     off = off_resp if off_resp is not None else np.full((h, w), -1e9)
-    return ContrastMap(on_resp, "on"), ContrastMap(off, "off")
+    return on_resp, off
 
 
 class TestLatencyEncode:
@@ -185,8 +183,7 @@ class TestLatencyEncode:
         off_r = np.full((2, 2), -1e9)
         on_r[1, 1] = 60.0
         off_r[0, 0] = 60.0
-        out = latency_encode(ContrastMap(on_r, "on"), ContrastMap(off_r, "off"),
-                             threshold=50, n_bins=2, silent_bins=0)
+        out = latency_encode(on_r, off_r, threshold=50, n_bins=2, silent_bins=0)
         dense = out.dense()
         assert dense[0, 0, 1, 1]  # ON first on equal response
         assert dense[1, 1, 0, 0]
@@ -196,10 +193,45 @@ class TestEncodeImage:
     def test_on_off_disjoint(self):
         rng = np.random.default_rng(3)
         img = rng.uniform(0, 255, size=(27, 27))
-        out = encode_image(img, threshold=50.0)
+        out = encode_dataset(img[None], threshold=50.0)[0]
         dense = out.dense()
         both = dense.any(axis=0)[0] & dense.any(axis=0)[1]
         assert not both.any()  # OFF response is the negated ON response
+
+
+def assert_same_events(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.events, w.events)
+
+
+class TestEncoderOracle:
+    """``encode_dataset`` (one correlation, one stable sort) against the
+    two-filter, lexsort reference, event for event."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["uniform", "binary", "zero"]),
+           st.integers(1, 30), st.integers(1, 30),
+           st.one_of(st.sampled_from([-10.0, 0.0, 30.0, 50.0, 500.0]),
+                     st.floats(min_value=-100, max_value=600)),
+           st.sampled_from([(1.0, 2.0), (2.0, 1.0), (0.7, 1.6)]),
+           st.sampled_from([0, 2]), st.integers(1, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_filter_oracle(self, seed, kind, h, w, threshold, sigmas,
+                                       silent_bins, n_bins):
+        rng = np.random.default_rng(seed)
+        images = {"uniform": lambda: rng.uniform(0, 255, size=(3, h, w)),
+                  "binary": lambda: 255.0 * rng.integers(0, 2, size=(3, h, w)),
+                  "zero": lambda: np.zeros((3, h, w))}[kind]()
+        args = (threshold, n_bins, silent_bins, *sigmas)
+        assert_same_events(encode_dataset(images, *args), oracle_encode_dataset(images, *args))
+
+    @pytest.mark.parametrize("threshold", [0.0, 50.0])
+    def test_matches_oracle_on_synthetic_digits(self, threshold):
+        from synth_digits import make_dataset
+        images, _ = make_dataset(100, np.random.default_rng(11))
+        assert_same_events(encode_dataset(images, threshold),
+                           oracle_encode_dataset(images, threshold))
 
 
 class TestIdxFiles:
