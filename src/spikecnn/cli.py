@@ -312,16 +312,20 @@ def cmd_demo_stdp(cfg: dict, out: Path) -> dict:
 def cmd_forget(cfg: dict, out: Path) -> dict:
     f = cfg["forget"]
     h = cfg["head"]
+    a_classes = tuple(f["task_a_classes"])
+    b_classes = tuple(f["task_b_classes"])
     pipeline = _pipeline(cfg, out)
     for split in ("train", "test"):  # both checked before any extraction
         cache, labels_file = _encoded_paths(cfg, out, split)
         _require(cache, f"encoded {split} cache")
-        _check_labels(encode.load_idx_labels(labels_file), h["n_classes"], split)
+        labels = encode.load_idx_labels(labels_file)
+        _check_labels(labels, h["n_classes"], split)
+        for c in a_classes + b_classes:
+            if not np.any(labels == c):
+                raise ValueError(f"forget task class {c} has no {split} image")
     matrix, _ = _split_features(cfg, out, pipeline, "train")
     val_matrix, _ = _split_features(cfg, out, pipeline, "test")
 
-    a_classes = tuple(f["task_a_classes"])
-    b_classes = tuple(f["task_b_classes"])
     per_class = f["images_per_class"]
     a_pool = _take_per_class(matrix, a_classes, per_class)
     b_pool = _take_per_class(matrix, b_classes, per_class)

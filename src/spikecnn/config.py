@@ -217,10 +217,24 @@ def validate_config(raw: dict) -> dict:
     enc = top["encoding"]
     if enc["bins"] + enc["silent_bins"] > 256:
         raise ConfigError("config.encoding: bins + silent_bins must be <= 256 (u8 event times)")
-    for frac in top["forget"]["rehearsal_fractions"]:
+    forget = top["forget"]
+    if not forget["rehearsal_fractions"]:
+        raise ConfigError("config.forget.rehearsal_fractions: must name at least one fraction")
+    for frac in forget["rehearsal_fractions"]:
         if isinstance(frac, bool) or not isinstance(frac, (int, float)) or frac < 0:
             raise ConfigError(f"config.forget.rehearsal_fractions: fraction {frac!r} "
                               "must be a number >= 0")
+    n_classes = top["head"]["n_classes"]
+    for key in ("task_a_classes", "task_b_classes"):
+        # Only a list the config names must fit head.n_classes, so the default
+        # lists (0-9) leave a config for fewer classes valid for the commands
+        # that do not run forget; cmd_forget checks every class against the
+        # label files before any work.
+        top_class = n_classes if key in (raw.get("forget") or {}) else math.inf
+        classes = forget[key]
+        if not classes or any(type(c) is not int or not 0 <= c < top_class for c in classes):
+            raise ConfigError(f"config.forget.{key}: must be a non-empty list of class "
+                              f"numbers in [0, {n_classes}), got {classes!r}")
     return top
 
 

@@ -17,6 +17,9 @@ from scipy.special import expit
 from . import container
 
 FEATURE_MAGIC = b"FMAT"
+FEATURE_VERSION = 2
+FEATURE_KIND_F64 = 0
+FEATURE_KIND_BITS = 1
 HEAD_MAGIC = b"SKHD"
 HEAD_VERSION = 1
 HEAD_TAG_FCN = 1
@@ -29,19 +32,25 @@ def _finite(*arrays) -> bool:
 
 @dataclass(eq=False)
 class FeatureMatrix:
-    """Dense (images x features) matrix with a class label per row."""
+    """Dense (images x features) matrix with a class label per row.
+
+    ``values`` stays ``bool`` when it is given as bool (spike-count bits);
+    anything else is held as float64.  The heads cast to float64 where the
+    matrix meets a matmul, so both give the same results.
+    """
 
     values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        self.values = values if values.dtype == bool else values.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.values.ndim != 2:
             raise ValueError("feature values must be 2-D")
         if self.labels.shape != (self.values.shape[0],):
             raise ValueError("one label per row required")
-        if not np.isfinite(self.values).all():
+        if self.values.dtype != bool and not np.isfinite(self.values).all():
             raise ValueError("feature values must be finite")
         if self.labels.size and self.labels.min() < 0:
             raise ValueError("labels must be non-negative")
@@ -138,6 +147,7 @@ def fcn_gradients(head: FcnHead, x: np.ndarray, y: np.ndarray,
     For the quadratic cost the output error is (a - y) * sigma'(z); the
     cross-entropy cost cancels the sigma' factor and leaves (a - y).
     """
+    x = np.asarray(x, dtype=np.float64)
     z = x @ head.weights.T + head.biases
     a = expit(z)
     m = x.shape[0]
@@ -347,6 +357,7 @@ def rstdp_train_pass(head: RstdpHead, data: FeatureMatrix,
 
 def rstdp_predict(head: RstdpHead, x: np.ndarray) -> np.ndarray:
     """Class of the neuron with the highest potential, per row of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
     return np.argmax(x @ head.weights.T, axis=1) // head.neurons_per_class
 
 
@@ -359,20 +370,39 @@ def rstdp_accuracy(head: RstdpHead, data: FeatureMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def export_features(data: FeatureMatrix, path) -> None:
-    """Write a feature matrix: magic FMAT, u32 dims, f64 little-endian values
-    (row-major), then one u8 label per row."""
+    """Write a feature matrix: magic FMAT, u32 version, u32 kind, u32 rows,
+    u32 cols, the values, then one u8 label per row.
+
+    A float64 matrix (kind 0) stores row-major little-endian f64 values; a
+    bool matrix (kind 1) stores each row as ceil(cols/8) bytes of
+    ``np.packbits``, most significant bit first, pad bits zero.
+    """
     labels = container.u8(data.labels, "feature-matrix labels")
-    container.write(path, FEATURE_MAGIC, ("<II", data.n_rows, data.n_cols),
-                    data.values.astype("<f8"), labels)
+    bits = data.values.dtype == bool
+    values = np.packbits(data.values, axis=1) if bits else data.values.astype("<f8")
+    kind = FEATURE_KIND_BITS if bits else FEATURE_KIND_F64
+    container.write(path, FEATURE_MAGIC,
+                    ("<IIII", FEATURE_VERSION, kind, data.n_rows, data.n_cols),
+                    values, labels)
 
 
 def import_features(path) -> FeatureMatrix:
     r = container.Reader(path, FEATURE_MAGIC, "feature matrix")
-    rows, cols = r.unpack("<II")
-    values = r.array("<f8", rows, cols)
+    version, kind, rows, cols = r.unpack("<IIII")
+    if version != FEATURE_VERSION:
+        raise ValueError(f"unsupported feature-matrix version {version}")
+    if kind == FEATURE_KIND_F64:
+        values = r.array("<f8", rows, cols).copy()
+    elif kind == FEATURE_KIND_BITS:
+        packed = r.array(np.uint8, rows, -(-cols // 8))
+        if cols % 8 and (packed[:, -1] & (0xFF >> cols % 8)).any():
+            raise ValueError("nonzero pad bits in feature matrix")
+        values = np.unpackbits(packed, axis=1, count=cols).view(bool)
+    else:
+        raise ValueError(f"unknown feature-matrix kind {kind}")
     labels = r.array(np.uint8, rows)
     r.done()
-    return FeatureMatrix(values.copy(), labels.astype(np.int64))
+    return FeatureMatrix(values, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -173,10 +173,11 @@ class ConvPipeline:
         return pooled, np.count_nonzero(planes.fired)
 
     def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
-        """(feature vector, conv-layer spike count) for one image."""
+        """(feature vector, conv-layer spike count) for one image: bool
+        pooled spikes, or float64 readout potentials."""
         if self.readout is None:
             pooled, n_spikes = self.pooled(tensor)
-            return pooled.fired.ravel().astype(np.float64), n_spikes
+            return pooled.fired.ravel(), n_spikes
         pooled, n_spikes = self.pooled(tensor, as_tensor=True)
         return global_max_potential(pooled.dense(), self.readout), n_spikes
 
@@ -202,7 +203,7 @@ def extract_features(pipeline: ConvPipeline, tensors: list[SpikeTensor],
                 if pool else map(pipeline.features_one, tensors))
         for i, (vec, n_spikes) in enumerate(rows):
             if values is None:
-                values = np.empty((n, vec.size))
+                values = np.empty((n, vec.size), dtype=vec.dtype)
             values[i], spikes[i] = vec, n_spikes
     return FeatureMatrix(values, np.asarray(labels, dtype=np.int64)), float(spikes.mean())
 
@@ -397,9 +398,10 @@ def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMat
 
     in_a = np.isin(val.labels, plan.task_a_classes)
     in_b = np.isin(val.labels, plan.task_b_classes)
+    val_x = np.asarray(val.values, dtype=np.float64)  # cast once, not per probe
 
     def probe(h: FcnHead) -> tuple[float, float, float]:
-        hits = fcn_predict(h, val.values) == val.labels
+        hits = fcn_predict(h, val_x) == val.labels
         return float(np.mean(hits[in_a])), float(np.mean(hits[in_b])), float(np.mean(hits))
 
     return [_rehearse(plan, head.copy(), copy.deepcopy(rng), n, train_a, train_b, probe)

@@ -276,6 +276,7 @@ class TestForgetCommand:
 
     @pytest.mark.parametrize("n_classes,code", [(12, 0), (10, 1)])
     def test_labels_checked_against_head_n_classes(self, tmp_path, capsys, n_classes, code):
+        # label 11 is in no task, so only the label files can show it
         data = write_idx_dataset(tmp_path / "data", n_train=120, n_test=40, seed=9)
         for split in ("train", "test"):  # class 9 becomes class 11
             labels = load_idx_labels(data[f"{split}_labels"])
@@ -284,7 +285,7 @@ class TestForgetCommand:
         cfg = base_config(data, out, plan={"n_images": 20, "monitor_stride": 10})
         cfg["head"] = {"n_classes": n_classes}
         cfg["forget"] = {"images_per_class": 8, "epochs": 1, "rehearsal_fractions": [0.0],
-                         "task_b_classes": [5, 6, 7, 8, 11]}
+                         "task_b_classes": [5, 6, 7, 8]}
         cfg_path = write_config(tmp_path / "c.json", cfg)
         for cmd in ("encode", "train"):
             assert main([cmd, "--config", cfg_path]) == 0, cmd
@@ -297,6 +298,40 @@ class TestForgetCommand:
             assert not list(out.glob("forget-*.csv"))
         else:
             assert (out / "forget-r0.000.csv").exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_task_class_without_images_fails_before_extraction(self, tmp_path, capsys,
+                                                               monkeypatch, split):
+        # Used to extract both splits, probe a NaN task-B accuracy from an
+        # empty mask, and only then fail in phase 2.
+        data = write_idx_dataset(tmp_path / "data", n_train=120, n_test=40, seed=9)
+        labels = load_idx_labels(data[f"{split}_labels"])  # class 9 leaves one split
+        write_idx_labels(data[f"{split}_labels"], np.where(labels == 9, 11, labels))
+        out = tmp_path / "run"
+        cfg = base_config(data, out, plan={"n_images": 20, "monitor_stride": 10})
+        cfg["head"] = {"n_classes": 12}
+        cfg["forget"] = {"images_per_class": 8, "epochs": 1, "rehearsal_fractions": [0.0]}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("features extracted before the task classes were checked")
+
+        monkeypatch.setattr("spikecnn.train.extract_features", no_extraction)
+        capsys.readouterr()
+        assert main(["forget", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert f"forget task class 9 has no {split} image" in err and "Traceback" not in err
+        assert not list(out.glob("forget-*.csv"))
+
+    def test_task_class_beyond_n_classes_fails_at_load(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", {
+            "out_dir": str(tmp_path / "run"), "forget": {"task_b_classes": [12]}})
+        assert main(["forget", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "config.forget.task_b_classes" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestAerIngestion:
@@ -538,7 +573,10 @@ class TestConfigRanges:
         ("forget", "incremental_start", -5), ("forget", "epochs", -1), ("head", "epochs", -1),
         ("forget", "rehearsal_fractions", [0.1, -0.1]), ("forget", "rehearsal_fractions", [True]),
         ("forget", "rehearsal_fractions", ["0.1"]), ("forget", "rehearsal_fractions", [None]),
-        ("forget", "rehearsal_fractions", [[0.1]])])
+        ("forget", "rehearsal_fractions", [[0.1]]), ("forget", "rehearsal_fractions", []),
+        ("forget", "task_a_classes", []), ("forget", "task_b_classes", [5, True]),
+        ("forget", "task_a_classes", [1.0]), ("forget", "task_a_classes", ["3"]),
+        ("forget", "task_b_classes", [-1]), ("forget", "task_b_classes", [10])])
     def test_below_minimum(self, section, key, value):
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
@@ -571,6 +609,14 @@ class TestConfigRanges:
                                "seed": 0, "threads": 1})
         assert cfg["encoding"]["bins"] == 1 and cfg["layer"]["maps"] == 1
         assert validate_config({"head": {"epochs": 0}})["head"]["epochs"] == 0
+
+    def test_task_classes_fit_head_n_classes(self):
+        # the default task lists (classes 0-9) do not void a two-class config
+        validate_config({"head": {"n_classes": 2}})
+        validate_config({"head": {"n_classes": 2},
+                         "forget": {"task_a_classes": [0], "task_b_classes": [1]}})
+        with pytest.raises(ConfigError, match=r"forget.task_b_classes.*\[0, 2\)"):
+            validate_config({"head": {"n_classes": 2}, "forget": {"task_b_classes": [2]}})
 
     def test_bins_fit_the_u8_event_axis(self):
         validate_config({"encoding": {"bins": 250, "silent_bins": 6}})

@@ -3,13 +3,16 @@ artifact format, and fuzzing that every reader turns a cut, padded or
 corrupted file into ValueError and never another exception."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikecnn import container
+from spikecnn.cli import main
 from spikecnn.core import ConvKernel, load_kernel, save_kernel
 from spikecnn.encode import (SpikeTensor, load_idx_images, load_idx_labels, read_cache,
                              write_cache, write_idx_images, write_idx_labels)
@@ -38,7 +41,12 @@ FORMATS = {
     "FMAT": (lambda p: export_features(
                 FeatureMatrix(np.arange(6.0).reshape(3, 2) / 4, np.array([0, 7, 255])), p),
              lambda p, d: import_features(p),
-             "a65c95a2e3747b33c2fbffaa58ddb196e084be0fa40b7408f3dc2771e63e7c15"),
+             "c40aa0e874fe1702d80e781c25916359e148678bdd727b36663df0297c231d61"),
+    # 13 columns: each row is two packed bytes whose last 3 bits are padding
+    "FMAT-bits": (lambda p: export_features(
+                FeatureMatrix(np.arange(39).reshape(3, 13) % 3 == 1, np.array([0, 7, 255])), p),
+             lambda p, d: import_features(p),
+             "b5b9e2b7c29e1cedce2cbc4a3873d1e937a9464d997a5892c9eaa9b1c6f08728"),
     "SKHD-fcn": (lambda p: save_head(p, FcnHead(np.arange(6.0).reshape(2, 3) / 10,
                                                 np.array([0.5, -0.5]), cost="quadratic",
                                                 eta0=0.2, eta_decay=1.007, lam=0.1)),
@@ -119,7 +127,7 @@ def _flip_survives(name, d, good, pos, mask):
     path = d / f"rewrite-{name}"
     if name == "SKRN":
         save_kernel(path, obj)
-    elif name == "FMAT":
+    elif name.startswith("FMAT"):
         export_features(obj, path)
     elif name.startswith("SKHD"):
         save_head(path, obj)
@@ -146,6 +154,52 @@ def test_random_byte_flip(name, workdir, data):
     pos = data.draw(st.integers(0, len(good) - 1))
     mask = data.draw(st.integers(1, 255))
     _flip_survives(name, workdir, good, pos, mask)
+
+
+class TestFeatureMatrixLayout:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 1000])
+    def test_unversioned_file_rejected(self, tmp_path, capsys, rows):
+        # The version-1 layout had no version or kind field: FMAT, u32 rows,
+        # u32 cols, f64 values, u8 labels.  Read as version 2, its row count
+        # is the version, and rows 2 makes its column count the kind.
+        values = np.random.default_rng(rows).random((rows, 5))
+        labels = np.arange(rows) % 10
+        path = tmp_path / "features-train.fmat"
+        container.write(path, b"FMAT", ("<II", rows, 5), values.astype("<f8"),
+                        labels.astype(np.uint8))
+        with pytest.raises(ValueError, match="version|kind"):
+            import_features(path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path), "head": {"epochs": 1}}))
+        capsys.readouterr()
+        assert main(["classify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "feature-matrix" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("head-*.skhd"))
+
+    def test_every_pad_bit_rejected(self, workdir):
+        good = _good_bytes("FMAT-bits", workdir)
+        # 13 columns: byte 1 of each packed row holds 5 values and 3 pad bits
+        row_starts = [20 + 2 * r for r in range(3)]
+        for start in row_starts:
+            for bit in range(3):
+                blob = bytearray(good)
+                blob[start + 1] ^= 1 << bit
+                with pytest.raises(ValueError, match="pad bits"):
+                    _load("FMAT-bits", workdir, bytes(blob))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=hnp.arrays(np.bool_, st.tuples(st.integers(0, 40), st.integers(1, 20))),
+           data=st.data())
+    def test_bool_round_trip(self, workdir, values, data):
+        labels = data.draw(hnp.arrays(np.uint8, values.shape[0]))
+        path = workdir / "round-trip.fmat"
+        export_features(FeatureMatrix(values, labels), path)
+        assert path.stat().st_size == 20 + values.shape[0] * (-(-values.shape[1] // 8) + 1)
+        back = import_features(path)
+        assert back.values.dtype == bool
+        np.testing.assert_array_equal(back.values, values)
+        np.testing.assert_array_equal(back.labels, labels)
 
 
 class TestReader:

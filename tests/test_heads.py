@@ -453,3 +453,65 @@ class TestRstdpTrainPass:
         for _ in range(10):
             rstdp_train_pass(head, data, rng)
         assert rstdp_accuracy(head, data) > 0.9
+
+
+class TestBitFeatures:
+    """A bool feature matrix and its float64 copy train and score the heads
+    to the same bits: the heads cast where the matrix meets the matmul."""
+
+    @staticmethod
+    def _pair(seed=30, n=120, cols=37, n_classes=6):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, n_classes, size=n)
+        # each class fires mostly on its own band of columns
+        band = (np.arange(cols) * n_classes // cols)[None, :] == labels[:, None]
+        bits = rng.random((n, cols)) < np.where(band, 0.7, 0.1)
+        a, b = FeatureMatrix(bits, labels), FeatureMatrix(bits.astype(np.float64), labels)
+        assert a.values.dtype == bool and b.values.dtype == np.float64
+        return a, b
+
+    def test_fcn_train_epoch_and_accuracy(self):
+        bits, reals = self._pair()
+        heads = [init_fcn_head(bits.n_cols, 6, np.random.default_rng(1), lam=0.1)
+                 for _ in range(2)]
+        for head, data in zip(heads, (bits, reals)):
+            rng = np.random.default_rng(2)
+            for epoch in range(3):
+                fcn_train_epoch(head, data, 7, epoch, rng)
+        np.testing.assert_array_equal(heads[0].weights, heads[1].weights)
+        np.testing.assert_array_equal(heads[0].biases, heads[1].biases)
+        assert fcn_accuracy(heads[0], bits) == fcn_accuracy(heads[1], reals)
+        np.testing.assert_array_equal(fcn_forward(heads[0], bits.values),
+                                      fcn_forward(heads[1], reals.values))
+
+    def test_rstdp_train_pass_and_accuracy(self):
+        bits, reals = self._pair()
+        heads = [init_rstdp_head(bits.n_cols, 12, np.random.default_rng(3),
+                                 neurons_per_class=2, p_drop=0.25, window=10)
+                 for _ in range(2)]
+        passes = []
+        for head, data in zip(heads, (bits, reals)):
+            rng, drop = np.random.default_rng(4), np.random.default_rng(5)
+            passes.append([rstdp_train_pass(head, data, rng, dropout_rng=drop)
+                           for _ in range(3)])
+        assert passes[0] == passes[1]
+        np.testing.assert_array_equal(heads[0].weights, heads[1].weights)
+        assert heads[0].miss_ratio == heads[1].miss_ratio
+        assert rstdp_accuracy(heads[0], bits) == rstdp_accuracy(heads[1], reals)
+
+    def test_run_forgetting(self):
+        from spikecnn.train import ForgetPlan, run_forgetting
+
+        bits, reals = self._pair(n=180)
+        plan = ForgetPlan(task_a_classes=(0, 1, 2), task_b_classes=(3, 4, 5),
+                          rehearsal_fractions=(0.0, 0.3), epochs=2, batch=5,
+                          incremental=True, incremental_start=20, incremental_stride=25)
+        results = []
+        for data in (bits, reals):
+            in_a = data.labels < 3
+            a = FeatureMatrix(data.values[in_a], data.labels[in_a])
+            b = FeatureMatrix(data.values[~in_a], data.labels[~in_a])
+            results.append(run_forgetting(plan, a, b, data, n_classes=6))
+        for got, want in zip(*results):
+            assert got.curves == want.curves
+            assert got.incremental == want.incremental
