@@ -321,6 +321,8 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
         labels = encode.load_idx_labels(labels_file)
         _check_labels(labels, h["n_classes"], split)
         for c in a_classes + b_classes:
+            if c >= h["n_classes"]:
+                raise ValueError(f"forget task class {c} >= head.n_classes {h['n_classes']}")
             if not np.any(labels == c):
                 raise ValueError(f"forget task class {c} has no {split} image")
     matrix, _ = _split_features(cfg, out, pipeline, "train")

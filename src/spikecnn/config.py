@@ -224,17 +224,11 @@ def validate_config(raw: dict) -> dict:
         if isinstance(frac, bool) or not isinstance(frac, (int, float)) or frac < 0:
             raise ConfigError(f"config.forget.rehearsal_fractions: fraction {frac!r} "
                               "must be a number >= 0")
-    n_classes = top["head"]["n_classes"]
     for key in ("task_a_classes", "task_b_classes"):
-        # Only a list the config names must fit head.n_classes, so the default
-        # lists (0-9) leave a config for fewer classes valid for the commands
-        # that do not run forget; cmd_forget checks every class against the
-        # label files before any work.
-        top_class = n_classes if key in (raw.get("forget") or {}) else math.inf
         classes = forget[key]
-        if not classes or any(type(c) is not int or not 0 <= c < top_class for c in classes):
+        if not classes or any(type(c) is not int or c < 0 for c in classes):
             raise ConfigError(f"config.forget.{key}: must be a non-empty list of class "
-                              f"numbers in [0, {n_classes}), got {classes!r}")
+                              f"numbers >= 0, got {classes!r}")
     return top
 
 
