@@ -63,21 +63,21 @@ _LAYER2_SCHEMA = dict(_LAYER_SCHEMA, maps=(int, 500, "[1, inf)"),
 _HEAD_SCHEMA = {
     "kind": (str, "fcn", ("fcn", "rstdp")),
     "cost": (str, "cross_entropy", ("cross_entropy", "quadratic")),
-    "eta0": ((int, float), 0.1),
-    "eta_decay": ((int, float), 1.007),
-    "lam": ((int, float), 0.1),
+    "eta0": ((int, float), 0.1, "(0, inf)"),
+    "eta_decay": ((int, float), 1.007, "(0, inf)"),
+    "lam": ((int, float), 0.1, "[0, inf)"),
     "epochs": (int, 20, "[0, inf)"),
     "batch": (int, 10, "[1, inf)"),
     "n_classes": (int, 10, "[1, inf)"),
-    "neurons_per_class": (int, 1),
+    "neurons_per_class": (int, 1, "[1, inf)"),
     "p_drop": ((int, float), 0.0, "[0, 1)"),
     "ratio_mode": (str, "batch", ("batch", "per_image")),
     "window": (int, 100, "[1, inf)"),
-    "init_miss_ratio": ((int, float), 0.5),
-    "a_r_plus": ((int, float), 0.004),
-    "a_r_minus": ((int, float), 0.003),
-    "a_p_plus": ((int, float), 0.0005),
-    "a_p_minus": ((int, float), 0.004),
+    "init_miss_ratio": ((int, float), 0.5, "[0, 1]"),
+    "a_r_plus": ((int, float), 0.004, "[0, 1]"),
+    "a_r_minus": ((int, float), 0.003, "[0, 1]"),
+    "a_p_plus": ((int, float), 0.0005, "[0, 1]"),
+    "a_p_minus": ((int, float), 0.004, "[0, 1]"),
 }
 
 _PLAN_SCHEMA = {

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate2d
 
 from . import container
 
@@ -99,6 +98,9 @@ def make_dog_kernel(sigma_center: float, sigma_surround: float) -> np.ndarray:
 
 def dog_filter(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Same-mode filtering of an image; borders are zero padded."""
+    # scipy.signal takes over a second to import; only encode needs it
+    from scipy.signal import correlate2d
+
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or min(image.shape) < 1:
         raise ValueError("image must be a 2-D matrix")

@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import container
 
@@ -84,6 +83,11 @@ class FcnHead:
             raise ValueError(f"unknown cost {self.cost!r}")
         if not _finite(self.weights, self.biases, self.eta0, self.eta_decay, self.lam):
             raise ValueError("FCN head weights, biases and rates must be finite")
+        for name, value in (("eta0", self.eta0), ("eta_decay", self.eta_decay)):
+            if not value > 0:
+                raise ValueError(f"FCN head {name} must be > 0, got {value}")
+        if not self.lam >= 0:
+            raise ValueError(f"FCN head lam must be >= 0, got {self.lam}")
 
     @property
     def n_out(self) -> int:
@@ -115,12 +119,20 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # scipy.special's expit, not np.exp, whose bits differ; imported here so
+    # that the commands that never reach a head do not pay for scipy
+    from scipy.special import expit
+
+    return expit(z)
+
+
 def fcn_forward(head: FcnHead, x: np.ndarray) -> np.ndarray:
     """Sigmoid class scores for one vector or a batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != head.n_in:
         raise ValueError(f"feature length {x.shape[-1]} != n_in {head.n_in}")
-    return expit(x @ head.weights.T + head.biases)
+    return _sigmoid(x @ head.weights.T + head.biases)
 
 
 def fcn_predict(head: FcnHead, x: np.ndarray) -> np.ndarray:
@@ -149,7 +161,7 @@ def fcn_gradients(head: FcnHead, x: np.ndarray, y: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     z = x @ head.weights.T + head.biases
-    a = expit(z)
+    a = _sigmoid(z)
     m = x.shape[0]
     if head.cost == "quadratic":
         delta = (a - y) * a * (1.0 - a)
@@ -214,9 +226,10 @@ class RstdpHead:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
             raise ValueError("R-STDP weights must lie in [0, 1]")
-        if not _finite(self.a_r_plus, self.a_r_minus, self.a_p_plus, self.a_p_minus,
-                       self.miss_ratio):
-            raise ValueError("R-STDP rates and miss_ratio must be finite")
+        for name in ("a_r_plus", "a_r_minus", "a_p_plus", "a_p_minus", "miss_ratio"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+                raise ValueError(f"R-STDP {name} must be finite and in [0, 1], got {value}")
         if self.window < 1 or self.neurons_per_class < 1:
             raise ValueError("window and neurons_per_class must be >= 1")
         if self.ratio_mode not in ("batch", "per_image"):

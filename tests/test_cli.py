@@ -582,7 +582,12 @@ class TestConfigRanges:
         ("forget", "rehearsal_fractions", [[0.1]]), ("forget", "rehearsal_fractions", []),
         ("forget", "task_a_classes", []), ("forget", "task_b_classes", [5, True]),
         ("forget", "task_a_classes", [1.0]), ("forget", "task_a_classes", ["3"]),
-        ("forget", "task_b_classes", [-1])])
+        ("forget", "task_b_classes", [-1]),
+        ("head", "eta0", 0), ("head", "eta0", -0.1), ("head", "eta_decay", 0),
+        ("head", "eta_decay", -1), ("head", "lam", -0.1),
+        ("head", "init_miss_ratio", 1.5), ("head", "init_miss_ratio", -0.1),
+        ("head", "a_r_plus", 3.0), ("head", "a_r_minus", -0.1), ("head", "a_p_plus", 1.5),
+        ("head", "a_p_minus", -1), ("head", "neurons_per_class", 0)])
     def test_below_minimum(self, section, key, value):
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
@@ -615,6 +620,26 @@ class TestConfigRanges:
                                "seed": 0, "threads": 1})
         assert cfg["encoding"]["bins"] == 1 and cfg["layer"]["maps"] == 1
         assert validate_config({"head": {"epochs": 0}})["head"]["epochs"] == 0
+
+    def test_head_range_ends_are_allowed(self):
+        for end in (0, 1):
+            head = validate_config({"head": {
+                "lam": 0, "neurons_per_class": 1, "init_miss_ratio": end, "a_r_plus": end,
+                "a_r_minus": end, "a_p_plus": end, "a_p_minus": end}})["head"]
+            assert head["a_r_plus"] == end and head["init_miss_ratio"] == end
+
+    def test_classify_with_zero_eta_decay_exits_1(self, tmp_path, capsys):
+        # used to end in a ZeroDivisionError traceback from FcnHead.eta
+        from spikecnn.heads import FeatureMatrix, export_features
+        out = tmp_path / "run"
+        out.mkdir()
+        export_features(FeatureMatrix(np.zeros((4, 3), dtype=bool), np.arange(4)),
+                        out / "features-train.fmat")
+        cfg_path = write_config(tmp_path / "c.json",
+                                {"out_dir": str(out), "head": {"eta_decay": 0}})
+        assert main(["classify", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "config.head.eta_decay" in err and "Traceback" not in err
 
     def test_bins_fit_the_u8_event_axis(self):
         validate_config({"encoding": {"bins": 250, "silent_bins": 6}})

@@ -1,0 +1,81 @@
+"""Each CLI command imports only the scipy modules it calls.
+
+``scipy.signal`` alone takes over a second to import, more than the whole
+compute of ``eval`` or ``classify`` on the bench corpus, so a command that
+never filters an image must not load it.  Each case runs in a fresh
+interpreter and reports which scipy modules ended up in ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import spikecnn
+from spikecnn.cli import main
+from synth_digits import write_idx_dataset
+
+SRC = Path(spikecnn.__file__).resolve().parents[1]
+SCIPY = ("scipy.signal", "scipy.special")
+
+_PROBE = """
+import json, sys
+from spikecnn import cli, config
+argv = json.loads(sys.argv[1])
+if argv:
+    code = cli.main(argv)
+else:
+    config.validate_config({})
+    code = 0
+print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
+""" % (SCIPY,)
+
+
+def loaded_after(argv: list[str]) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0, done.stderr
+    return set(report["loaded"])
+
+
+@pytest.fixture(scope="module")
+def prepared(tmp_path_factory):
+    """A config and an output directory that has run every stage once."""
+    tmp = tmp_path_factory.mktemp("cold")
+    cfg = {"seed": 1, "out_dir": str(tmp / "run"),
+           "dataset": write_idx_dataset(tmp / "data", n_train=20, n_test=10, seed=3),
+           "encoding": {"threshold": 30.0}, "layer": {"maps": 4},
+           "plan": {"n_images": 20, "monitor_stride": 10}, "head": {"epochs": 1}}
+    cfg_path = tmp / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for cmd in ("encode", "train", "features", "classify", "eval"):
+        assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+    return tmp, str(cfg_path)
+
+
+def test_import_and_validate_load_no_scipy_submodule():
+    assert loaded_after([]) == set()
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("features", set()),
+    ("classify", {"scipy.special"}),
+    ("eval", {"scipy.special"}),
+])
+def test_command_loads_only_what_it_calls(prepared, command, expected):
+    _, cfg_path = prepared
+    assert loaded_after([command, "--config", cfg_path]) == expected
+
+
+def test_encode_loads_scipy_signal(prepared):
+    tmp, cfg_path = prepared
+    # a fresh directory, so encode filters images instead of hitting its cache
+    loaded = loaded_after(["encode", "--config", cfg_path, "--out", str(tmp / "fresh")])
+    assert "scipy.signal" in loaded

@@ -1,6 +1,8 @@
 """Classifier-head tests: FCN gradients and training, reward-modulated
 updates, hit/miss bookkeeping, dropout, and feature export."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -387,6 +389,41 @@ class TestHeadValidation:
     def test_rstdp_rejects_counts_below_one(self, field):
         with pytest.raises(ValueError, match=field):
             RstdpHead(np.full((2, 3), 0.5), ratio_mode="per_image", **{field: 0})
+
+    @pytest.mark.parametrize("field,bad", [("eta0", 0.0), ("eta0", -0.1), ("eta_decay", 0.0),
+                                           ("eta_decay", -1.0), ("lam", -0.1)])
+    def test_fcn_rejects_rates_out_of_range(self, field, bad):
+        # eta_decay 0 used to crash the first epoch with ZeroDivisionError
+        with pytest.raises(ValueError, match=field):
+            FcnHead(np.zeros((2, 3)), np.zeros(2), **{field: bad})
+
+    @pytest.mark.parametrize("field", ["a_r_plus", "a_r_minus", "a_p_plus", "a_p_minus",
+                                       "miss_ratio"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    def test_rstdp_rejects_rates_outside_unit_interval(self, field, bad):
+        # a step above 1 lets w += step * w * (1 - w) leave [0, 1]
+        with pytest.raises(ValueError, match=field):
+            RstdpHead(np.full((2, 3), 0.5), **{field: bad})
+
+    def test_range_ends_are_allowed(self):
+        FcnHead(np.zeros((2, 3)), np.zeros(2), eta0=1e-9, eta_decay=1e-9, lam=0.0)
+        for value in (0.0, 1.0):
+            RstdpHead(np.full((2, 3), 0.5), a_r_plus=value, a_r_minus=value,
+                      a_p_plus=value, a_p_minus=value, miss_ratio=value)
+
+    @pytest.mark.parametrize("kind,offset,bad", [("fcn", 32, 0.0), ("fcn", 24, -0.1),
+                                                 ("fcn", 40, -1.0), ("rstdp", 24, 3.0),
+                                                 ("rstdp", 72, 1.5)])
+    def test_load_head_rejects_out_of_range_rates(self, tmp_path, kind, offset, bad):
+        # offsets: magic, u32 version/tag/aux, u32 n_out/n_in, then the f64 scalars
+        p = tmp_path / "h.skhd"
+        rng = np.random.default_rng(0)
+        save_head(p, init_fcn_head(4, 3, rng) if kind == "fcn" else init_rstdp_head(4, 3, rng))
+        buf = bytearray(p.read_bytes())
+        buf[offset:offset + 8] = struct.pack("<d", bad)
+        p.write_bytes(bytes(buf))
+        with pytest.raises(ValueError, match="must be"):
+            load_head(p)
 
     def test_truncated_checkpoint_header_is_value_error(self, tmp_path):
         p = tmp_path / "h.skhd"
