@@ -83,7 +83,7 @@ def _encode_split(cfg: dict, out: Path, split: str):
     limit = ds.get(f"limit_{split}")
     if aer_rows:
         tensors, labels = [], []
-        for path, label in aer_rows[:limit] if limit else aer_rows:
+        for path, label in aer_rows[:limit]:
             tensors.append(encode.load_aer_recording(
                 path, n_bins=enc_cfg["bins"], silent_bins=enc_cfg["silent_bins"],
                 saccade_offsets=ds.get("saccade_offsets")))
@@ -91,8 +91,7 @@ def _encode_split(cfg: dict, out: Path, split: str):
         labels = np.asarray(labels)
     else:
         images, labels = encode.load_idx_images(img_path, lab_path)
-        if limit:
-            images, labels = images[:limit], labels[:limit]
+        images, labels = images[:limit], labels[:limit]
         tensors = encode.encode_dataset(
             images, threshold=float(enc_cfg["threshold"]), n_bins=enc_cfg["bins"],
             silent_bins=enc_cfg["silent_bins"], sigma_center=enc_cfg["sigma_center"],

@@ -32,14 +32,14 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 # Schema: section -> key -> (type(s), default[, allowed]).  Only a key whose
 # default is null may be set to null.  ``allowed`` is an interval written like
-# "[0, 1)" or "(0, inf)", or a tuple of the allowed strings.
+# "[0, 1)" or "(0, inf)", or a tuple of the allowed strings; null skips it.
 
 _ENCODING_SCHEMA = {
     "threshold": ((int, float), 50.0),
     "bins": (int, 10, "[1, inf)"),
     "silent_bins": (int, 2, "[0, inf)"),
-    "sigma_center": ((int, float), 1.0),
-    "sigma_surround": ((int, float), 2.0),
+    "sigma_center": ((int, float), 1.0, "(0, inf)"),
+    "sigma_surround": ((int, float), 2.0, "(0, inf)"),
 }
 
 _LAYER_SCHEMA = {
@@ -90,14 +90,14 @@ _PLAN_SCHEMA = {
 }
 
 _DEMO_SCHEMA = {
-    "n_afferents": (int, 100),
-    "pattern_len": (int, 5),
-    "noise_rate": ((int, float), 0.01),
+    "n_afferents": (int, 100, "[1, inf)"),
+    "pattern_len": (int, 5, "[1, inf)"),
+    "noise_rate": ((int, float), 0.01, "[0, 1]"),
     "threshold": ((int, float), 9.0),
-    "duration": (int, 5000),
-    "pattern_rate": ((int, float), 0.04),
-    "a_plus": ((int, float), 0.004),
-    "a_minus": ((int, float), 0.003),
+    "duration": (int, 5000, "[1, inf)"),
+    "pattern_rate": ((int, float), 0.04, "(0, 1]"),
+    "a_plus": ((int, float), 0.004, "(0, 1]"),
+    "a_minus": ((int, float), 0.003, "(0, 1]"),
     "stats_window": (int, 500, "[1, inf)"),
 }
 
@@ -122,8 +122,8 @@ _DATASET_SCHEMA = {
     "aer_test": (list, None),
     # saccade correction: rows of [t_start_us, dy, dx]; default off
     "saccade_offsets": (list, None),
-    "limit_train": (int, None),
-    "limit_test": (int, None),
+    "limit_train": (int, None, "[1, inf)"),
+    "limit_test": (int, None, "[1, inf)"),
 }
 
 _RECON_SCHEMA = {
@@ -183,7 +183,7 @@ def _apply_schema(raw: dict, schema: dict, where: str) -> dict:
                 ok = isinstance(value, types)
             if (value is not None or default is not None) and not ok:
                 raise ConfigError(f"{where}.{key}: expected {types}, got {value!r}")
-            if allowed and not _allows(allowed[0], value):
+            if allowed and value is not None and not _allows(allowed[0], value):
                 raise ConfigError(f"{where}.{key}: must be in {allowed[0]}, got {value!r}")
             out[key] = value
         else:

@@ -587,7 +587,15 @@ class TestConfigRanges:
         ("head", "eta_decay", -1), ("head", "lam", -0.1),
         ("head", "init_miss_ratio", 1.5), ("head", "init_miss_ratio", -0.1),
         ("head", "a_r_plus", 3.0), ("head", "a_r_minus", -0.1), ("head", "a_p_plus", 1.5),
-        ("head", "a_p_minus", -1), ("head", "neurons_per_class", 0)])
+        ("head", "a_p_minus", -1), ("head", "neurons_per_class", 0),
+        ("dataset", "limit_train", 0), ("dataset", "limit_train", -5),
+        ("dataset", "limit_test", 0), ("dataset", "limit_test", -1),
+        ("demo", "n_afferents", 0), ("demo", "pattern_len", 0), ("demo", "duration", 0),
+        ("demo", "noise_rate", -0.1), ("demo", "noise_rate", 1.5),
+        ("demo", "pattern_rate", 0), ("demo", "pattern_rate", -1), ("demo", "pattern_rate", 1.5),
+        ("demo", "a_plus", 0), ("demo", "a_plus", 2.0), ("demo", "a_minus", 0),
+        ("demo", "a_minus", -0.5), ("encoding", "sigma_center", 0),
+        ("encoding", "sigma_surround", -2.0)])
     def test_below_minimum(self, section, key, value):
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
@@ -627,6 +635,34 @@ class TestConfigRanges:
                 "lam": 0, "neurons_per_class": 1, "init_miss_ratio": end, "a_r_plus": end,
                 "a_r_minus": end, "a_p_plus": end, "a_p_minus": end}})["head"]
             assert head["a_r_plus"] == end and head["init_miss_ratio"] == end
+
+    def test_demo_and_dataset_range_ends_are_allowed(self):
+        cfg = validate_config({
+            "demo": {"n_afferents": 1, "pattern_len": 1, "duration": 1, "noise_rate": 0,
+                     "pattern_rate": 1, "a_plus": 1, "a_minus": 1},
+            "dataset": {"limit_train": 1, "limit_test": 1},
+            "encoding": {"sigma_center": 1e-9, "sigma_surround": 1e-9}})
+        assert cfg["demo"]["pattern_rate"] == 1 and cfg["dataset"]["limit_test"] == 1
+        assert validate_config({"demo": {"noise_rate": 1}})["demo"]["noise_rate"] == 1
+
+    def test_demo_with_zero_pattern_rate_exits_1(self, tmp_path, capsys):
+        # used to end in a ZeroDivisionError traceback from run_noise_demo
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json",
+                                {"out_dir": str(out), "demo": {"pattern_rate": 0}})
+        assert main(["demo-stdp", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "config.demo.pattern_rate" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_limit_encodes_nothing(self, dataset, tmp_path, capsys):
+        # a limit of -5 used to encode all but the last 5 images, and 0 all of them
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out)
+        cfg["dataset"]["limit_train"] = -5
+        assert main(["encode", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        assert "config.dataset.limit_train" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_classify_with_zero_eta_decay_exits_1(self, tmp_path, capsys):
         # used to end in a ZeroDivisionError traceback from FcnHead.eta

@@ -4,15 +4,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikecnn import container
 from spikecnn.encode import (SpikeTensor, dog_filter, encode_dataset,
                              latency_encode, load_aer_recording, load_idx_images,
                              load_idx_labels, make_dog_kernel, read_cache,
                              write_cache, write_idx_images, write_idx_labels)
-from encode_oracle import oracle_encode_dataset
+from encode_oracle import oracle_dog_filter, oracle_encode_dataset
 
 
 def dog_value(i, j, s1, s2):
@@ -88,6 +89,83 @@ class TestDogFilter:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             dog_filter(np.zeros(5), make_dog_kernel(1, 2))
+
+
+def documented_order_correlate(image, kernel):
+    """Scalar same-mode correlation summed in ``dog_filter``'s documented
+    order, zero-padding products included (test oracle)."""
+    h, w = image.shape
+    kh, kw = kernel.shape
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    pixels, weights = image.tolist(), kernel.tolist()
+    out = np.empty((h, w))
+    for u in range(h):
+        for v in range(w):
+            acc = 0.0
+            for j in range(kh):
+                uu = u - top + j
+                row = pixels[uu] if 0 <= uu < h else [0.0] * w
+                terms = [weights[j][k] * (row[v - left + k] if 0 <= v - left + k < w else 0.0)
+                         for k in range(kw)]
+                k = 0
+                while k + 4 <= kw:
+                    acc += ((terms[k] + terms[k + 1]) + terms[k + 2]) + terms[k + 3]
+                    k += 4
+                for term in terms[k:]:
+                    acc += term
+            out[u, v] = acc
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False, width=64)
+
+
+class TestDogFilterSummationOrder:
+    """``dog_filter`` against a scalar loop in its documented order and
+    against ``scipy.signal.correlate2d``, bit for bit (signed zeros included),
+    on kernels narrower than, equal to and wider than one group of four."""
+
+    @given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 30),
+           st.integers(1, 30), st.integers(1, 3))
+    @example(data=None, kh=7, kw=4, h=3, w=2, n=2)
+    @example(data=None, kh=1, kw=8, h=1, w=1, n=1)
+    @example(data=None, kh=9, kw=9, h=30, w=4, n=3)
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_both_references(self, data, kh, kw, h, w, n):
+        if data is None:  # an explicit example: fixed random values
+            rng = np.random.default_rng(kh * 100 + kw)
+            kernel = rng.normal(size=(kh, kw))
+            images = np.round(rng.uniform(-300, 300, size=(n, h, w)))
+            images[rng.random((n, h, w)) < 0.4] = 0.0
+        else:
+            kernel = data.draw(hnp.arrays(np.float64, (kh, kw),
+                                          elements=st.floats(-2, 2, **_FINITE)))
+            images = data.draw(hnp.arrays(np.float64, (n, h, w),
+                                          elements=st.floats(-1e3, 1e3, **_FINITE)))
+        stacked = dog_filter(images, kernel)
+        assert stacked.shape == images.shape
+        for image, got in zip(images, stacked):
+            assert_same_bits(dog_filter(image, kernel), got)
+            assert_same_bits(got, documented_order_correlate(image, kernel))
+            assert_same_bits(got, oracle_dog_filter(image, kernel))
+
+    def test_corpus_matches_correlate2d(self):
+        from synth_digits import make_dataset
+        images, _ = make_dataset(100, np.random.default_rng(5))
+        for kernel in (make_dog_kernel(1, 2), make_dog_kernel(2, 1)):
+            stacked = dog_filter(images, kernel)
+            for image, got in zip(images, stacked):
+                assert_same_bits(got, oracle_dog_filter(image, kernel))
+
+    def test_rejects_bad_kernel(self):
+        for kernel in (np.ones(7), np.ones((0, 3)), np.ones((1, 7, 7))):
+            with pytest.raises(ValueError, match="kernel"):
+                dog_filter(np.zeros((5, 5)), kernel)
 
 
 def maps_from_responses(on_resp, off_resp=None):
