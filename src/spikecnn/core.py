@@ -296,6 +296,107 @@ def infer_image(dense_spikes: np.ndarray, kernel: ConvKernel,
     return out
 
 
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """k x k windows of a C-ordered (c, h, w, *rest) array: the view
+    win[c, dy, dx, u, v, ...] = x[c, u + dy, v + dx, ...].  ``conv_accumulate``
+    builds the same view inline: it runs for every busy bin of training,
+    where this call would add about 1 us to its ~70."""
+    c, h, w, *rest = x.shape
+    sc, sh, sw, *sr = x.strides
+    return np.ndarray((c, k, k, h - k + 1, w - k + 1, *rest), x.dtype, x, 0,
+                      (sc, sh, sw, sh, sw, *sr))
+
+
+def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
+                cfg: InhibitionConfig) -> np.ndarray:
+    """``infer_image(dense_spikes, kernel, cfg).fired``, without the per-bin
+    trajectory of every neuron.
+
+    One dgemm of the kernel against the im2col of the per-location spike
+    counts (all bins summed) gives every neuron's final potential.  Only
+    neurons whose final potential reaches ``threshold - delta`` can fire.  At
+    their positions only, a dgemm against a per-bin im2col table and a second
+    against a triangle of ones give every map's potential after each bin,
+    hence each candidate's first crossing.  Lateral inhibition then picks per
+    location the earliest bin, then the highest potential, then the lowest
+    map.
+
+    These potentials may differ in the last bits from ``infer_image``'s,
+    which sums the same terms bin by bin in its BLAS's order, so no decision
+    rests on a near miss.  Every weight lies in [0, 1] and every input count
+    is >= 0, so every term of every potential is >= 0, and a floating-point
+    sum of at most n such terms, in any order (any blocking, any BLAS, with
+    or without FMA), lies within gamma_n * s of its exact value s, where
+    gamma_n = n u / (1 - n u) and u = 2^-53.  Here n = c k^2 T cmax + T (c
+    input maps, a k x k kernel, T bins, cmax the most spikes at one input
+    location), more terms than either path sums; the slack also covers the
+    few roundings in computing delta.  Exact potentials never decrease, so
+    S = (largest final potential) / (1 - gamma_n) bounds every one, and two
+    computations of one potential differ by at most delta = 2 gamma_n S.
+    Hence:
+
+    - a candidate is dropped only when its final potential is below
+      ``threshold - delta``;
+    - each threshold test on a candidate, in every bin, needs
+      |P - threshold| > delta;
+    - per location, the winner and the runner-up that crossed in the same
+      bin must differ by more than 2 delta.
+
+    If any test is not certified, the image goes through ``infer_image``.
+    """
+    t_bins, c, h, w = dense_spikes.shape
+    maps, maps_in, k, _ = kernel.weights.shape
+    if c != maps_in:
+        raise ValueError(f"spike channels {c} != kernel maps_in {maps_in}")
+    if k > h or k > w:
+        raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
+    out_w = w - k + 1
+    wm = kernel.weights.reshape(maps, -1)
+    counts = dense_spikes.sum(axis=0, dtype=np.float64)
+    final = np.dot(wm, _windows(counts, k).reshape(wm.shape[1], -1))
+    n = c * k * k * t_bins * max(int(counts.max(initial=0)), 1) + t_bins
+    gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+    peak = final.max(axis=0)  # per position, over maps
+    delta = 2 * gamma * peak.max() / (1 - gamma)
+    thr = cfg.threshold
+    fired = np.zeros((maps, h - k + 1, out_w), dtype=bool)
+    pos = np.flatnonzero(peak - thr >= -delta)
+    if not pos.size:
+        return fired
+    # (c, k, k, positions, T): each candidate position's window in each bin
+    table = _windows(dense_spikes.transpose(1, 2, 3, 0).copy(), k)[:, :, :, pos // out_w,
+                                                                   pos % out_w]
+    per_bin = np.dot(wm, table.reshape(wm.shape[1], -1).astype(np.float64))
+    # summed over bins by a dgemm against ones on and above the diagonal
+    traj = np.dot(per_bin.reshape(-1, t_bins), np.tri(t_bins).T)
+    traj = traj.reshape(maps, pos.size, t_bins)
+    # Every map at these positions is tested.  One that is no candidate stays
+    # below the threshold here, each of its potentials being below its final
+    # potential plus delta; should one come within delta, the image falls back.
+    if np.abs(traj - thr).min() <= delta:
+        return infer_image(dense_spikes, kernel, cfg).fired
+    above = traj > thr
+    fires = above[..., -1]  # (maps, positions)
+    if not cfg.lateral_inhibition:
+        fired.reshape(maps, -1)[:, pos] = fires
+        return fired
+    hit = np.flatnonzero(fires.any(axis=0))
+    cols = np.arange(hit.size)
+    above = above[:, hit]
+    earliest = above.any(axis=0).argmax(axis=-1)  # per location, its first spike's bin
+    # The certified tests agree with the per-bin potentials, which never
+    # decrease, so the maps above threshold in a location's earliest bin are
+    # the maps that cross there
+    score = np.where(above[:, cols, earliest], traj[:, hit, earliest], -np.inf)
+    win = score.argmax(axis=0)  # the lowest map among equal scores
+    top = score[win, cols]
+    score[win, cols] = -np.inf
+    if (top - score.max(axis=0) <= 2 * delta).any():  # the runner-up in the same bin
+        return infer_image(dense_spikes, kernel, cfg).fired
+    fired.reshape(maps, -1)[win, pos[hit]] = True
+    return fired
+
+
 def max_pool(planes: SpikePlanes, pool_lateral_inhibition: bool = False) -> SpikePlanes:
     """2x2 non-overlapping max pooling of a layer's spike planes.
 

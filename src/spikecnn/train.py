@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -14,8 +15,8 @@ import numpy as np
 
 from .core import (ConvKernel, InhibitionConfig, LayerState, conv_accumulate,
                    depress_map, double_learning_rates, fire_and_inhibit,
-                   global_max_potential, homeostasis_gate, infer_image,
-                   max_pool, stdp_competition, stdp_update)
+                   global_max_potential, homeostasis_gate, infer_fired,
+                   infer_image, max_pool, stdp_competition, stdp_update)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
                     fcn_train_epoch, init_fcn_head)
@@ -174,7 +175,15 @@ class ConvPipeline:
 
     def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
         """(feature vector, conv-layer spike count) for one image: bool
-        pooled spikes, or float64 readout potentials."""
+        pooled spikes, or float64 readout potentials.
+
+        Without pool inhibition a pooled bit is the OR of its 2x2 block, so
+        spike-count features need only the layer's ``fired`` plane."""
+        if self.readout is None and not self.cfg.pool_lateral_inhibition:
+            fired = infer_fired(tensor.dense(), self.kernel, self.cfg)
+            h, w = fired.shape[1] // 2 * 2, fired.shape[2] // 2 * 2
+            rows = fired[:, 0:h:2] | fired[:, 1:h:2]  # odd sizes lose the last row/column
+            return (rows[..., 0:w:2] | rows[..., 1:w:2]).ravel(), np.count_nonzero(fired)
         if self.readout is None:
             pooled, n_spikes = self.pooled(tensor)
             return pooled.fired.ravel(), n_spikes
@@ -182,24 +191,33 @@ class ConvPipeline:
         return global_max_potential(pooled.dense(), self.readout), n_spikes
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def extract_features(pipeline: ConvPipeline, tensors: list[SpikeTensor],
                      labels: np.ndarray | None = None, threads: int = 1):
     """Run every image through the frozen stack; row order = input order.
 
-    Returns (FeatureMatrix, mean conv spikes per image).  With ``threads`` >
-    1 images are farmed out to a process pool in ``threads`` contiguous
-    chunks; results are identical to the serial path because each image is
-    processed independently.
+    Returns (FeatureMatrix, mean conv spikes per image).  With more than one
+    worker, images are farmed out to a process pool in one contiguous chunk
+    per worker; results are identical to the serial path because each image
+    is processed independently.  The pool starts every worker up front, so
+    it gets at most min(``threads``, images, usable CPUs) of them.
     """
     n = len(tensors)
     if n == 0:
         raise ValueError("no images to extract features from")
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
+    workers = min(threads, n, _usable_cpus())
     values, spikes = None, np.empty(n)
-    with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         # either way rows arrive in input order and go straight into the matrix
-        rows = (pool.map(pipeline.features_one, tensors, chunksize=math.ceil(n / threads))
+        rows = (pool.map(pipeline.features_one, tensors, chunksize=math.ceil(n / workers))
                 if pool else map(pipeline.features_one, tensors))
         for i, (vec, n_spikes) in enumerate(rows):
             if values is None:

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from spikecnn import core
 from spikecnn.cli import main as cli_main
 from spikecnn.config import substream
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
@@ -141,6 +142,26 @@ def test_criterion_3_spike_sparsity(trained):
     ok = 5.0 <= spikes <= 40.0
     report(3, "conv-layer spike sparsity", ok,
            f"mean spikes/image {spikes:.1f} (band [5, 40])")
+
+
+def test_candidate_pass_rarely_falls_back(corpus, trained, monkeypatch):
+    """``infer_fired`` matches ``infer_image`` on every test image of the
+    corpus under the trained kernel, and falls back to it on at most 1%."""
+    calls = []
+    real = core.infer_image
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "infer_image", counting)
+    kernel, cfg = trained["kernel"], trained["cfg"]
+    images = corpus["enc_test"]
+    for tensor in images:
+        dense = tensor.dense()
+        np.testing.assert_array_equal(core.infer_fired(dense, kernel, cfg),
+                                      real(dense, kernel, cfg).fired)
+    assert len(calls) <= 0.01 * len(images), f"{len(calls)} of {len(images)} fell back"
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,52 @@ class TestAerIngestion:
         np.testing.assert_array_equal(labels, [0, 1, 2, 0, 1, 2])
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """encode + train on a corpus seed the benchmark does not use, with the
+    default 30-map layer."""
+    tmp = tmp_path_factory.mktemp("candidate")
+    data = write_idx_dataset(tmp / "data", n_train=200, n_test=80, seed=41)
+    cfg = base_config(data, tmp / "run", layer={}, plan={"n_images": 400})
+    cfg_path = write_config(tmp / "c.json", cfg)
+    for cmd in ("encode", "train"):
+        assert main([cmd, "--config", cfg_path]) == 0, cmd
+    return tmp / "run", cfg_path
+
+
+class TestCandidatePass:
+    FILES = ("features-train.fmat", "features-test.fmat", "features-stats.csv")
+
+    def features(self, trained_run, threads):
+        out, cfg_path = trained_run
+        assert main(["features", "--config", cfg_path, "--threads", str(threads)]) == 0
+        return {name: (out / name).read_bytes() for name in self.FILES}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_features_match_the_per_bin_path(self, trained_run, monkeypatch, threads):
+        from spikecnn import train
+
+        calls = []
+        real = train.infer_fired
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(train, "infer_fired", counting)
+        fast = self.features(trained_run, threads)
+        if threads == 1:  # a pool's workers count in their own processes
+            assert len(calls) == 280
+
+        # max_pool over infer_image's planes; the name the pool pickles it by
+        def features_one(pipeline, tensor):
+            pooled, n_spikes = pipeline.pooled(tensor)
+            return pooled.fired.ravel(), n_spikes
+
+        monkeypatch.setattr(train.ConvPipeline, "features_one", features_one)
+        assert self.features(trained_run, threads) == fast
+
+
 class TestTwoConvPipeline:
     def test_global_max_potential_mode_end_to_end(self, dataset, tmp_path):
         out = tmp_path / "run"

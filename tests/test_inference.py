@@ -5,7 +5,9 @@ at a time and fires through ``fire_and_inhibit`` with a ``LayerState``,
 exactly as training does.  ``oracle_max_pool`` is the reference pooling over
 the full (T, M, H', W') spike record.  ``infer_image`` and ``max_pool`` must
 match them bit for bit, and so must the pipeline's pooled planes, its
-second-layer ``SpikeTensor`` and its spike-count features.
+second-layer ``SpikeTensor`` and its spike-count features.  ``infer_fired``
+must return exactly ``infer_image``'s ``fired`` plane, taking ``infer_image``
+itself whenever a decision is too close to call.
 """
 
 import numpy as np
@@ -14,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spikecnn import core
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
-                           conv_accumulate, fire_and_inhibit, infer_image,
-                           init_kernel)
+                           conv_accumulate, fire_and_inhibit, infer_fired,
+                           infer_image, init_kernel)
 from spikecnn.encode import SpikeTensor
 from spikecnn.train import ConvPipeline
 
@@ -157,3 +160,101 @@ def test_reference_layer_matches_per_bin_loop(threshold, lateral, pool_lateral):
         dense = rng.random((12, 2, 27, 27)) < rng.uniform(0.01, 0.08)
         dense[10:] = False  # silent bins
         assert_matches_oracle(dense, kernel, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_cases())
+def test_infer_fired_matches_infer_image(case):
+    dense, kernel, cfg = case
+    fired = infer_fired(dense, kernel, cfg)
+    assert fired.dtype == bool
+    np.testing.assert_array_equal(fired, infer_image(dense, kernel, cfg).fired)
+
+
+# numpy hands a 1-map kernel or a 1x1 output map to gemv, not dgemm
+@pytest.mark.parametrize("maps, k, size", [(1, 3, 9), (4, 3, 3), (1, 4, 4), (30, 5, 5)])
+@pytest.mark.parametrize("lateral", [True, False])
+def test_infer_fired_on_gemv_shapes(maps, k, size, lateral):
+    rng = np.random.default_rng(100 * maps + 10 * k + size)
+    cfg = InhibitionConfig(threshold=0.15 * 2 * k * k, lateral_inhibition=lateral)
+    for _ in range(20):
+        kernel = ConvKernel(rng.random((maps, 2, k, k)))
+        dense = rng.random((6, 2, size, size)) < 0.25
+        np.testing.assert_array_equal(infer_fired(dense, kernel, cfg),
+                                      infer_image(dense, kernel, cfg).fired)
+
+
+@pytest.mark.parametrize("lateral", [True, False])
+def test_infer_fired_with_locations_spiking_in_several_bins(lateral):
+    # AER-like input: a location may spike in many bins, so counts reach T
+    rng = np.random.default_rng(3)
+    cfg = InhibitionConfig(threshold=12.0, lateral_inhibition=lateral)
+    first_bins = set()
+    for _ in range(20):
+        kernel = ConvKernel(rng.random((6, 2, 3, 3)))
+        dense = rng.random((8, 2, 10, 10)) < 0.4
+        dense[:, :, 4, 4] = True
+        want = infer_image(dense, kernel, cfg)
+        np.testing.assert_array_equal(infer_fired(dense, kernel, cfg), want.fired)
+        first_bins |= set(want.first_bin[want.fired].tolist())
+    assert len(first_bins) > 2  # crossings in several bins were decided
+
+
+@pytest.fixture
+def infer_image_calls(monkeypatch):
+    """Calls of ``core.infer_image``, the fallback of ``infer_fired``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return infer_image(*args, **kwargs)
+
+    monkeypatch.setattr(core, "infer_image", counting)
+    return calls
+
+
+def two_spike_case(maps):
+    """Two spikes in bin 0 under 0.5 weights: every map's potential is
+    exactly 1.0 from bin 0 on."""
+    dense = np.zeros((3, 1, 2, 2), dtype=bool)
+    dense[0, 0, 0] = True
+    return dense, ConvKernel(np.full((maps, 1, 2, 2), 0.5))
+
+
+@pytest.mark.parametrize("lateral", [True, False])
+def test_potential_on_the_threshold_takes_the_fallback(infer_image_calls, lateral):
+    dense, kernel = two_spike_case(1)
+    cfg = InhibitionConfig(threshold=1.0, lateral_inhibition=lateral)
+    fired = infer_fired(dense, kernel, cfg)
+    assert len(infer_image_calls) == 1
+    assert not fired.any()  # 1.0 > 1.0 is false
+
+
+@pytest.mark.parametrize("toward, fires", [(2.0, False), (0.0, True)])
+def test_potential_one_ulp_from_the_threshold_takes_the_fallback(infer_image_calls,
+                                                                 toward, fires):
+    # 1.0 is exact, but another summation order could round it to a
+    # neighbour: within the rounding bound nothing is decided
+    dense, kernel = two_spike_case(1)
+    fired = infer_fired(dense, kernel, InhibitionConfig(threshold=np.nextafter(1.0, toward)))
+    assert len(infer_image_calls) == 1
+    assert fired.all() == fires
+
+
+def test_potential_clear_of_the_threshold_needs_no_fallback(infer_image_calls):
+    dense, kernel = two_spike_case(1)
+    for threshold, fires in ((0.75, True), (1.25, False)):
+        fired = infer_fired(dense, kernel, InhibitionConfig(threshold=threshold))
+        assert fired.all() == fires
+    assert infer_image_calls == []
+
+
+def test_tied_maps_take_the_fallback(infer_image_calls):
+    dense, kernel = two_spike_case(3)
+    fired = infer_fired(dense, kernel, InhibitionConfig(threshold=0.75))
+    assert len(infer_image_calls) == 1
+    np.testing.assert_array_equal(fired.ravel(), [True, False, False])  # the lowest map
+    # without inhibition a tie decides nothing
+    fired = infer_fired(dense, kernel, InhibitionConfig(threshold=0.75,
+                                                        lateral_inhibition=False))
+    assert len(infer_image_calls) == 1 and fired.all()

@@ -214,6 +214,58 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(serial.values, zero.values)
         assert s1 == s0
 
+    @pytest.mark.parametrize("threads, cpus, n, workers", [
+        (5000, 64, 10, 10), (5000, 3, 10, 3), (2, 64, 10, 2), (4, 64, 1, None),
+        (1, 64, 10, None)])
+    def test_pool_gets_at_most_one_worker_per_image_and_cpu(self, monkeypatch, threads,
+                                                            cpus, n, workers):
+        started = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(train_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(train_mod, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(11)
+        pipe = ConvPipeline(init_kernel(4, 2, 5, rng), InhibitionConfig(threshold=10))
+        tensors = random_tensors(n, rng, density=0.2)
+        matrix, spikes = extract_features(pipe, tensors, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        serial, serial_spikes = extract_features(pipe, tensors, threads=1)
+        np.testing.assert_array_equal(matrix.values, serial.values)
+        assert spikes == serial_spikes
+
+    def test_usable_cpus_cap_the_pool(self, monkeypatch):
+        started = []
+
+        class NoPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                raise RuntimeError("stop before any work")
+
+        monkeypatch.setattr(train_mod, "ProcessPoolExecutor", NoPool)
+        rng = np.random.default_rng(12)
+        pipe = ConvPipeline(init_kernel(4, 2, 5, rng), InhibitionConfig(threshold=10))
+        tensors = random_tensors(10, rng, density=0.2)
+        cpus = train_mod._usable_cpus()
+        if cpus == 1:
+            extract_features(pipe, tensors, threads=5000)  # serial, no pool
+            assert started == []
+        else:
+            with pytest.raises(RuntimeError, match="stop before"):
+                extract_features(pipe, tensors, threads=5000)
+            assert started == [min(10, cpus)]
+
     def test_global_max_potential_mode(self):
         rng = np.random.default_rng(10)
         second = init_kernel(9, 4, 5, rng)
