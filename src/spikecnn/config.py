@@ -85,8 +85,9 @@ _PLAN_SCHEMA = {
     "stop_rule": (str, "fixed_images",
                   ("fixed_images", "convergence_band", "weight_delta_jump")),
     "monitor_stride": (int, 150, "[1, inf)"),
-    "band_low": ((int, float), 0.01),
-    "band_high": ((int, float), 0.02),
+    # convergence_factor lies in [0, 0.25]: a band outside it can never fire
+    "band_low": ((int, float), 0.01, "[0, 0.25]"),
+    "band_high": ((int, float), 0.02, "[0, 0.25]"),
 }
 
 _DEMO_SCHEMA = {
@@ -217,6 +218,10 @@ def validate_config(raw: dict) -> dict:
     enc = top["encoding"]
     if enc["bins"] + enc["silent_bins"] > 256:
         raise ConfigError("config.encoding: bins + silent_bins must be <= 256 (u8 event times)")
+    plan = top["plan"]
+    if plan["band_low"] > plan["band_high"]:
+        raise ConfigError(f"config.plan: band_low {plan['band_low']!r} must be <= "
+                          f"band_high {plan['band_high']!r}")
     forget = top["forget"]
     if not forget["rehearsal_fractions"]:
         raise ConfigError("config.forget.rehearsal_fractions: must name at least one fraction")

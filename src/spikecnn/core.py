@@ -307,6 +307,66 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
                       (sc, sh, sw, sh, sw, *sr))
 
 
+def _count_potentials(dense_spikes: np.ndarray, weights: np.ndarray):
+    """(im2col of the per-location spike counts summed over all bins, every
+    neuron's final potential as a (maps, positions) dgemm of the two, the
+    most spikes at one input location)."""
+    t_bins, c, h, w = dense_spikes.shape
+    maps, maps_in, k, _ = weights.shape
+    if c != maps_in:
+        raise ValueError(f"spike channels {c} != kernel maps_in {maps_in}")
+    if k > h or k > w:
+        raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
+    counts = dense_spikes.sum(axis=0, dtype=np.float64)
+    cols = _windows(counts, k).reshape(c * k * k, -1)
+    return cols, np.dot(weights.reshape(maps, -1), cols), counts.max(initial=0)
+
+
+def _rounding_bound(shape: tuple, k: int, cmax: float, top: float) -> float:
+    """delta = 2 gamma_n S for a k x k layer over (T, c, H, W) input: n =
+    c k^2 T cmax + T terms, cmax the most spikes at one input location, and
+    S = top / (1 - gamma_n) for ``top`` a computed upper bound of every
+    potential (see ``infer_fired``)."""
+    t_bins, c = shape[:2]
+    n = c * k * k * t_bins * max(int(cmax), 1) + t_bins
+    gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+    return 2 * gamma * top / (1 - gamma)
+
+
+def _trajectories(dense_spikes: np.ndarray, weights: np.ndarray, pos: np.ndarray,
+                  out_w: int):
+    """(table, per_bin, traj) at the listed positions: table[(c, dy, dx),
+    (p, t)] is position p's window in bin t, per_bin[m, p, t] what bin t adds
+    to map m's potential there, and traj[m, p, t] that potential after bin t."""
+    maps, _, k, _ = weights.shape
+    t_bins = dense_spikes.shape[0]
+    table = _windows(dense_spikes.transpose(1, 2, 3, 0).copy(), k)[:, :, :, pos // out_w,
+                                                                   pos % out_w]
+    table = table.reshape(-1, pos.size * t_bins).astype(np.float64)
+    per_bin = np.dot(weights.reshape(maps, -1), table).reshape(maps, pos.size, t_bins)
+    return table, per_bin, _cumulate(per_bin)
+
+
+def _cumulate(per_bin: np.ndarray) -> np.ndarray:
+    """Per-bin increments (..., T) summed over bins, by a dgemm against ones
+    on and above the diagonal."""
+    t_bins = per_bin.shape[-1]
+    return np.dot(per_bin.reshape(-1, t_bins), np.tri(t_bins).T).reshape(per_bin.shape)
+
+
+def _clear_winners(score: np.ndarray, gap: float):
+    """Per column of ``score`` (-inf where a map does not compete) the
+    winning map, the lowest among equals, and its score; None when a
+    runner-up comes within ``gap`` of a winner.  Overwrites ``score``."""
+    win = score.argmax(axis=0)
+    cols = np.arange(win.size)
+    top = score[win, cols]
+    score[win, cols] = -np.inf
+    if (top - score.max(axis=0) <= gap).any():
+        return None
+    return win, top
+
+
 def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
                 cfg: InhibitionConfig) -> np.ndarray:
     """``infer_image(dense_spikes, kernel, cfg).fired``, without the per-bin
@@ -345,31 +405,17 @@ def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
     If any test is not certified, the image goes through ``infer_image``.
     """
     t_bins, c, h, w = dense_spikes.shape
-    maps, maps_in, k, _ = kernel.weights.shape
-    if c != maps_in:
-        raise ValueError(f"spike channels {c} != kernel maps_in {maps_in}")
-    if k > h or k > w:
-        raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
+    maps, _, k, _ = kernel.weights.shape
     out_w = w - k + 1
-    wm = kernel.weights.reshape(maps, -1)
-    counts = dense_spikes.sum(axis=0, dtype=np.float64)
-    final = np.dot(wm, _windows(counts, k).reshape(wm.shape[1], -1))
-    n = c * k * k * t_bins * max(int(counts.max(initial=0)), 1) + t_bins
-    gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+    _, final, cmax = _count_potentials(dense_spikes, kernel.weights)
     peak = final.max(axis=0)  # per position, over maps
-    delta = 2 * gamma * peak.max() / (1 - gamma)
+    delta = _rounding_bound(dense_spikes.shape, k, cmax, peak.max())
     thr = cfg.threshold
     fired = np.zeros((maps, h - k + 1, out_w), dtype=bool)
     pos = np.flatnonzero(peak - thr >= -delta)
     if not pos.size:
         return fired
-    # (c, k, k, positions, T): each candidate position's window in each bin
-    table = _windows(dense_spikes.transpose(1, 2, 3, 0).copy(), k)[:, :, :, pos // out_w,
-                                                                   pos % out_w]
-    per_bin = np.dot(wm, table.reshape(wm.shape[1], -1).astype(np.float64))
-    # summed over bins by a dgemm against ones on and above the diagonal
-    traj = np.dot(per_bin.reshape(-1, t_bins), np.tri(t_bins).T)
-    traj = traj.reshape(maps, pos.size, t_bins)
+    _, _, traj = _trajectories(dense_spikes, kernel.weights, pos, out_w)
     # Every map at these positions is tested.  One that is no candidate stays
     # below the threshold here, each of its potentials being below its final
     # potential plus delta; should one come within delta, the image falls back.
@@ -388,13 +434,172 @@ def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
     # decrease, so the maps above threshold in a location's earliest bin are
     # the maps that cross there
     score = np.where(above[:, cols, earliest], traj[:, hit, earliest], -np.inf)
-    win = score.argmax(axis=0)  # the lowest map among equal scores
-    top = score[win, cols]
-    score[win, cols] = -np.inf
-    if (top - score.max(axis=0) <= 2 * delta).any():  # the runner-up in the same bin
+    winners = _clear_winners(score, 2 * delta)  # against the runner-up in the same bin
+    if winners is None:
         return infer_image(dense_spikes, kernel, cfg).fired
-    fired.reshape(maps, -1)[win, pos[hit]] = True
+    fired.reshape(maps, -1)[winners[0], pos[hit]] = True
     return fired
+
+
+def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
+                    state: LayerState) -> int | None:
+    """One training image exactly as the per-bin loop of ``train.train_image``
+    runs it, without a dgemm per bin: the same spike count, kernel bytes and
+    final ``state``.  Returns None when a decision is not certified, with the
+    kernel and the state kept across images (``homeo_counts``,
+    ``images_seen``) as they were.
+
+    The weights depend only on the decisions: which neuron fires in which
+    bin, and which wins.  ``stdp_competition`` lets each map update at most
+    once per image, and one update (``stdp_update`` or ``depress_map``)
+    raises a weight by at most a_plus/4.  No potential of the image then
+    exceeds its final potential under the image's first weights by more than
+    a margin of a_plus/4 per input spike in its window.  As in
+    ``infer_fired``, one dgemm over the per-location spike counts gives those
+    final potentials, and only positions where some map reaches ``threshold
+    - 2 delta - margin`` are kept; a per-bin window table there gives every
+    map's trajectory.  The decisions are replayed on these small arrays: the
+    threshold tests, lateral inhibition, each map's best fired neuron, the
+    ranking by potential, the radius exclusion, and homeostasis followed by
+    ``stdp_update`` or ``depress_map``.  After a bin with winners only their
+    trajectories are recomputed, from the next bin on, and the later bins
+    are replayed again.
+
+    delta is ``infer_fired``'s bound, with S covering the margin.  Every
+    threshold test, at every kept position and bin, must clear the threshold
+    by more than delta.  Every comparison of two potentials (inhibition at a
+    location, a map's best neuron in a bin, the ranking of a bin's
+    candidates) must differ by more than 2 delta.
+    """
+    homeo = state.homeo_counts.copy()
+    saved: dict[int, np.ndarray] = {}  # kernel rows as they were, by map
+    n_spikes = _replay_decisions(dense_spikes, kernel, cfg, state, saved)
+    if n_spikes is None:
+        for m, row in saved.items():
+            kernel.weights[m] = row
+        state.homeo_counts[:] = homeo
+        return None
+    state.images_seen += 1
+    return n_spikes
+
+
+def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
+                      state: LayerState, saved: dict[int, np.ndarray]) -> int | None:
+    """``train_certified`` up to its bookkeeping; keeps in ``saved`` each
+    kernel row it changes, as it was."""
+    t_bins, c, h, w = dense_spikes.shape
+    maps, _, k, _ = kernel.weights.shape
+    out_w = w - k + 1
+    thr, inhibit, span = cfg.threshold, cfg.lateral_inhibition, 2 * cfg.competition_radius
+    cols, final, cmax = _count_potentials(dense_spikes, kernel.weights)
+    # the update's own rounding adds at most a few ulps of 1 to a weight
+    reach = final.max(axis=0) + (kernel.a_plus / 4 + 2.0 ** -50) * cols.sum(axis=0)
+    delta = _rounding_bound(dense_spikes.shape, k, cmax, reach.max())
+    gap = 2 * delta
+    state.begin_image()
+    np.any(dense_spikes, axis=0, out=state.input_cum)
+    pos = np.flatnonzero(reach >= thr - gap)
+    if not pos.size:
+        return 0
+    table, per_bin, traj = _trajectories(dense_spikes, kernel.weights, pos, out_w)
+    if np.abs(traj - thr).min() <= delta:
+        return None
+    locked = np.zeros(pos.size, dtype=bool)
+    spikes: list[tuple[int, int]] = []
+    done = -1  # the last bin whose spikes are final
+    while True:
+        # Every spike after bin ``done`` under the current trajectories, in
+        # bin order.  Exact potentials never decrease and every test is
+        # certified, so a neuron is above the threshold from its crossing on.
+        above = traj > thr
+        if inhibit:
+            # a free location fires once, in the first bin a map crosses
+            # there: the map of highest potential in that bin
+            when = t_bins - np.count_nonzero(above.any(axis=0), axis=1)
+            free = np.flatnonzero(~locked & (when < t_bins))
+            at = when[free]
+            winners = _clear_winners(np.where(above[:, free, at], traj[:, free, at], -np.inf),
+                                     gap)
+            if winners is None:
+                return None
+            spiking = sorted(zip(at.tolist(), winners[0].tolist(), free.tolist(),
+                                 winners[1].tolist()))
+        else:
+            first = t_bins - np.count_nonzero(above, axis=2)
+            ms, ps = np.nonzero((first > done) & (first < t_bins))
+            at = first[ms, ps]
+            spiking = sorted(zip(at.tolist(), ms.tolist(), ps.tolist(),
+                                 traj[ms, ps, at].tolist()))
+        t, won = _compete(spiking, state, gap, span, pos, out_w)
+        if won is None:
+            return None
+        settled = [s for s in spiking if s[0] <= t]
+        spikes += [(m, p) for _, m, p, _ in settled]
+        if inhibit:
+            locked[[p for _, _, p, _ in settled]] = True
+        if not won:
+            break
+        for m, u, v in won:
+            saved[m] = kernel.weights[m].copy()
+            if homeostasis_gate(state, m):
+                stdp_update(kernel, m, dense_spikes[:t + 1, :, u:u + k, v:v + k].any(axis=0))
+            else:
+                depress_map(kernel, m)
+        done = t
+        if t + 1 == t_bins:
+            break
+        # only the winners' trajectories change, from the next bin on
+        ms = [m for m, _, _ in won]
+        after = np.dot(kernel.weights[ms].reshape(len(ms), -1), table)
+        per_bin[ms, :, t + 1:] = after.reshape(len(ms), pos.size, t_bins)[..., t + 1:]
+        traj[ms] = _cumulate(per_bin[ms])
+        if np.abs(traj[ms] - thr).min() <= delta:
+            return None
+    if spikes:
+        ms, ps = zip(*spikes)
+        state.fired.reshape(maps, -1)[list(ms), pos[list(ps)]] = True
+    if inhibit:
+        state.location_locked.flat[pos] = locked
+    return len(spikes)
+
+
+def _compete(spiking: list, state: LayerState, gap: float, span: int, pos: np.ndarray,
+             out_w: int):
+    """``stdp_competition`` over (bin, map, position index, potential) spikes
+    sorted by bin, bin by bin up to the first bin with a winner.  Returns
+    (that bin, its winners as (map, u, v)), (the last bin, []) when no spike
+    wins, or (None, None) when two compared potentials are within ``gap``."""
+    i = 0
+    while i < len(spiking):
+        t = spiking[i][0]
+        best: dict[int, list] = {}  # per map [highest potential, its position, runner-up]
+        while i < len(spiking) and spiking[i][0] == t:
+            _, m, p, x = spiking[i]
+            i += 1
+            if state.map_updated[m]:
+                continue
+            top = best.setdefault(m, [x, p, -np.inf])
+            if x > top[0]:
+                top[:] = x, p, top[0]
+            elif top[1] != p:
+                top[2] = max(top[2], x)
+        if any(top - second <= gap for top, _, second in best.values()):
+            return None, None
+        ranked = sorted(best.items(), key=lambda item: -item[1][0])
+        if any(a[1][0] - b[1][0] <= gap for a, b in zip(ranked, ranked[1:])):
+            return None, None
+        won = []
+        for m, (_, p, _) in ranked:
+            u, v = divmod(int(pos[p]), out_w)
+            if any(abs(u - pu) <= span and abs(v - pv) <= span
+                   for pu, pv in state.winner_positions):
+                continue
+            state.winner_positions.append((u, v))
+            state.map_updated[m] = True
+            won.append((m, u, v))
+        if won:
+            return t, won
+    return (spiking[-1][0] if spiking else -1), []
 
 
 def max_pool(planes: SpikePlanes, pool_lateral_inhibition: bool = False) -> SpikePlanes:

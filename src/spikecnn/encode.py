@@ -50,10 +50,14 @@ class SpikeTensor:
         # checked before the u8 cast, which would wrap 299 to 43
         if (ev < 0).any() or (ev >= np.minimum(self.shape, 256)).any():
             raise ValueError(f"event coordinate out of range for shape {self.shape} or u8")
-        ev = ev.astype(np.uint8, copy=False)
-        ev = ev[np.lexsort((ev[:, 3], ev[:, 2], ev[:, 1], ev[:, 0]))]
-        if (ev[1:] == ev[:-1]).all(axis=1).any():
-            raise ValueError("duplicate spike event")
+        ev = np.ascontiguousarray(ev, dtype=np.uint8)
+        # Each row read as a big-endian u32 is its (t, c, u, v) sort key, so
+        # keys that strictly increase prove canonical order and no duplicate
+        keys = ev.view(">u4").ravel()
+        if not (keys[1:] > keys[:-1]).all():
+            ev = ev[np.lexsort((ev[:, 3], ev[:, 2], ev[:, 1], ev[:, 0]))]
+            if (ev[1:] == ev[:-1]).all(axis=1).any():
+                raise ValueError("duplicate spike event")
         self.events = ev
 
     @property

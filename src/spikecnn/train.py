@@ -16,7 +16,8 @@ import numpy as np
 from .core import (ConvKernel, InhibitionConfig, LayerState, conv_accumulate,
                    depress_map, double_learning_rates, fire_and_inhibit,
                    global_max_potential, homeostasis_gate, infer_fired,
-                   infer_image, max_pool, stdp_competition, stdp_update)
+                   infer_image, max_pool, stdp_competition, stdp_update,
+                   train_certified)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
                     fcn_train_epoch, init_fcn_head)
@@ -34,6 +35,9 @@ class TrainPlan:
     def __post_init__(self):
         if self.stop_rule not in ("fixed_images", "convergence_band", "weight_delta_jump"):
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
+        lo, hi = self.band
+        if not 0.0 <= lo <= hi <= 0.25:  # the range of convergence_factor
+            raise ValueError(f"convergence band {self.band} must satisfy 0 <= low <= high <= 0.25")
 
 
 @dataclass
@@ -61,7 +65,28 @@ def convergence_factor(kernel) -> float:
 def train_image(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
                 state: LayerState) -> int:
     """One training image: accumulate, fire, compete, update.  Returns the
-    number of spikes the layer emitted."""
+    number of spikes the layer emitted.
+
+    ``core.train_certified`` takes the image when its input holds more
+    events per bin than input maps.  The pass's dgemms read the c k^2 im2col
+    rows about twice per image, where the per-bin loop's read up to k^2 rows
+    per event in every busy bin: with that many events a busy bin tends to
+    read them all.  With fewer, as on a second layer that reads a few pooled
+    spikes over many maps, the per-bin loop does less work.  An image the
+    pass cannot certify goes through the per-bin loop too; the result is the
+    same either way.
+    """
+    t_bins, c = dense.shape[:2]
+    if np.count_nonzero(dense) > c * t_bins:
+        n_spikes = train_certified(dense, kernel, cfg, state)
+        if n_spikes is not None:
+            return n_spikes
+    return _train_image_per_bin(dense, kernel, cfg, state)
+
+
+def _train_image_per_bin(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
+                         state: LayerState) -> int:
+    """``train_image`` one bin at a time: accumulate, fire, compete, update."""
     t_bins = dense.shape[0]
     state.begin_image()
     potentials = np.zeros(state.out_shape)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from spikecnn import core
+from spikecnn import core, train
 from spikecnn.cli import main as cli_main
 from spikecnn.config import substream
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
@@ -162,6 +162,35 @@ def test_candidate_pass_rarely_falls_back(corpus, trained, monkeypatch):
         np.testing.assert_array_equal(core.infer_fired(dense, kernel, cfg),
                                       real(dense, kernel, cfg).fired)
     assert len(calls) <= 0.01 * len(images), f"{len(calls)} of {len(images)} fell back"
+
+
+def test_training_pass_rarely_falls_back(corpus, monkeypatch):
+    """The criterion-2 recipe's 2,000 STDP images train the same kernel
+    bytes through ``train_image`` as through its per-bin loop alone, and
+    ``core.train_certified`` sends at most 10% of them to that loop."""
+    def fit():
+        kernel = init_kernel(30, 2, 5, substream(0, "init"))
+        train_conv_layer(TrainPlan(n_images=2000), corpus["enc_train"][:2000], kernel,
+                         InhibitionConfig(threshold=15.0, competition_radius=5))
+        return kernel
+
+    outcomes = []
+    certified = core.train_certified
+
+    def counting(*args):
+        n_spikes = certified(*args)
+        outcomes.append(n_spikes is not None)
+        return n_spikes
+
+    monkeypatch.setattr(train, "train_certified", counting)
+    got = fit()
+    monkeypatch.setattr(train, "train_image", train._train_image_per_bin)
+    want = fit()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert (got.a_plus, got.a_minus) == (want.a_plus, want.a_minus)
+    assert len(outcomes) == 2000, "every image holds more events per bin than maps"
+    fallbacks = outcomes.count(False)
+    assert fallbacks <= 0.10 * len(outcomes), f"{fallbacks} of {len(outcomes)} fell back"
 
 
 # ---------------------------------------------------------------------------

@@ -641,7 +641,9 @@ class TestConfigRanges:
         ("demo", "pattern_rate", 0), ("demo", "pattern_rate", -1), ("demo", "pattern_rate", 1.5),
         ("demo", "a_plus", 0), ("demo", "a_plus", 2.0), ("demo", "a_minus", 0),
         ("demo", "a_minus", -0.5), ("encoding", "sigma_center", 0),
-        ("encoding", "sigma_surround", -2.0)])
+        ("encoding", "sigma_surround", -2.0),
+        ("plan", "band_low", -0.01), ("plan", "band_low", 0.3),
+        ("plan", "band_high", -0.01), ("plan", "band_high", 0.26)])
     def test_below_minimum(self, section, key, value):
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
@@ -690,6 +692,25 @@ class TestConfigRanges:
             "encoding": {"sigma_center": 1e-9, "sigma_surround": 1e-9}})
         assert cfg["demo"]["pattern_rate"] == 1 and cfg["dataset"]["limit_test"] == 1
         assert validate_config({"demo": {"noise_rate": 1}})["demo"]["noise_rate"] == 1
+
+    def test_convergence_band_ends_are_allowed(self):
+        # 0.25 is the largest value convergence_factor can take (all weights 0.5)
+        for low, high in ((0, 0.25), (0.25, 0.25), (0, 0), (0.01, 0.02)):
+            plan = validate_config({"plan": {"band_low": low, "band_high": high}})["plan"]
+            assert (plan["band_low"], plan["band_high"]) == (low, high)
+
+    def test_inverted_convergence_band_exits_1(self, tmp_path, capsys):
+        # a band with low > high can never fire: it used to train all n_images
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json", {
+            "out_dir": str(out),
+            "plan": {"stop_rule": "convergence_band", "band_low": 0.02, "band_high": 0.01}})
+        with pytest.raises(ConfigError, match="band_low"):
+            load_config(cfg_path)
+        assert main(["train", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "band_low" in err and "band_high" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_demo_with_zero_pattern_rate_exits_1(self, tmp_path, capsys):
         # used to end in a ZeroDivisionError traceback from run_noise_demo

@@ -456,6 +456,37 @@ class TestSpikeTensor:
         with pytest.raises(ValueError, match="range"):
             SpikeTensor((4, 2, 8, 8), np.array([[0, 1, -250, 2]]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_events_come_out_in_canonical_order(self, data):
+        shape = (256, 3, 256, 5)  # every byte of the (t, c, u, v) key in use
+        rows = data.draw(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 2),
+                                            st.integers(0, 255), st.integers(0, 4)),
+                                  unique=True, max_size=40))
+        events = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        order = data.draw(st.permutations(range(len(rows))))
+        got = SpikeTensor(shape, events[list(order)]).events
+        want = events[np.lexsort(events.T[::-1])].astype(np.uint8)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("events", [
+        [[0, 0, 1, 1], [0, 0, 1, 1]],                # adjacent, in order
+        [[0, 1, 2, 3], [1, 0, 0, 0], [0, 1, 2, 3]],  # apart, out of order
+        [[2, 1, 0, 0], [0, 0, 0, 7], [2, 1, 0, 0], [3, 0, 0, 0]],
+    ])
+    def test_rejects_duplicate_events(self, events):
+        with pytest.raises(ValueError, match="duplicate"):
+            SpikeTensor((4, 2, 8, 8), np.array(events))
+        with pytest.raises(ValueError, match="duplicate"):
+            SpikeTensor((4, 2, 8, 8), np.array(events, dtype=np.uint8))
+
+    def test_canonical_events_keep_their_bytes(self):
+        dense = np.random.default_rng(8).random((12, 2, 27, 27)) < 0.05
+        canonical = np.argwhere(dense).astype(np.uint8)
+        t = SpikeTensor(dense.shape, canonical.copy())
+        assert t.events.tobytes() == canonical.tobytes()
+        np.testing.assert_array_equal(t.dense(), dense)
+
     def test_u8_edge_fits(self):
         dense = np.zeros((256, 1, 1, 1), dtype=bool)
         dense[255, 0, 0, 0] = True

@@ -13,7 +13,15 @@ weights the bits may differ from the all-rows ``tensordot`` (the BLAS may
 block the longer sum and round its parts in another order).  With dyadic
 weights every partial sum is exact, and the convolution must then equal the
 all-rows ``tensordot`` bit for bit as well.
+
+``train.train_image`` first tries the candidate pass ``core.train_certified``
+and falls back to its per-bin loop; ``counting_paths`` records which way each
+image went, so the tests can require both ways and each fallback rule.
 """
+
+import contextlib
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,16 +239,51 @@ def run_layer(step, images, kernel, cfg):
     return spikes, state
 
 
-@settings(max_examples=200, deadline=None)
-@given(layer_cases())
-def test_train_image_matches_oracle(case):
-    images, kernel, cfg = case
-    got_kernel, want_kernel = kernel.copy(), kernel.copy()
-    got_spikes, got_state = run_layer(train.train_image, images, got_kernel, cfg)
-    want_spikes, want_state = run_layer(oracle_train_image, images, want_kernel, cfg)
-    assert got_spikes == want_spikes
-    assert_bytes_equal(got_kernel.weights, want_kernel.weights)
-    assert_states_equal(got_state, want_state)
+@contextlib.contextmanager
+def counting_paths():
+    """Counts of the ways ``train.train_image`` takes its images: certified
+    by ``core.train_certified``, sent by it to the per-bin fallback, or sent
+    straight to the per-bin loop by the input rule."""
+    paths = Counter()
+    certified, per_bin = train.train_certified, train._train_image_per_bin
+    tried = []
+
+    def counting_certified(*args):
+        tried.append(True)
+        n_spikes = certified(*args)
+        paths["certified" if n_spikes is not None else "fallback"] += 1
+        return n_spikes
+
+    def counting_per_bin(*args):
+        if not tried:
+            paths["per_bin"] += 1
+        tried.clear()
+        return per_bin(*args)
+
+    with mock.patch.object(train, "train_certified", counting_certified), \
+            mock.patch.object(train, "_train_image_per_bin", counting_per_bin):
+        yield paths
+
+
+def test_train_image_matches_oracle():
+    paths = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(layer_cases())
+    def check(case):
+        images, kernel, cfg = case
+        got_kernel, want_kernel = kernel.copy(), kernel.copy()
+        with counting_paths() as seen:
+            got_spikes, got_state = run_layer(train.train_image, images, got_kernel, cfg)
+        want_spikes, want_state = run_layer(oracle_train_image, images, want_kernel, cfg)
+        assert got_spikes == want_spikes
+        assert_bytes_equal(got_kernel.weights, want_kernel.weights)
+        assert_states_equal(got_state, want_state)
+        paths.update(seen)
+
+    check()
+    # the examples exercise the candidate pass, its fallback and the input rule
+    assert paths["certified"] and paths["fallback"] and paths["per_bin"], paths
 
 
 @settings(max_examples=200, deadline=None)
@@ -316,3 +359,159 @@ def test_train_conv_layer_matches_oracle(monkeypatch, radius, lateral):
     assert (got_kernel.a_plus, got_kernel.a_minus) == (want_kernel.a_plus, want_kernel.a_minus)
     assert np.array(got_monitor.samples).tobytes() == np.array(want_monitor.samples).tobytes()
     assert len(got_monitor.samples) == 4
+
+
+def check_one_image(dense, kernel, cfg):
+    """``train.train_image`` on one image against the oracle; returns how the
+    image was taken (see ``counting_paths``) and the layer state."""
+    got_kernel, want_kernel = kernel.copy(), kernel.copy()
+    with counting_paths() as seen:
+        got_spikes, got_state = run_layer(train.train_image, [dense], got_kernel, cfg)
+    want_spikes, want_state = run_layer(oracle_train_image, [dense], want_kernel, cfg)
+    assert got_spikes == want_spikes
+    assert_bytes_equal(got_kernel.weights, want_kernel.weights)
+    assert_states_equal(got_state, want_state)
+    return seen, got_state
+
+
+def two_location_case():
+    """One map of 1x1 weights 0.5 over one channel and one bin; two
+    locations spike, so both potentials are exactly 0.5."""
+    dense = np.zeros((1, 1, 1, 4), dtype=bool)
+    dense[0, 0, 0, [0, 2]] = True
+    return dense, ConvKernel(np.full((1, 1, 1, 1), 0.5), a_plus=0.1, a_minus=0.08)
+
+
+@pytest.mark.parametrize("lateral", [True, False])
+def test_two_positions_of_one_map_tied_take_the_fallback(lateral):
+    dense, kernel = two_location_case()
+    cfg = InhibitionConfig(threshold=0.25, competition_radius=0, lateral_inhibition=lateral)
+    seen, state = check_one_image(dense, kernel, cfg)
+    assert seen == {"fallback": 1}
+    assert state.winner_positions == [(0, 0)]  # the first in row-major order
+
+
+def test_tie_below_a_maps_best_spike_is_certified():
+    # Locations 0 and 2 tie at 0.5, but location 4, on both channels, is
+    # the map's best at 1.0: the tie decides nothing
+    dense = np.zeros((1, 2, 1, 5), dtype=bool)
+    dense[0, 0, 0, [0, 2, 4]] = dense[0, 1, 0, 4] = True
+    kernel = ConvKernel(np.full((1, 2, 1, 1), 0.5), a_plus=0.1, a_minus=0.08)
+    cfg = InhibitionConfig(threshold=0.25, competition_radius=0)
+    seen, state = check_one_image(dense, kernel, cfg)
+    assert seen == {"certified": 1}
+    assert state.winner_positions == [(0, 4)]
+
+
+@pytest.mark.parametrize("threshold", [0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)])
+def test_potential_on_or_next_to_the_threshold_takes_the_fallback(threshold):
+    # 0.5 is exact, but another summation order could round it to a neighbour
+    dense, kernel = two_location_case()
+    cfg = InhibitionConfig(threshold=threshold, competition_radius=0)
+    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1}
+
+
+def test_potentials_clear_of_the_threshold_are_certified():
+    # one location spikes in bin 0 and two in bin 1, after the map updated:
+    # no two potentials are compared
+    dense = np.zeros((2, 1, 1, 5), dtype=bool)
+    dense[0, 0, 0, 0] = dense[1, 0, 0, 2] = dense[1, 0, 0, 4] = True
+    kernel = ConvKernel(np.full((1, 1, 1, 1), 0.5), a_plus=0.1, a_minus=0.08)
+    for threshold in (0.25, 0.75):
+        cfg = InhibitionConfig(threshold=threshold, competition_radius=0)
+        assert check_one_image(dense, kernel, cfg)[0] == {"certified": 1}
+
+
+def margin_case():
+    """Location 0 spikes on both channels in bin 0 and locations 2, 4 and 6
+    on channel 0 in bin 1, under one map of 1x1 weights 0.5 with a_plus 1.
+    Location 0 reaches 1.0 in bin 0; if it fires and its map wins, both
+    weights go from 0.5 to 0.75.  The other locations reach 0.5 under the
+    first weights, and 0.75 under the updated ones."""
+    dense = np.zeros((2, 2, 1, 7), dtype=bool)
+    dense[0, :, 0, 0] = True
+    dense[1, 0, 0, [2, 4, 6]] = True
+    return dense, ConvKernel(np.full((1, 2, 1, 1), 0.5), a_plus=1.0, a_minus=0.08)
+
+
+@pytest.mark.parametrize("lateral", [True, False])
+def test_updated_map_reaches_positions_only_the_margin_keeps(lateral):
+    # At threshold 0.6 locations 2, 4 and 6 fire only after the update; only
+    # the a_plus/4 margin keeps them among the candidate positions
+    dense, kernel = margin_case()
+    cfg = InhibitionConfig(threshold=0.6, competition_radius=0, lateral_inhibition=lateral)
+    seen, state = check_one_image(dense, kernel, cfg)
+    assert seen == {"certified": 1}
+    np.testing.assert_array_equal(state.fired.ravel(), [1, 0, 1, 0, 1, 0, 1])
+
+
+def test_update_landing_a_potential_on_the_threshold_takes_the_fallback():
+    # at threshold 0.75 the update lands locations 2, 4 and 6 on it exactly,
+    # which only the recomputed trajectories show
+    dense, kernel = margin_case()
+    cfg = InhibitionConfig(threshold=0.75, competition_radius=0)
+    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1}
+
+
+def two_map_case():
+    """Map 0 reads channel 0 and map 1 channel 1, each with weight 0.5."""
+    weights = np.zeros((2, 2, 1, 1))
+    weights[0, 0] = weights[1, 1] = 0.5
+    return ConvKernel(weights, a_plus=0.1, a_minus=0.08)
+
+
+def test_tied_candidates_of_two_maps_take_the_fallback():
+    # Both maps reach 0.5 in bin 0 at neighbouring locations: which one is
+    # ranked first, and so wins, rests on a tie.  Map 0's spikes in bin 1
+    # only bring the input above one event per bin and map.
+    dense = np.zeros((2, 2, 1, 4), dtype=bool)
+    dense[0, 0, 0, 0] = dense[0, 1, 0, 1] = True
+    dense[1, 0, 0, [0, 2, 3]] = True
+    cfg = InhibitionConfig(threshold=0.25, competition_radius=1)
+    assert check_one_image(dense, two_map_case(), cfg)[0] == {"fallback": 1}
+
+
+def test_fallback_after_an_update_restores_kernel_and_homeostasis():
+    # Map 0 wins in bin 0 and updates; in bin 1 map 1 ties at two locations,
+    # so the image falls back.  The first image leaves the homeostasis window
+    # open, so a count the pass forgot to restore would turn map 0's second
+    # update into a depression.
+    tie = np.zeros((2, 2, 1, 7), dtype=bool)
+    tie[0, 0, 0, 0] = True
+    tie[1, 0, 0, [1, 2]] = True
+    tie[1, 1, 0, [4, 6]] = True
+    images = [np.zeros_like(tie), tie]
+    kernel = two_map_case()
+    cfg = InhibitionConfig(threshold=0.25, competition_radius=0)
+    got_kernel, want_kernel = kernel.copy(), kernel.copy()
+    with counting_paths() as seen:
+        got_spikes, got_state = run_layer(train.train_image, images, got_kernel, cfg)
+    want_spikes, want_state = run_layer(oracle_train_image, images, want_kernel, cfg)
+    assert seen == {"per_bin": 1, "fallback": 1}
+    assert got_spikes == want_spikes
+    assert_bytes_equal(got_kernel.weights, want_kernel.weights)
+    assert_states_equal(got_state, want_state)
+
+
+def test_tied_maps_at_one_location_take_the_fallback():
+    # identical maps cross together at the one location that spikes twice:
+    # which one fires rests on a tie
+    dense = np.zeros((2, 1, 1, 3), dtype=bool)
+    dense[:, 0, 0, 0] = True
+    dense[0, 0, 0, 2] = True  # stays at 0.5, below the threshold
+    kernel = ConvKernel(np.full((2, 1, 1, 1), 0.5), a_plus=0.1, a_minus=0.08)
+    cfg = InhibitionConfig(threshold=0.75, competition_radius=0)
+    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1}
+
+
+def test_input_rule_keeps_few_spikes_over_many_maps_per_bin():
+    # A second layer reads about 13 pooled spikes over 30 maps and 12 bins:
+    # per bin.  More events per bin than maps go to the candidate pass.
+    rng = np.random.default_rng(12)
+    kernel = init_kernel(4, 30, 5, rng)
+    cfg = InhibitionConfig(threshold=3.0)
+    for n_events, way in ((13, "per_bin"), (360, "per_bin"), (361, None)):
+        dense = np.zeros((12, 30, 11, 11), dtype=bool)
+        dense.flat[rng.choice(dense.size, n_events, replace=False)] = True
+        seen, _ = check_one_image(dense, kernel, cfg)
+        assert (seen == {way: 1}) if way else ("per_bin" not in seen), (n_events, seen)

@@ -55,6 +55,17 @@ class TestStopRules:
         with pytest.raises(ValueError):
             TrainPlan(n_images=10, stop_rule="when_bored")
 
+    @pytest.mark.parametrize("band", [(0.02, 0.01), (-0.01, 0.02), (0.01, 0.3),
+                                      (0.26, 0.27)])
+    def test_band_that_can_never_fire_rejected(self, band):
+        # convergence_factor lies in [0, 0.25]
+        with pytest.raises(ValueError, match="band"):
+            TrainPlan(n_images=10, stop_rule="convergence_band", band=band)
+
+    def test_band_ends_allowed(self):
+        for band in ((0.0, 0.25), (0.1, 0.1)):
+            assert TrainPlan(n_images=10, band=band).band == band
+
     def test_convergence_band_halts_at_first_in_band_sample(self):
         rng = np.random.default_rng(0)
         # weights at 0.985 give w(1-w) ~ 0.0148, inside [0.01, 0.02]; the
