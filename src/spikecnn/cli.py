@@ -167,7 +167,7 @@ def cmd_train(cfg: dict, out: Path) -> dict:
     maps_in = inputs[0].channels
     for n, (section, tag, stream) in enumerate(_stack(cfg)):
         if n:  # trains on the frozen previous layer's pooled spikes, only those it reads
-            inputs = [previous.pooled(t, as_tensor=True)[0] for t in inputs[:plan.n_images]]
+            inputs = [previous.pooled(t)[0] for t in inputs[:plan.n_images]]
         layer_cfg = _layer_cfg(cfg[section])
         kernel = _init_kernel(cfg[section], maps_in, substream(cfg["seed"], stream))
         maps_in = kernel.maps_out

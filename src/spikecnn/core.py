@@ -164,15 +164,16 @@ def fire_and_inhibit(potentials: np.ndarray, state: LayerState,
     eligible = (potentials > cfg.threshold) & ~state.fired
     if cfg.lateral_inhibition:
         eligible &= ~state.location_locked[None, :, :]
-    idx = np.flatnonzero(eligible)  # map-major, so ties go to the lower map
-    if cfg.lateral_inhibition and idx.size:
-        loc = idx % state.location_locked.size
-        state.location_locked.flat[loc] = True
-        idx = idx[_group_first(loc, -potentials.flat[idx])]
-    fired_now = np.zeros_like(eligible)
-    fired_now.flat[idx] = True
-    state.fired.flat[idx] = True
-    return fired_now
+        maps = potentials.shape[0]
+        hit = np.flatnonzero(eligible.any(axis=0))
+        state.location_locked.flat[hit] = True
+        # argmax takes the first maximum, so ties go to the lower map
+        score = np.where(eligible.reshape(maps, -1)[:, hit],
+                         potentials.reshape(maps, -1)[:, hit], -np.inf)
+        eligible = np.zeros_like(eligible)
+        eligible.reshape(maps, -1)[score.argmax(axis=0), hit] = True
+    state.fired |= eligible
+    return eligible
 
 
 def stdp_competition(fired_now: np.ndarray, potentials: np.ndarray,
@@ -258,10 +259,7 @@ def _group_first(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     """Positions of each group's first entry when sorted by ``keys`` (the
     first key most significant); ties keep the input order."""
     order = np.lexsort(keys[::-1] + (group,))
-    group = group[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = group[1:] != group[:-1]
-    return order[first]
+    return order[_leads(group[order])]
 
 
 def _inhibit(loc: np.ndarray, first_bin: np.ndarray, potential: np.ndarray) -> np.ndarray:
@@ -275,7 +273,8 @@ def infer_image(dense_spikes: np.ndarray, kernel: ConvKernel,
                 cfg: InhibitionConfig) -> SpikePlanes:
     """Run one image through a frozen layer (no competition, no learning),
     firing and inhibiting exactly as ``fire_and_inhibit`` does bin by bin;
-    returns the layer's spike planes."""
+    returns the layer's spike planes.  The fallback of ``infer_fired`` and
+    ``infer_pooled``."""
     t_bins, c, h, w = dense_spikes.shape
     potentials = np.zeros((kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1))
     traj = np.empty((t_bins,) + potentials.shape)
@@ -404,41 +403,128 @@ def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
 
     If any test is not certified, the image goes through ``infer_image``.
     """
+    spikes = _certified_spikes(dense_spikes, kernel, cfg)
+    if spikes is None:
+        return infer_image(dense_spikes, kernel, cfg).fired
     t_bins, c, h, w = dense_spikes.shape
     maps, _, k, _ = kernel.weights.shape
-    out_w = w - k + 1
+    fired = np.zeros((maps, h - k + 1, w - k + 1), dtype=bool)
+    fired.reshape(maps, -1)[spikes[0], spikes[1]] = True
+    return fired
+
+
+def _certified_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
+    """``infer_fired``'s pass: every spike of the layer as (map, flat output
+    position, bin, potential at that bin) arrays, and delta.  The bins are
+    ``infer_image``'s and the potentials lie within delta of its.  None when
+    a decision is not certified."""
+    t_bins, c, h, w = dense_spikes.shape
+    maps, _, k, _ = kernel.weights.shape
     _, final, cmax = _count_potentials(dense_spikes, kernel.weights)
     peak = final.max(axis=0)  # per position, over maps
     delta = _rounding_bound(dense_spikes.shape, k, cmax, peak.max())
     thr = cfg.threshold
-    fired = np.zeros((maps, h - k + 1, out_w), dtype=bool)
     pos = np.flatnonzero(peak - thr >= -delta)
-    if not pos.size:
-        return fired
-    _, _, traj = _trajectories(dense_spikes, kernel.weights, pos, out_w)
-    # Every map at these positions is tested.  One that is no candidate stays
-    # below the threshold here, each of its potentials being below its final
-    # potential plus delta; should one come within delta, the image falls back.
-    if np.abs(traj - thr).min() <= delta:
-        return infer_image(dense_spikes, kernel, cfg).fired
+    traj = np.zeros((maps, 0, t_bins))
+    if pos.size:
+        _, _, traj = _trajectories(dense_spikes, kernel.weights, pos, w - k + 1)
+        # Every map at these positions is tested.  One that is no candidate
+        # stays below the threshold here, each of its potentials being below
+        # its final potential plus delta; should one come within delta, the
+        # image falls back.
+        if np.abs(traj - thr).min() <= delta:
+            return None
     above = traj > thr
-    fires = above[..., -1]  # (maps, positions)
     if not cfg.lateral_inhibition:
-        fired.reshape(maps, -1)[:, pos] = fires
-        return fired
-    hit = np.flatnonzero(fires.any(axis=0))
-    cols = np.arange(hit.size)
+        ms, ps = np.nonzero(above[..., -1])
+        at = t_bins - np.count_nonzero(above[ms, ps], axis=-1)
+        return ms, pos[ps], at, traj[ms, ps, at], delta
+    hit = np.flatnonzero(above[..., -1].any(axis=0))
     above = above[:, hit]
     earliest = above.any(axis=0).argmax(axis=-1)  # per location, its first spike's bin
     # The certified tests agree with the per-bin potentials, which never
     # decrease, so the maps above threshold in a location's earliest bin are
     # the maps that cross there
+    cols = np.arange(hit.size)
     score = np.where(above[:, cols, earliest], traj[:, hit, earliest], -np.inf)
     winners = _clear_winners(score, 2 * delta)  # against the runner-up in the same bin
     if winners is None:
-        return infer_image(dense_spikes, kernel, cfg).fired
-    fired.reshape(maps, -1)[winners[0], pos[hit]] = True
-    return fired
+        return None
+    return winners[0], pos[hit], earliest, winners[1], delta
+
+
+def infer_pooled(dense_spikes: np.ndarray, kernel: ConvKernel,
+                 cfg: InhibitionConfig) -> tuple[np.ndarray, int]:
+    """(the spikes of ``max_pool(infer_image(dense_spikes, kernel, cfg),
+    cfg.pool_lateral_inhibition)`` as (bin, map, row, col) rows in canonical
+    order, the layer's spike count), from ``infer_fired``'s pass.
+
+    Downstream code reads only each pooled spike's bin and place, never its
+    potential.  The pass has every spike's exact bin and its potential within
+    delta, so ``max_pool``'s choices need certifying only where they can move
+    a bin:
+
+    - per map and 2x2 block the highest potential passes, so every spike of
+      the block that fired in another bin than the top must trail it by more
+      than 2 delta;
+    - with ``pool_lateral_inhibition``, per pooled location the earliest bin,
+      then the highest potential, then the lowest map wins.  A block's passed
+      potential is its highest, within delta of ``max_pool``'s, so the
+      runner-up in the winner's bin must trail it by more than 2 delta.
+
+    Otherwise the image goes through ``infer_image`` and ``max_pool``.
+    """
+    t_bins, c, h, w = dense_spikes.shape
+    out_h, out_w = h - kernel.k + 1, w - kernel.k + 1
+    spikes = _certified_spikes(dense_spikes, kernel, cfg)
+    if spikes is not None:
+        events = _pool_certified(*spikes, out_w, out_h // 2, out_w // 2,
+                                 cfg.pool_lateral_inhibition)
+        if events is not None:
+            return events, spikes[0].size
+    planes = infer_image(dense_spikes, kernel, cfg)
+    pooled = max_pool(planes, cfg.pool_lateral_inhibition)
+    m, u, v = np.nonzero(pooled.fired)
+    at = pooled.first_bin[m, u, v]
+    return (np.column_stack([at, m, u, v])[np.argsort(at, kind="stable")],
+            int(np.count_nonzero(planes.fired)))
+
+
+def _pool_certified(m: np.ndarray, pos: np.ndarray, at: np.ndarray, x: np.ndarray,
+                    delta: float, out_w: int, h2: int, w2: int, pool_inhibit: bool):
+    """``infer_pooled``'s events from the layer's spikes (map, flat position,
+    bin, potential); None when a choice is not certified."""
+    gap = 2 * delta
+    u, v = np.divmod(pos, out_w)
+    keep = (u < 2 * h2) & (v < 2 * w2)  # odd sizes lose the last row/column
+    cells = h2 * w2
+    block = (m * cells + u // 2 * w2 + v // 2)[keep]
+    at, x = at[keep], x[keep]
+    order = np.lexsort((-x, block))
+    block, at, x = block[order], at[order], x[order]
+    lead = _leads(block)
+    top = np.flatnonzero(lead)[np.cumsum(lead) - 1]  # each spike's block top
+    if ((at != at[top]) & (x[top] - x <= gap)).any():
+        return None
+    block, at, x = block[lead], at[lead], x[lead]
+    if pool_inhibit:
+        order = np.lexsort((-x, at, block % cells))
+        block, at, x = block[order], at[order], x[order]
+        lead = _leads(block % cells)
+        # each location's winner against its runner-up, when both fired in one bin
+        if (lead[:-1] & ~lead[1:] & (at[1:] == at[:-1]) & (x[:-1] - x[1:] <= gap)).any():
+            return None
+        block, at = block[lead], at[lead]
+    order = np.lexsort((block, at))
+    m, loc = np.divmod(block[order], cells)
+    return np.column_stack([at[order], m, *np.divmod(loc, w2)])
+
+
+def _leads(group: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``group`` starts."""
+    lead = np.ones(group.size, dtype=bool)
+    lead[1:] = group[1:] != group[:-1]
+    return lead
 
 
 def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,

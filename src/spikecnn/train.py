@@ -16,8 +16,7 @@ import numpy as np
 from .core import (ConvKernel, InhibitionConfig, LayerState, conv_accumulate,
                    depress_map, double_learning_rates, fire_and_inhibit,
                    global_max_potential, homeostasis_gate, infer_fired,
-                   infer_image, max_pool, stdp_competition, stdp_update,
-                   train_certified)
+                   infer_pooled, stdp_competition, stdp_update, train_certified)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
                     fcn_train_epoch, init_fcn_head)
@@ -183,20 +182,12 @@ class ConvPipeline:
     cfg: InhibitionConfig
     readout: ConvKernel | None = None
 
-    def pooled(self, tensor: SpikeTensor, as_tensor: bool = False):
-        """(pooled first-layer output, first-layer spike count) for one image.
-
-        The output is ``max_pool``'s planes, or with ``as_tensor`` the same
-        spikes as a ``SpikeTensor`` with the input's bins (a second layer's
-        training input).
-        """
-        planes = infer_image(tensor.dense(), self.kernel, self.cfg)
-        pooled = max_pool(planes, self.cfg.pool_lateral_inhibition)
-        if as_tensor:
-            m, u, v = np.unravel_index(np.flatnonzero(pooled.fired), pooled.fired.shape)
-            events = np.column_stack([pooled.first_bin[m, u, v], m, u, v])
-            pooled = SpikeTensor((tensor.bins,) + pooled.fired.shape, events)
-        return pooled, np.count_nonzero(planes.fired)
+    def pooled(self, tensor: SpikeTensor) -> tuple[SpikeTensor, int]:
+        """(pooled first-layer spikes with the input's bins, first-layer
+        spike count) for one image: a second layer's input, or its features."""
+        events, n_spikes = infer_pooled(tensor.dense(), self.kernel, self.cfg)
+        h, w = (side - self.kernel.k + 1 for side in tensor.shape[2:])
+        return SpikeTensor((tensor.bins, self.kernel.maps_out, h // 2, w // 2), events), n_spikes
 
     def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
         """(feature vector, conv-layer spike count) for one image: bool
@@ -209,10 +200,11 @@ class ConvPipeline:
             h, w = fired.shape[1] // 2 * 2, fired.shape[2] // 2 * 2
             rows = fired[:, 0:h:2] | fired[:, 1:h:2]  # odd sizes lose the last row/column
             return (rows[..., 0:w:2] | rows[..., 1:w:2]).ravel(), np.count_nonzero(fired)
+        pooled, n_spikes = self.pooled(tensor)
         if self.readout is None:
-            pooled, n_spikes = self.pooled(tensor)
-            return pooled.fired.ravel(), n_spikes
-        pooled, n_spikes = self.pooled(tensor, as_tensor=True)
+            bits = np.zeros(pooled.shape[1:], dtype=bool)
+            bits[tuple(pooled.events[:, 1:].T)] = True
+            return bits.ravel(), n_spikes
         return global_max_potential(pooled.dense(), self.readout), n_spikes
 
 

@@ -10,6 +10,7 @@ real datasets are documented in the README as out-of-CI reproduction
 targets.
 """
 
+import dataclasses
 import json
 import time
 
@@ -162,6 +163,32 @@ def test_candidate_pass_rarely_falls_back(corpus, trained, monkeypatch):
         np.testing.assert_array_equal(core.infer_fired(dense, kernel, cfg),
                                       real(dense, kernel, cfg).fired)
     assert len(calls) <= 0.01 * len(images), f"{len(calls)} of {len(images)} fell back"
+
+
+@pytest.mark.parametrize("pool_lateral", [False, True])
+def test_pooled_pass_rarely_falls_back(corpus, trained, monkeypatch, pool_lateral):
+    """``core.infer_pooled`` emits the events of ``max_pool`` over
+    ``infer_image``'s planes on every test image of the corpus under the
+    trained kernel, and falls back to them on at most 5%."""
+    calls = []
+    real = core.infer_image
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "infer_image", counting)
+    kernel = trained["kernel"]
+    cfg = dataclasses.replace(trained["cfg"], pool_lateral_inhibition=pool_lateral)
+    images = corpus["enc_test"]
+    for tensor in images:
+        dense = tensor.dense()
+        pooled = core.max_pool(real(dense, kernel, cfg), pool_lateral)
+        m, u, v = np.nonzero(pooled.fired)
+        at = pooled.first_bin[m, u, v]
+        want = np.column_stack([at, m, u, v])[np.lexsort((v, u, m, at))]
+        np.testing.assert_array_equal(core.infer_pooled(dense, kernel, cfg)[0], want)
+    assert len(calls) <= 0.05 * len(images), f"{len(calls)} of {len(images)} fell back"
 
 
 def test_training_pass_rarely_falls_back(corpus, monkeypatch):

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from spikecnn.cli import _take_per_class, main, write_csv
-from spikecnn import container
+from spikecnn import container, core
 from spikecnn.config import ConfigError, load_config, validate_config
-from spikecnn.encode import (encode_dataset, load_idx_images, load_idx_labels, read_cache,
-                             write_idx_labels)
+from spikecnn.encode import (SpikeTensor, encode_dataset, load_idx_images, load_idx_labels,
+                             read_cache, write_idx_labels)
 from spikecnn.heads import import_features
-from spikecnn.train import ForgetPlan
+from spikecnn.train import ConvPipeline, ForgetPlan
 from forget_oracle import oracle_run_forgetting
 from synth_digits import write_idx_dataset
 
@@ -412,11 +412,49 @@ class TestCandidatePass:
 
         # max_pool over infer_image's planes; the name the pool pickles it by
         def features_one(pipeline, tensor):
-            pooled, n_spikes = pipeline.pooled(tensor)
-            return pooled.fired.ravel(), n_spikes
+            planes = core.infer_image(tensor.dense(), pipeline.kernel, pipeline.cfg)
+            return core.max_pool(planes).fired.ravel(), np.count_nonzero(planes.fired)
 
         monkeypatch.setattr(train.ConvPipeline, "features_one", features_one)
         assert self.features(trained_run, threads) == fast
+
+
+def per_bin_pooled(pipeline, tensor):
+    """``ConvPipeline.pooled`` through ``infer_image`` and ``max_pool``."""
+    planes = core.infer_image(tensor.dense(), pipeline.kernel, pipeline.cfg)
+    pooled = core.max_pool(planes, pipeline.cfg.pool_lateral_inhibition)
+    m, u, v = np.nonzero(pooled.fired)
+    events = np.column_stack([pooled.first_bin[m, u, v], m, u, v])
+    return SpikeTensor((tensor.bins,) + pooled.fired.shape, events), np.count_nonzero(planes.fired)
+
+
+def test_two_layer_run_matches_the_per_bin_path(tmp_path, monkeypatch):
+    """Layer 2 trains on, and its readout reads, the certified pooled pass's
+    spikes: its kernel, monitor and features keep the per-bin path's bytes."""
+    data = write_idx_dataset(tmp_path / "data", n_train=200, n_test=80, seed=41)
+
+    def run(name):
+        cfg = base_config(data, tmp_path / name, layer={}, plan={"n_images": 200},
+                          feature_mode="global_max_potential")
+        cfg_path = write_config(tmp_path / f"{name}.json", cfg)
+        for cmd in ("encode", "train", "features"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        return {f: (tmp_path / name / f).read_bytes()
+                for f in ("kernel-l4.skrn", "monitor-l4.csv", "features-train.fmat",
+                          "features-test.fmat")}
+
+    fallbacks = []
+    real = core.infer_image
+
+    def counting(*args):
+        fallbacks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(core, "infer_image", counting)
+    fast = run("pass")
+    assert len(fallbacks) < 0.1 * (200 + 280), "the pass pooled most images itself"
+    monkeypatch.setattr(ConvPipeline, "pooled", per_bin_pooled)
+    assert run("per-bin") == fast
 
 
 class TestTwoConvPipeline:
@@ -458,7 +496,7 @@ class TestTwoConvPipeline:
         for tag, maps, threshold, stream in (("l2", 12, 15.0, "init"),
                                              ("l4", 20, 10.0, "init-l4")):
             if tag == "l4":
-                inputs = [pipe.pooled(t, as_tensor=True)[0] for t in inputs]
+                inputs = [pipe.pooled(t)[0] for t in inputs]
             layer_cfg = InhibitionConfig(threshold=threshold)
             kernel = init_kernel(maps, inputs[0].channels, 5, substream(5, stream))
             monitor = train_conv_layer(plan, inputs, kernel, layer_cfg)
@@ -477,9 +515,9 @@ class TestTwoConvPipeline:
         pooled = ConvPipeline.pooled
         seen = []
 
-        def counting(self, tensor, as_tensor=False):
+        def counting(self, tensor):
             seen.append(tensor)
-            return pooled(self, tensor, as_tensor)
+            return pooled(self, tensor)
 
         monkeypatch.setattr(ConvPipeline, "pooled", counting)
         out = tmp_path / "run"

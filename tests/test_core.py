@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
                            SpikePlanes, conv_accumulate, depress_map,
@@ -161,6 +162,44 @@ class TestFireAndInhibit:
             dense = rng.random((6, 2, 16, 16)) < 0.25
             per_location = infer_image(dense, kernel, cfg).fired.sum(axis=0)
             assert per_location.max(initial=0) <= 1
+
+
+def lexsort_fire_and_inhibit(potentials, state, cfg):
+    """``fire_and_inhibit`` by a lexsort of the eligible neurons, in map
+    order, on (location, -potential): each location's first entry wins."""
+    eligible = (potentials > cfg.threshold) & ~state.fired
+    if cfg.lateral_inhibition:
+        eligible &= ~state.location_locked[None, :, :]
+    idx = np.flatnonzero(eligible)
+    if cfg.lateral_inhibition and idx.size:
+        loc = idx % state.location_locked.size
+        state.location_locked.flat[loc] = True
+        order = np.lexsort((-potentials.flat[idx], loc))
+        first = np.ones(idx.size, dtype=bool)
+        first[1:] = loc[order][1:] != loc[order][:-1]
+        idx = idx[order[first]]
+    fired_now = np.zeros_like(eligible)
+    fired_now.flat[idx] = True
+    state.fired.flat[idx] = True
+    return fired_now
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fire_and_inhibit_matches_a_lexsort_per_location(data):
+    # potentials and thresholds on a half grid: exact ties across maps, and
+    # potentials on the threshold, in most examples
+    maps, h, w = (data.draw(st.integers(1, n)) for n in (6, 4, 4))
+    cfg = InhibitionConfig(threshold=data.draw(st.sampled_from([0.5, 1.0])),
+                           lateral_inhibition=data.draw(st.booleans()))
+    got, want = fresh_state(maps, 1, h, w, h, w), fresh_state(maps, 1, h, w, h, w)
+    for _ in range(data.draw(st.integers(1, 3))):  # later calls see fired and locked neurons
+        pot = data.draw(hnp.arrays(np.float64, (maps, h, w),
+                                   elements=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])))
+        np.testing.assert_array_equal(fire_and_inhibit(pot, got, cfg),
+                                      lexsort_fire_and_inhibit(pot, want, cfg))
+        np.testing.assert_array_equal(got.fired, want.fired)
+        np.testing.assert_array_equal(got.location_locked, want.location_locked)
 
 
 class TestStdpCompetition:
@@ -430,7 +469,7 @@ class TestGlobalMaxPotential:
         pipe = ConvPipeline(init_kernel(30, 2, 5, rng), InhibitionConfig(threshold=15.0))
         readout = init_kernel(500, 30, 5, rng)
         for tensor in encode_dataset(images, threshold=30.0):
-            pooled, _ = pipe.pooled(tensor, as_tensor=True)
+            pooled, _ = pipe.pooled(tensor)
             dense = pooled.dense()
             busy = dense.reshape(dense.shape[0], -1).any(axis=1)
             assert busy.any() and not busy.all()

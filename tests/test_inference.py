@@ -4,11 +4,16 @@
 at a time and fires through ``fire_and_inhibit`` with a ``LayerState``,
 exactly as training does.  ``oracle_max_pool`` is the reference pooling over
 the full (T, M, H', W') spike record.  ``infer_image`` and ``max_pool`` must
-match them bit for bit, and so must the pipeline's pooled planes, its
-second-layer ``SpikeTensor`` and its spike-count features.  ``infer_fired``
-must return exactly ``infer_image``'s ``fired`` plane, taking ``infer_image``
-itself whenever a decision is too close to call.
+match them bit for bit, and so must the pipeline's pooled ``SpikeTensor``
+(a second layer's input) and its spike-count features.  ``infer_fired``
+must return exactly ``infer_image``'s ``fired`` plane, and ``infer_pooled``
+exactly the events of ``max_pool`` over ``infer_image``'s planes, each taking
+``infer_image`` itself whenever a decision is too close to call.
 """
+
+import contextlib
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from spikecnn import core
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
                            conv_accumulate, fire_and_inhibit, infer_fired,
-                           infer_image, init_kernel)
+                           infer_image, infer_pooled, init_kernel, max_pool)
 from spikecnn.encode import SpikeTensor
 from spikecnn.train import ConvPipeline
 
@@ -97,17 +102,16 @@ def assert_matches_oracle(dense, kernel, cfg):
     want_spikes, want_potentials = per_bin_oracle(dense, kernel, cfg)
     assert_planes_match(infer_image(dense, kernel, cfg), want_spikes, want_potentials)
 
+    want_pooled = oracle_max_pool(want_spikes, want_potentials, cfg.pool_lateral_inhibition)
+    assert_planes_match(max_pool(infer_image(dense, kernel, cfg), cfg.pool_lateral_inhibition),
+                        want_pooled, oracle_block_max(want_spikes, want_potentials))
+
     pipe = ConvPipeline(kernel, cfg)
     tensor = SpikeTensor.from_dense(dense)
-    want_pooled = oracle_max_pool(want_spikes, want_potentials, cfg.pool_lateral_inhibition)
-    pooled, n_spikes = pipe.pooled(tensor)
-    assert_planes_match(pooled, want_pooled,
-                        oracle_block_max(want_spikes, want_potentials))
-    assert n_spikes == int(want_spikes.sum())
-
-    layer2, _ = pipe.pooled(tensor, as_tensor=True)
+    layer2, n_spikes = pipe.pooled(tensor)
     assert layer2.shape == want_pooled.shape
     np.testing.assert_array_equal(layer2.events, SpikeTensor.from_dense(want_pooled).events)
+    assert n_spikes == int(want_spikes.sum())
 
     features, n_spikes = pipe.features_one(tensor)
     np.testing.assert_array_equal(features, count_spikes(want_pooled))
@@ -200,17 +204,23 @@ def test_infer_fired_with_locations_spiking_in_several_bins(lateral):
     assert len(first_bins) > 2  # crossings in several bins were decided
 
 
-@pytest.fixture
-def infer_image_calls(monkeypatch):
-    """Calls of ``core.infer_image``, the fallback of ``infer_fired``."""
+@contextlib.contextmanager
+def counting_fallbacks():
+    """Calls of ``core.infer_image``, the fallback of the candidate passes."""
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return infer_image(*args, **kwargs)
+        return infer_image(*args)
 
-    monkeypatch.setattr(core, "infer_image", counting)
-    return calls
+    with mock.patch.object(core, "infer_image", counting):
+        yield calls
+
+
+@pytest.fixture
+def infer_image_calls():
+    with counting_fallbacks() as calls:
+        yield calls
 
 
 def two_spike_case(maps):
@@ -258,3 +268,90 @@ def test_tied_maps_take_the_fallback(infer_image_calls):
     fired = infer_fired(dense, kernel, InhibitionConfig(threshold=0.75,
                                                         lateral_inhibition=False))
     assert len(infer_image_calls) == 1 and fired.all()
+
+
+def pooled_events(dense, kernel, cfg):
+    """``max_pool`` over ``infer_image``'s planes, as canonical events, and
+    the layer's spike count."""
+    planes = infer_image(dense, kernel, cfg)
+    pooled = max_pool(planes, cfg.pool_lateral_inhibition)
+    dense_pooled = np.zeros((dense.shape[0],) + pooled.fired.shape, dtype=bool)
+    m, u, v = np.nonzero(pooled.fired)
+    dense_pooled[pooled.first_bin[m, u, v], m, u, v] = True
+    return SpikeTensor.from_dense(dense_pooled).events, int(planes.fired.sum())
+
+
+def assert_pools_like_max_pool(dense, kernel, cfg, certified=None):
+    """``infer_pooled`` returns ``pooled_events`` in canonical order; with
+    ``certified`` given, it took that path.  Returns whether it was certified."""
+    want_events, want_spikes = pooled_events(dense, kernel, cfg)
+    with counting_fallbacks() as calls:
+        events, n_spikes = infer_pooled(dense, kernel, cfg)
+    np.testing.assert_array_equal(events, want_events)  # canonical order too
+    assert n_spikes == want_spikes
+    assert len(calls) <= 1
+    if certified is not None:
+        assert (not calls) == certified, "certified" if calls else "fell back"
+    return not calls
+
+
+def test_infer_pooled_matches_max_pool():
+    paths = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(layer_cases())
+    def check(case):
+        paths["certified" if assert_pools_like_max_pool(*case) else "fallback"] += 1
+
+    check()
+    assert paths["certified"] and paths["fallback"], paths
+
+
+def block_case(bins, second, threshold=0.25):
+    """One map over a 2x2 output (a single pooling block): k = 1 over two
+    input maps, weights 0.5 and ``second``.  Neuron (0, 0) reads 0.5 from map
+    0 in bin ``bins[0]``, neuron (0, 1) ``second`` from map 1 in bin
+    ``bins[1]``; each potential is one weight, exact in any order."""
+    dense = np.zeros((3, 2, 2, 2), dtype=bool)
+    dense[bins[0], 0, 0, 0] = dense[bins[1], 1, 0, 1] = True
+    return dense, ConvKernel(np.array([0.5, second]).reshape(1, 2, 1, 1)), \
+        InhibitionConfig(threshold=threshold)
+
+
+def block_delta(dense, top):
+    return core._rounding_bound(dense.shape, 1, 1, top)
+
+
+def test_block_top_tied_across_bins_takes_the_fallback():
+    assert_pools_like_max_pool(*block_case((0, 1), 0.5), certified=False)
+    # the first in row-major order passes, at its own bin
+    events, _ = infer_pooled(*block_case((1, 0), 0.5))
+    np.testing.assert_array_equal(events, [[1, 0, 0, 0]])
+
+
+def test_block_top_tied_in_one_bin_is_certified():
+    assert_pools_like_max_pool(*block_case((1, 1), 0.5), certified=True)
+
+
+@pytest.mark.parametrize("bins", [(0, 1), (1, 0)])
+def test_block_gap_is_certified_only_beyond_twice_delta(bins):
+    dense, _, _ = block_case(bins, 0.5)
+    second = 0.5
+    while second - 0.5 <= 2 * block_delta(dense, second):
+        second = np.nextafter(second, 1.0)  # the first weight clear of 2 delta
+    assert_pools_like_max_pool(*block_case(bins, second), certified=True)
+    within = 0.5 + 1.5 * block_delta(dense, second)  # beyond delta, within 2 delta
+    assert block_delta(dense, within) < within - 0.5 <= 2 * block_delta(dense, within)
+    assert_pools_like_max_pool(*block_case(bins, within), certified=False)
+
+
+@pytest.mark.parametrize("pool_lateral", [True, False])
+def test_maps_tied_at_a_pooled_location_in_one_bin(pool_lateral):
+    # map 0 reads input map 0 at neuron (0, 0), map 1 input map 1 at (1, 1):
+    # one block each, tied in bin 0
+    dense = np.zeros((2, 2, 2, 2), dtype=bool)
+    dense[0, 0, 0, 0] = dense[0, 1, 1, 1] = True
+    kernel = ConvKernel(np.array([[0.5, 0.0], [0.0, 0.5]]).reshape(2, 2, 1, 1))
+    cfg = InhibitionConfig(threshold=0.25, pool_lateral_inhibition=pool_lateral)
+    # only pool inhibition compares the two maps
+    assert_pools_like_max_pool(dense, kernel, cfg, certified=not pool_lateral)

@@ -306,7 +306,7 @@ class TestFrozenLayerIntegrity:
         save_kernel(p1, first)
         pipe = ConvPipeline(first, InhibitionConfig(threshold=10))
         tensors = random_tensors(15, rng, shape=(12, 2, 27, 27), density=0.2)
-        pooled = [pipe.pooled(t, as_tensor=True)[0] for t in tensors]
+        pooled = [pipe.pooled(t)[0] for t in tensors]
         second = init_kernel(8, 6, 5, rng)
         train_conv_layer(TrainPlan(n_images=30), pooled, second,
                          InhibitionConfig(threshold=2.0))
