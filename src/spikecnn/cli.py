@@ -87,7 +87,7 @@ def _encode_split(cfg: dict, out: Path, split: str):
             tensors.append(encode.load_aer_recording(
                 path, n_bins=enc_cfg["bins"], silent_bins=enc_cfg["silent_bins"],
                 saccade_offsets=ds.get("saccade_offsets")))
-            labels.append(int(label))
+            labels.append(label)
         labels = np.asarray(labels)
     else:
         images, labels = encode.load_idx_images(img_path, lab_path)
@@ -263,7 +263,13 @@ def cmd_eval(cfg: dict, out: Path) -> dict:
     n_classes = h["n_classes"]
     _check_labels(data.labels, n_classes, "test")
     head = heads.load_head(_require(out / f"head-{h['kind']}.skhd", "trained head"))
-    predict = heads.fcn_predict if isinstance(head, heads.FcnHead) else heads.rstdp_predict
+    if isinstance(head, heads.FcnHead):
+        predict, head_classes = heads.fcn_predict, head.n_out
+    else:
+        predict, head_classes = heads.rstdp_predict, -(-head.n_out // head.neurons_per_class)
+    if head_classes != n_classes:
+        raise ValueError(f"the trained head has {head_classes} classes, "
+                         f"head.n_classes is {n_classes}")
     pred = predict(head, data.values)
     acc = float(np.mean(pred == data.labels))
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)

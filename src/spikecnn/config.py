@@ -222,6 +222,17 @@ def validate_config(raw: dict) -> dict:
     if plan["band_low"] > plan["band_high"]:
         raise ConfigError(f"config.plan: band_low {plan['band_low']!r} must be <= "
                           f"band_high {plan['band_high']!r}")
+    ds = top["dataset"]
+    for key in ("aer_train", "aer_test"):
+        for row in ds[key] or ():
+            if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
+                    and type(row[1]) is int and 0 <= row[1] <= 255):
+                raise ConfigError(f"config.dataset.{key}: row {row!r} must be "
+                                  "[recording path, integer label in [0, 255]]")
+    for row in ds["saccade_offsets"] or ():
+        if not (isinstance(row, list) and len(row) == 3 and all(type(v) is int for v in row)):
+            raise ConfigError(f"config.dataset.saccade_offsets: row {row!r} must be three "
+                              "integers [t_start_us, dy, dx]")
     forget = top["forget"]
     if not forget["rehearsal_fractions"]:
         raise ConfigError("config.forget.rehearsal_fractions: must name at least one fraction")

@@ -11,7 +11,6 @@ gate caps how often any one map may update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +32,10 @@ class ConvKernel:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 4:
-            raise ValueError("kernel weights must be 4-D (maps_out, maps_in, k, k)")
+        shape = self.weights.shape
+        if len(shape) != 4 or min(shape) < 1 or shape[2] != shape[3]:
+            raise ValueError(f"kernel weights of shape {shape} are not (maps_out, maps_in, "
+                             "k, k) with every dimension >= 1")
         if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
             raise ValueError("kernel weights must be finite and lie in [0, 1]")
         # w += a·w(1-w) keeps w in [0, 1] only while a <= 1
@@ -191,7 +192,8 @@ def stdp_competition(fired_now: np.ndarray, potentials: np.ndarray,
     idx = idx[~state.map_updated[idx // potentials[0].size]]
     maps, rows, cols = np.unravel_index(idx, potentials.shape)
     neg = -potentials.flat[idx]
-    cand = _group_first(maps, neg)  # per map the highest potential, first in row-major order
+    order = np.lexsort((neg, maps))
+    cand = order[_leads(maps[order])]  # per map the highest potential, first in row-major order
     cand = cand[np.lexsort((maps[cand], neg[cand]))]
     span = 2 * radius
     for m, u, v in zip(maps[cand].tolist(), rows[cand].tolist(), cols[cand].tolist()):
@@ -247,52 +249,31 @@ def double_learning_rates(kernel: ConvKernel, images_seen: int,
     return kernel
 
 
-class SpikePlanes(NamedTuple):
-    """A frozen layer's output for one image, one spike at most per neuron."""
-
-    fired: np.ndarray      # (M, H, W) bool
-    first_bin: np.ndarray  # (M, H, W) int64 bin of the spike, 0 where silent
-    potential: np.ndarray  # (M, H, W) potential at the spike, 0 where silent
-
-
-def _group_first(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Positions of each group's first entry when sorted by ``keys`` (the
-    first key most significant); ties keep the input order."""
-    order = np.lexsort(keys[::-1] + (group,))
-    return order[_leads(group[order])]
-
-
-def _inhibit(loc: np.ndarray, first_bin: np.ndarray, potential: np.ndarray) -> np.ndarray:
-    """Lateral inhibition among spikes listed in map order: per location the
-    earliest bin, then the highest potential, then the lowest map wins.
-    Returns the winners' positions."""
-    return _group_first(loc, first_bin, -potential)
-
-
-def infer_image(dense_spikes: np.ndarray, kernel: ConvKernel,
-                cfg: InhibitionConfig) -> SpikePlanes:
-    """Run one image through a frozen layer (no competition, no learning),
-    firing and inhibiting exactly as ``fire_and_inhibit`` does bin by bin;
-    returns the layer's spike planes.  The fallback of ``infer_fired`` and
-    ``infer_pooled``."""
+def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
+    """Run one image through a frozen layer (no competition, no learning):
+    ``conv_accumulate`` then ``fire_and_inhibit`` bin by bin.  Returns every
+    spike of the layer as (map, flat output position, bin, potential at that
+    bin) arrays in (map, position) order.  The definition of the layer, and
+    the fallback of ``infer_fired`` and ``infer_pooled``."""
     t_bins, c, h, w = dense_spikes.shape
-    potentials = np.zeros((kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1))
-    traj = np.empty((t_bins,) + potentials.shape)
+    state = LayerState(kernel.maps_out, c, h - kernel.k + 1, w - kernel.k + 1, h, w)
+    potentials = np.zeros(state.out_shape)
+    spike_bin = np.zeros(potentials.size, dtype=np.int64)
+    spike_potential = np.zeros(potentials.size)
+    above = 0
     for t in range(t_bins):
-        traj[t] = conv_accumulate(dense_spikes[t], kernel.weights, potentials)
-    flat = traj.reshape(t_bins, -1)
-    # Potentials never decrease: each neuron above threshold fired at its first crossing
-    idx = np.flatnonzero(potentials > cfg.threshold)
-    first = (flat[:, idx] > cfg.threshold).argmax(axis=0)
-    if cfg.lateral_inhibition:
-        win = _inhibit(idx % potentials[0].size, first, flat[first, idx])
-        idx, first = idx[win], first[win]
-    out = SpikePlanes(np.zeros(potentials.shape, dtype=bool),
-                      np.zeros(potentials.shape, dtype=np.int64), np.zeros(potentials.shape))
-    out.fired.flat[idx] = True
-    out.first_bin.flat[idx] = first
-    out.potential.flat[idx] = flat[first, idx]
-    return out
+        conv_accumulate(dense_spikes[t], kernel.weights, potentials)
+        # Potentials never decrease and a fire step leaves every neuron above
+        # threshold fired or locked: no new crossing, nothing can fire.
+        now = np.count_nonzero(potentials > cfg.threshold)
+        if now == above:
+            continue
+        above = now
+        idx = np.flatnonzero(fire_and_inhibit(potentials, state, cfg))
+        spike_bin[idx] = t
+        spike_potential[idx] = potentials.flat[idx]
+    idx = np.flatnonzero(state.fired)
+    return (*np.divmod(idx, potentials[0].size), spike_bin[idx], spike_potential[idx])
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -368,8 +349,8 @@ def _clear_winners(score: np.ndarray, gap: float):
 
 def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
                 cfg: InhibitionConfig) -> np.ndarray:
-    """``infer_image(dense_spikes, kernel, cfg).fired``, without the per-bin
-    trajectory of every neuron.
+    """The layer's (maps, H', W') plane of neurons that fire in the image,
+    as ``per_bin_spikes`` finds them, without its dgemm per bin.
 
     One dgemm of the kernel against the im2col of the per-location spike
     counts (all bins summed) gives every neuron's final potential.  Only
@@ -380,7 +361,7 @@ def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
     location the earliest bin, then the highest potential, then the lowest
     map.
 
-    These potentials may differ in the last bits from ``infer_image``'s,
+    These potentials may differ in the last bits from ``per_bin_spikes``',
     which sums the same terms bin by bin in its BLAS's order, so no decision
     rests on a near miss.  Every weight lies in [0, 1] and every input count
     is >= 0, so every term of every potential is >= 0, and a floating-point
@@ -401,23 +382,23 @@ def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
     - per location, the winner and the runner-up that crossed in the same
       bin must differ by more than 2 delta.
 
-    If any test is not certified, the image goes through ``infer_image``.
+    If any test is not certified, the image goes through ``per_bin_spikes``.
     """
-    spikes = _certified_spikes(dense_spikes, kernel, cfg)
-    if spikes is None:
-        return infer_image(dense_spikes, kernel, cfg).fired
+    found = _certified_spikes(dense_spikes, kernel, cfg)
+    m, pos, _, _ = found[0] if found else per_bin_spikes(dense_spikes, kernel, cfg)
     t_bins, c, h, w = dense_spikes.shape
     maps, _, k, _ = kernel.weights.shape
     fired = np.zeros((maps, h - k + 1, w - k + 1), dtype=bool)
-    fired.reshape(maps, -1)[spikes[0], spikes[1]] = True
+    fired.reshape(maps, -1)[m, pos] = True
     return fired
 
 
 def _certified_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
-    """``infer_fired``'s pass: every spike of the layer as (map, flat output
-    position, bin, potential at that bin) arrays, and delta.  The bins are
-    ``infer_image``'s and the potentials lie within delta of its.  None when
-    a decision is not certified."""
+    """``infer_fired``'s pass: (every spike of the layer as (map, flat output
+    position, bin, potential at that bin) arrays, in position order within
+    each map, delta).  The spikes and bins are ``per_bin_spikes``' and the
+    potentials lie within delta of its.  None when a decision is not
+    certified."""
     t_bins, c, h, w = dense_spikes.shape
     maps, _, k, _ = kernel.weights.shape
     _, final, cmax = _count_potentials(dense_spikes, kernel.weights)
@@ -438,7 +419,7 @@ def _certified_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
     if not cfg.lateral_inhibition:
         ms, ps = np.nonzero(above[..., -1])
         at = t_bins - np.count_nonzero(above[ms, ps], axis=-1)
-        return ms, pos[ps], at, traj[ms, ps, at], delta
+        return (ms, pos[ps], at, traj[ms, ps, at]), delta
     hit = np.flatnonzero(above[..., -1].any(axis=0))
     above = above[:, hit]
     earliest = above.any(axis=0).argmax(axis=-1)  # per location, its first spike's bin
@@ -450,51 +431,55 @@ def _certified_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
     winners = _clear_winners(score, 2 * delta)  # against the runner-up in the same bin
     if winners is None:
         return None
-    return winners[0], pos[hit], earliest, winners[1], delta
+    return (winners[0], pos[hit], earliest, winners[1]), delta
 
 
 def infer_pooled(dense_spikes: np.ndarray, kernel: ConvKernel,
                  cfg: InhibitionConfig) -> tuple[np.ndarray, int]:
-    """(the spikes of ``max_pool(infer_image(dense_spikes, kernel, cfg),
-    cfg.pool_lateral_inhibition)`` as (bin, map, row, col) rows in canonical
-    order, the layer's spike count), from ``infer_fired``'s pass.
+    """(the layer's spikes pooled 2x2, as (bin, map, row, col) rows in
+    canonical order, the layer's spike count), from ``infer_fired``'s pass.
+
+    Per map and 2x2 block the spike of highest potential passes, at its own
+    bin; equal potentials go to the first in row-major block order, and odd
+    sizes lose the last row/column.  With ``pool_lateral_inhibition``, per
+    pooled location the earliest bin, then the highest potential, then the
+    lowest map wins.
 
     Downstream code reads only each pooled spike's bin and place, never its
     potential.  The pass has every spike's exact bin and its potential within
-    delta, so ``max_pool``'s choices need certifying only where they can move
-    a bin:
+    delta, so the pooling choices need certifying only where they can move a
+    bin:
 
-    - per map and 2x2 block the highest potential passes, so every spike of
-      the block that fired in another bin than the top must trail it by more
-      than 2 delta;
-    - with ``pool_lateral_inhibition``, per pooled location the earliest bin,
-      then the highest potential, then the lowest map wins.  A block's passed
-      potential is its highest, within delta of ``max_pool``'s, so the
-      runner-up in the winner's bin must trail it by more than 2 delta.
+    - every spike of a block that fired in another bin than the block's top
+      must trail it by more than 2 delta;
+    - with ``pool_lateral_inhibition``, the runner-up in the winner's bin at
+      a pooled location must trail it by more than 2 delta.
 
-    Otherwise the image goes through ``infer_image`` and ``max_pool``.
+    Otherwise the image goes through ``per_bin_spikes``, whose potentials are
+    exact, and the same pooling.
     """
     t_bins, c, h, w = dense_spikes.shape
-    out_h, out_w = h - kernel.k + 1, w - kernel.k + 1
-    spikes = _certified_spikes(dense_spikes, kernel, cfg)
-    if spikes is not None:
-        events = _pool_certified(*spikes, out_w, out_h // 2, out_w // 2,
-                                 cfg.pool_lateral_inhibition)
+    out_shape = (h - kernel.k + 1, w - kernel.k + 1)
+    found = _certified_spikes(dense_spikes, kernel, cfg)
+    if found is not None:
+        spikes, delta = found
+        events = _pool_spikes(spikes, 2 * delta, out_shape, cfg.pool_lateral_inhibition)
         if events is not None:
             return events, spikes[0].size
-    planes = infer_image(dense_spikes, kernel, cfg)
-    pooled = max_pool(planes, cfg.pool_lateral_inhibition)
-    m, u, v = np.nonzero(pooled.fired)
-    at = pooled.first_bin[m, u, v]
-    return (np.column_stack([at, m, u, v])[np.argsort(at, kind="stable")],
-            int(np.count_nonzero(planes.fired)))
+    spikes = per_bin_spikes(dense_spikes, kernel, cfg)
+    # no margin: the checks against -inf never fail
+    return _pool_spikes(spikes, -np.inf, out_shape, cfg.pool_lateral_inhibition), spikes[0].size
 
 
-def _pool_certified(m: np.ndarray, pos: np.ndarray, at: np.ndarray, x: np.ndarray,
-                    delta: float, out_w: int, h2: int, w2: int, pool_inhibit: bool):
+def _pool_spikes(spikes: tuple, gap: float, out_shape: tuple[int, int], pool_inhibit: bool):
     """``infer_pooled``'s events from the layer's spikes (map, flat position,
-    bin, potential); None when a choice is not certified."""
-    gap = 2 * delta
+    bin, potential), listed in position order within each map; None when a
+    choice that moves a bin rests on potentials within ``gap``.  The stable
+    sorts keep that order among equals: row-major within a block, then the
+    lowest map at a pooled location."""
+    m, pos, at, x = spikes
+    out_h, out_w = out_shape
+    h2, w2 = out_h // 2, out_w // 2
     u, v = np.divmod(pos, out_w)
     keep = (u < 2 * h2) & (v < 2 * w2)  # odd sizes lose the last row/column
     cells = h2 * w2
@@ -686,34 +671,6 @@ def _compete(spiking: list, state: LayerState, gap: float, span: int, pos: np.nd
         if won:
             return t, won
     return (spiking[-1][0] if spiking else -1), []
-
-
-def max_pool(planes: SpikePlanes, pool_lateral_inhibition: bool = False) -> SpikePlanes:
-    """2x2 non-overlapping max pooling of a layer's spike planes.
-
-    Odd map dimensions lose their last row/column.  Per map and block, at
-    most one spike passes: the one whose emitting neuron had the highest
-    membrane potential (ties resolve in row-major block order).  The passed
-    spike keeps its original time bin.  With ``pool_lateral_inhibition`` on,
-    additionally only the dominant map (earliest spike, then highest
-    potential, then lowest map index) survives at each pooled location.
-    """
-    maps, h, w = planes.fired.shape
-    h2, w2 = h // 2, w // 2
-    fired = planes.fired[:, :2 * h2, :2 * w2]
-    m, u, v = np.unravel_index(np.flatnonzero(fired), fired.shape)  # 3-D nonzero is slower
-    first_bin, potential = planes.first_bin[m, u, v], planes.potential[m, u, v]
-    loc = u // 2 * w2 + v // 2
-    win = _group_first(m * (h2 * w2) + loc, -potential)
-    if pool_lateral_inhibition:
-        win = win[_inhibit(loc[win], first_bin[win], potential[win])]
-    out = SpikePlanes(np.zeros((maps, h2, w2), dtype=bool),
-                      np.zeros((maps, h2, w2), dtype=np.int64), np.zeros((maps, h2, w2)))
-    at = (m[win], u[win] // 2, v[win] // 2)
-    out.fired[at] = True
-    out.first_bin[at] = first_bin[win]
-    out.potential[at] = potential[win]
-    return out
 
 
 def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel) -> np.ndarray:

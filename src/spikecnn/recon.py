@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
+
 
 @dataclass(frozen=True)
 class ReconFeature:
@@ -112,18 +114,14 @@ def write_pgm(path, gray: np.ndarray) -> None:
     """Binary PGM (P5, maxval 255)."""
     gray = np.asarray(gray, dtype=np.uint8)
     h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(gray.tobytes())
+    container.write(path, f"P5\n{w} {h}\n255\n".encode(), gray)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Binary PPM (P6, maxval 255)."""
     rgb = np.asarray(rgb, dtype=np.uint8)
     h, w, _ = rgb.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(rgb.tobytes())
+    container.write(path, f"P6\n{w} {h}\n255\n".encode(), rgb)
 
 
 def montage(tiles: list[np.ndarray], cols: int, pad: int = 1) -> np.ndarray:

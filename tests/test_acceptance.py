@@ -34,6 +34,7 @@ from spikecnn.train import (ConvPipeline, ForgetPlan, NoiseDemoConfig,
                             TrainPlan, convergence_factor, extract_features,
                             run_forgetting, run_noise_demo, train_conv_layer)
 from synth_digits import write_idx_dataset
+from test_inference import oracle_max_pool, per_bin_oracle
 from test_recon import brute_force_l4
 
 DOG_THRESHOLD = 30.0  # corpus-matched encoding threshold (see module docstring)
@@ -146,47 +147,46 @@ def test_criterion_3_spike_sparsity(trained):
 
 
 def test_candidate_pass_rarely_falls_back(corpus, trained, monkeypatch):
-    """``infer_fired`` matches ``infer_image`` on every test image of the
-    corpus under the trained kernel, and falls back to it on at most 1%."""
+    """``infer_fired`` matches the per-bin reference layer on every test
+    image of the corpus under the trained kernel, and falls back to
+    ``per_bin_spikes`` on at most 1%."""
     calls = []
-    real = core.infer_image
+    real = core.per_bin_spikes
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(core, "infer_image", counting)
+    monkeypatch.setattr(core, "per_bin_spikes", counting)
     kernel, cfg = trained["kernel"], trained["cfg"]
     images = corpus["enc_test"]
     for tensor in images:
         dense = tensor.dense()
         np.testing.assert_array_equal(core.infer_fired(dense, kernel, cfg),
-                                      real(dense, kernel, cfg).fired)
+                                      per_bin_oracle(dense, kernel, cfg)[0].any(axis=0))
     assert len(calls) <= 0.01 * len(images), f"{len(calls)} of {len(images)} fell back"
 
 
 @pytest.mark.parametrize("pool_lateral", [False, True])
 def test_pooled_pass_rarely_falls_back(corpus, trained, monkeypatch, pool_lateral):
-    """``core.infer_pooled`` emits the events of ``max_pool`` over
-    ``infer_image``'s planes on every test image of the corpus under the
-    trained kernel, and falls back to them on at most 5%."""
+    """``core.infer_pooled`` emits the events of the reference pooling over
+    the per-bin reference layer on every test image of the corpus under the
+    trained kernel, and falls back to ``per_bin_spikes`` on at most 5%."""
     calls = []
-    real = core.infer_image
+    real = core.per_bin_spikes
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(core, "infer_image", counting)
+    monkeypatch.setattr(core, "per_bin_spikes", counting)
     kernel = trained["kernel"]
     cfg = dataclasses.replace(trained["cfg"], pool_lateral_inhibition=pool_lateral)
     images = corpus["enc_test"]
     for tensor in images:
         dense = tensor.dense()
-        pooled = core.max_pool(real(dense, kernel, cfg), pool_lateral)
-        m, u, v = np.nonzero(pooled.fired)
-        at = pooled.first_bin[m, u, v]
-        want = np.column_stack([at, m, u, v])[np.lexsort((v, u, m, at))]
+        pooled = oracle_max_pool(*per_bin_oracle(dense, kernel, cfg), pool_lateral)
+        want = np.argwhere(pooled)  # canonical (bin, map, row, col) order
         np.testing.assert_array_equal(core.infer_pooled(dense, kernel, cfg)[0], want)
     assert len(calls) <= 0.05 * len(images), f"{len(calls)} of {len(images)} fell back"
 

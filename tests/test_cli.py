@@ -2,6 +2,7 @@
 and byte-identical replay."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from spikecnn.heads import import_features
 from spikecnn.train import ConvPipeline, ForgetPlan
 from forget_oracle import oracle_run_forgetting
 from synth_digits import write_idx_dataset
+from test_inference import oracle_max_pool, per_bin_oracle
 
 
 @pytest.fixture(scope="module")
@@ -410,22 +412,32 @@ class TestCandidatePass:
         if threads == 1:  # a pool's workers count in their own processes
             assert len(calls) == 280
 
-        # max_pool over infer_image's planes; the name the pool pickles it by
+        # the reference layer and pooling; the name the pool pickles it by
         def features_one(pipeline, tensor):
-            planes = core.infer_image(tensor.dense(), pipeline.kernel, pipeline.cfg)
-            return core.max_pool(planes).fired.ravel(), np.count_nonzero(planes.fired)
+            spikes, potentials = per_bin_oracle(tensor.dense(), pipeline.kernel, pipeline.cfg)
+            return oracle_max_pool(spikes, potentials).any(axis=0).ravel(), int(spikes.sum())
 
         monkeypatch.setattr(train.ConvPipeline, "features_one", features_one)
         assert self.features(trained_run, threads) == fast
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 5, 4), (0, 2, 5, 5)])
+def test_features_reject_an_empty_or_non_square_kernel(run_dir, tmp_path, capsys, shape):
+    out, cfg_path = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    container.write(copy / "kernel-l2.skrn", core.KERNEL_MAGIC,
+                    ("<5I2d", core.KERNEL_VERSION, *shape, 0.004, 0.003), np.full(shape, 0.5))
+    assert main(["features", "--config", cfg_path, "--out", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert f"kernel weights of shape {shape}" in err and "Traceback" not in err
+
+
 def per_bin_pooled(pipeline, tensor):
-    """``ConvPipeline.pooled`` through ``infer_image`` and ``max_pool``."""
-    planes = core.infer_image(tensor.dense(), pipeline.kernel, pipeline.cfg)
-    pooled = core.max_pool(planes, pipeline.cfg.pool_lateral_inhibition)
-    m, u, v = np.nonzero(pooled.fired)
-    events = np.column_stack([pooled.first_bin[m, u, v], m, u, v])
-    return SpikeTensor((tensor.bins,) + pooled.fired.shape, events), np.count_nonzero(planes.fired)
+    """``ConvPipeline.pooled`` through the reference layer and pooling."""
+    spikes, potentials = per_bin_oracle(tensor.dense(), pipeline.kernel, pipeline.cfg)
+    pooled = oracle_max_pool(spikes, potentials, pipeline.cfg.pool_lateral_inhibition)
+    return SpikeTensor.from_dense(pooled), int(spikes.sum())
 
 
 def test_two_layer_run_matches_the_per_bin_path(tmp_path, monkeypatch):
@@ -444,13 +456,13 @@ def test_two_layer_run_matches_the_per_bin_path(tmp_path, monkeypatch):
                           "features-test.fmat")}
 
     fallbacks = []
-    real = core.infer_image
+    real = core.per_bin_spikes
 
     def counting(*args):
         fallbacks.append(1)
         return real(*args)
 
-    monkeypatch.setattr(core, "infer_image", counting)
+    monkeypatch.setattr(core, "per_bin_spikes", counting)
     fast = run("pass")
     assert len(fallbacks) < 0.1 * (200 + 280), "the pass pooled most images itself"
     monkeypatch.setattr(ConvPipeline, "pooled", per_bin_pooled)
@@ -595,6 +607,28 @@ class TestEvalRejectsBadInput:
         assert code == 1
         assert "error" in err and "tag" in err
 
+
+    @pytest.mark.parametrize("kind", ["fcn", "rstdp"])
+    def test_head_with_more_classes_than_n_classes(self, tmp_path, capsys, kind):
+        # A 10-class head guesses class 9 on every row, beyond the 5x5
+        # confusion matrix of head.n_classes 5: eval used to raise IndexError
+        from spikecnn.heads import (FcnHead, FeatureMatrix, RstdpHead, export_features,
+                                    save_head)
+        out = tmp_path / "run"
+        out.mkdir()
+        export_features(FeatureMatrix(np.ones((3, 8)), np.array([0, 1, 4])),
+                        out / "features-test.fmat")
+        if kind == "fcn":
+            head = FcnHead(np.zeros((10, 8)), np.arange(10.0))
+        else:  # two neurons per class, class 9's weights the highest
+            weights = np.repeat(np.linspace(0.1, 0.9, 10), 2)[:, None].repeat(8, axis=1)
+            head = RstdpHead(weights, neurons_per_class=2)
+        save_head(out / f"head-{kind}.skhd", head)
+        cfg_path = write_config(tmp_path / "c.json",
+                                {"out_dir": str(out), "head": {"kind": kind, "n_classes": 5}})
+        assert main(["eval", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "head has 10 classes, head.n_classes is 5" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("cut", [8, 20])
     def test_truncated_feature_matrix(self, tmp_path, capsys, cut):
@@ -822,6 +856,34 @@ class TestConfigLoading:
                "dataset": {"aer_train": [[str(rec), 300]]}}
         assert main(["encode", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
         assert "255" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,row", [
+        ("aer_train", 5),                 # not a row
+        ("aer_test", ["rec.bin"]),        # no label
+        ("aer_train", ["rec.bin", 1, 2]),
+        ("aer_train", [5, 1]),            # would hash and close file descriptor 5
+        ("aer_train", ["rec.bin", 1.5]),  # used to be truncated to 1
+        ("aer_train", ["rec.bin", True]),
+        ("aer_train", ["rec.bin", -1]),
+        ("aer_train", ["rec.bin", 256]),
+        ("saccade_offsets", 5),
+        ("saccade_offsets", [0, 1]),
+        ("saccade_offsets", [0, 1, 1, 1]),
+        ("saccade_offsets", [0, 1.5, 1]),
+        ("saccade_offsets", [0, True, 1]),
+        ("saccade_offsets", ["0", 1, 1]),
+    ])
+    def test_malformed_aer_or_saccade_row_rejected(self, key, row):
+        with pytest.raises(ConfigError, match=f"config.dataset.{key}: row"):
+            validate_config({"dataset": {key: [row]}})
+
+    def test_aer_path_not_a_string_exits_1_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = {"out_dir": str(out), "dataset": {"aer_train": [[5, 1]]}}
+        assert main(["encode", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "aer_train" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestReconstructCommand:

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spikecnn import container, core
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
-                           SpikePlanes, conv_accumulate, depress_map,
-                           double_learning_rates, fire_and_inhibit,
-                           global_max_potential, homeostasis_gate, infer_image,
-                           init_kernel, load_kernel, max_pool, save_kernel,
+                           conv_accumulate, depress_map, double_learning_rates,
+                           fire_and_inhibit, global_max_potential, homeostasis_gate,
+                           init_kernel, load_kernel, per_bin_spikes, save_kernel,
                            stdp_competition, stdp_update)
 from spikecnn.encode import encode_dataset
 from spikecnn.train import ConvPipeline
@@ -61,6 +61,11 @@ class TestConvKernel:
             ConvKernel(np.full((1, 1, 3, 3), 0.5), a_plus=bad)
         with pytest.raises(ValueError):
             ConvKernel(np.full((1, 1, 3, 3), 0.5), a_minus=bad)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (0, 2, 5, 5), (3, 0, 5, 5), (3, 2, 0, 0)])
+    def test_rejects_empty_or_non_square_weights(self, shape):
+        with pytest.raises(ValueError, match="k, k"):
+            ConvKernel(np.full(shape, 0.5))
 
     def test_init_kernel_within_open_interval(self):
         k = init_kernel(30, 2, 5, np.random.default_rng(0))
@@ -160,8 +165,8 @@ class TestFireAndInhibit:
         kernel = init_kernel(8, 2, 5, rng)
         for _ in range(20):
             dense = rng.random((6, 2, 16, 16)) < 0.25
-            per_location = infer_image(dense, kernel, cfg).fired.sum(axis=0)
-            assert per_location.max(initial=0) <= 1
+            _, pos, _, _ = per_bin_spikes(dense, kernel, cfg)
+            assert np.bincount(pos).max(initial=0) <= 1
 
 
 def lexsort_fire_and_inhibit(potentials, state, cfg):
@@ -290,11 +295,12 @@ class TestStdpUpdate:
         assert k.weights[0, 0, 0, 0] == pytest.approx(0.5 - 0.003 * 0.25, abs=1e-12)
 
     def test_fixed_points(self):
-        k = ConvKernel(np.array([[[[0.0, 1.0]]]]), a_plus=0.1, a_minus=0.1)
-        stdp_update(k, 0, np.ones((1, 1, 2), dtype=bool))
-        np.testing.assert_array_equal(k.weights, [[[[0.0, 1.0]]]])
-        stdp_update(k, 0, np.zeros((1, 1, 2), dtype=bool))
-        np.testing.assert_array_equal(k.weights, [[[[0.0, 1.0]]]])
+        w = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)  # two input maps, k = 1
+        k = ConvKernel(w.copy(), a_plus=0.1, a_minus=0.1)
+        stdp_update(k, 0, np.ones((2, 1, 1), dtype=bool))
+        np.testing.assert_array_equal(k.weights, w)
+        stdp_update(k, 0, np.zeros((2, 1, 1), dtype=bool))
+        np.testing.assert_array_equal(k.weights, w)
 
     def test_only_winner_map_touched(self):
         rng = np.random.default_rng(5)
@@ -367,47 +373,43 @@ class TestLearningRateDoubling:
         np.testing.assert_array_equal(back.weights, k.weights)
 
 
-def spike_planes(maps, h, w, spikes=()):
-    """SpikePlanes holding the given (map, row, col, bin, potential) spikes."""
-    out = SpikePlanes(np.zeros((maps, h, w), dtype=bool),
-                      np.zeros((maps, h, w), dtype=np.int64), np.zeros((maps, h, w)))
-    for m, u, v, t, pot in spikes:
-        out.fired[m, u, v] = True
-        out.first_bin[m, u, v] = t
-        out.potential[m, u, v] = pot
-    return out
+def pool(h, w, spikes=(), pool_lateral_inhibition=False):
+    """``core._pool_spikes`` with no margin over an h x w layer's
+    (map, row, col, bin, potential) spikes: (bin, map, row, col) events."""
+    m, u, v, t, x = (np.array(col) for col in zip(*spikes)) if spikes else [np.zeros(0, int)] * 5
+    order = np.lexsort((u * w + v, m))  # the layer's (map, position) order
+    listed = (m[order], (u * w + v)[order], t[order], x[order].astype(float))
+    return core._pool_spikes(listed, -np.inf, (h, w), pool_lateral_inhibition)
 
 
 class TestMaxPool:
     def test_empty_block_no_spike(self):
-        out = max_pool(spike_planes(1, 4, 4))
-        assert not out.fired.any()
+        assert pool(4, 4).shape == (0, 4)
 
     def test_highest_potential_passes(self):
-        out = max_pool(spike_planes(1, 2, 2, [(0, 0, 0, 0, 15.7), (0, 1, 1, 2, 16.2)]))
-        assert out.fired.sum() == 1 and out.fired[0, 0, 0]
-        assert out.first_bin[0, 0, 0] == 2 and out.potential[0, 0, 0] == 16.2
+        events = pool(2, 2, [(0, 0, 0, 0, 15.7), (0, 1, 1, 2, 16.2)])
+        np.testing.assert_array_equal(events, [[2, 0, 0, 0]])
 
     def test_equal_potentials_go_to_the_first_in_row_major_order(self):
-        out = max_pool(spike_planes(1, 2, 2, [(0, 1, 0, 3, 16.0), (0, 0, 1, 1, 16.0)]))
-        assert out.first_bin[0, 0, 0] == 1
+        events = pool(2, 2, [(0, 1, 0, 3, 16.0), (0, 0, 1, 1, 16.0)])
+        np.testing.assert_array_equal(events, [[1, 0, 0, 0]])
 
     def test_odd_dimensions_trimmed(self):
-        out = max_pool(spike_planes(30, 23, 23))
-        assert all(a.shape == (30, 11, 11) for a in out)
+        edges = [(0, 22, 0, 0, 20.0), (1, 0, 22, 1, 20.0), (2, 22, 22, 2, 20.0)]
+        assert pool(23, 23, edges).shape == (0, 4)
+        events = pool(23, 23, edges + [(29, 21, 21, 3, 16.0)])
+        np.testing.assert_array_equal(events, [[3, 29, 10, 10]])
 
     def test_keeps_original_bin(self):
-        out = max_pool(spike_planes(1, 2, 2, [(0, 0, 1, 3, 20.0)]))
-        assert out.fired[0, 0, 0] and out.first_bin[0, 0, 0] == 3
+        np.testing.assert_array_equal(pool(2, 2, [(0, 0, 1, 3, 20.0)]), [[3, 0, 0, 0]])
 
     def test_pool_lateral_inhibition_one_per_location(self):
-        planes = spike_planes(3, 2, 2, [(0, 0, 0, 1, 16.0),
-                                        (1, 1, 1, 0, 15.5),   # earlier bin wins (0,0)
-                                        (2, 0, 1, 2, 17.0)])
-        out = max_pool(planes, pool_lateral_inhibition=True)
-        assert out.fired.sum(axis=0).max() == 1
-        assert out.fired[1, 0, 0] and out.first_bin[1, 0, 0] == 0
-        assert not out.first_bin[0].any() and not out.potential[0].any()  # losers go silent
+        spikes = [(0, 0, 0, 1, 16.0),
+                  (1, 1, 1, 0, 15.5),   # earlier bin wins (0,0)
+                  (2, 0, 1, 2, 17.0)]
+        # the losers go silent
+        np.testing.assert_array_equal(pool(2, 2, spikes, pool_lateral_inhibition=True),
+                                      [[0, 1, 0, 0]])
 
 
 def all_bins_global_max(dense, kernel):
@@ -493,6 +495,14 @@ class TestKernelCheckpoint:
         p = tmp_path / "bad.skrn"
         p.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            load_kernel(p)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (0, 2, 5, 5)])
+    def test_empty_or_non_square_weights(self, tmp_path, shape):
+        p = tmp_path / "k.skrn"
+        container.write(p, core.KERNEL_MAGIC, ("<5I2d", core.KERNEL_VERSION, *shape, 0.004, 0.003),
+                        np.full(shape, 0.5))
+        with pytest.raises(ValueError, match="k, k"):
             load_kernel(p)
 
     def test_truncated(self, tmp_path):

@@ -1,14 +1,14 @@
-"""Single-pass frozen-layer inference and plane pooling against oracles.
+"""Frozen-layer inference and 2x2 pooling against oracles.
 
 ``per_bin_oracle`` is the reference layer: it accumulates potentials one bin
-at a time and fires through ``fire_and_inhibit`` with a ``LayerState``,
-exactly as training does.  ``oracle_max_pool`` is the reference pooling over
-the full (T, M, H', W') spike record.  ``infer_image`` and ``max_pool`` must
-match them bit for bit, and so must the pipeline's pooled ``SpikeTensor``
-(a second layer's input) and its spike-count features.  ``infer_fired``
-must return exactly ``infer_image``'s ``fired`` plane, and ``infer_pooled``
-exactly the events of ``max_pool`` over ``infer_image``'s planes, each taking
-``infer_image`` itself whenever a decision is too close to call.
+at a time and fires through ``fire_and_inhibit`` with a ``LayerState`` in
+every bin, exactly as training does, and keeps the full (T, M, H', W') spike
+record.  ``oracle_max_pool`` is the reference pooling over that record.
+``per_bin_spikes`` and the pooling of its spikes must match them bit for
+bit, and so must the pipeline's pooled ``SpikeTensor`` (a second layer's
+input) and its spike-count features.  ``infer_fired`` and ``infer_pooled``
+must match them too, each taking ``per_bin_spikes`` whenever a decision is
+too close to call.
 """
 
 import contextlib
@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from spikecnn import core
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
                            conv_accumulate, fire_and_inhibit, infer_fired,
-                           infer_image, infer_pooled, init_kernel, max_pool)
+                           infer_pooled, init_kernel, per_bin_spikes)
 from spikecnn.encode import SpikeTensor
 from spikecnn.train import ConvPipeline
 
@@ -76,35 +76,36 @@ def oracle_max_pool(spikes, spike_potentials, pool_lateral_inhibition=False):
     return out
 
 
-def oracle_block_max(spikes, spike_potentials):
-    """Highest potential among the fired neurons of each 2x2 block."""
-    fired = spikes.any(axis=0)
-    maps, h, w = fired.shape
-    pot = np.where(fired, spike_potentials, -np.inf)[:, :h // 2 * 2, :w // 2 * 2]
-    return pot.reshape(maps, h // 2, 2, w // 2, 2).max(axis=(2, 4))
-
-
 def count_spikes(spikes):
     """Per-neuron spike count across bins, flattened map-major."""
     return spikes.sum(axis=0, dtype=np.float64).ravel()
 
 
-def assert_planes_match(planes, spikes, potentials):
-    """``planes`` hold exactly the (T, M, H', W') record ``spikes``; silent
-    neurons read bin 0 and potential 0."""
-    fired = spikes.any(axis=0)
-    np.testing.assert_array_equal(planes.fired, fired)
-    np.testing.assert_array_equal(planes.first_bin, np.where(fired, spikes.argmax(axis=0), 0))
-    np.testing.assert_array_equal(planes.potential, np.where(fired, potentials, 0.0))
+def assert_spikes_match(spikes, record, potentials):
+    """``spikes``, (map, flat position, bin, potential) arrays, list exactly
+    the (T, M, H', W') spike ``record`` in (map, position) order, each with
+    its neuron's potential in ``potentials``."""
+    t_bins, maps = record.shape[:2]
+    ms, ps = np.nonzero(record.any(axis=0).reshape(maps, -1))
+    for got, want in zip(spikes, (ms, ps, record.reshape(t_bins, maps, -1).argmax(axis=0)[ms, ps],
+                                  potentials.reshape(maps, -1)[ms, ps])):
+        np.testing.assert_array_equal(got, want)
+
+
+def fallback_pooled(dense, kernel, cfg):
+    """``infer_pooled``'s fallback: ``per_bin_spikes`` pooled with no margin."""
+    out_shape = tuple(side - kernel.k + 1 for side in dense.shape[2:])
+    return core._pool_spikes(per_bin_spikes(dense, kernel, cfg), -np.inf, out_shape,
+                             cfg.pool_lateral_inhibition)
 
 
 def assert_matches_oracle(dense, kernel, cfg):
     want_spikes, want_potentials = per_bin_oracle(dense, kernel, cfg)
-    assert_planes_match(infer_image(dense, kernel, cfg), want_spikes, want_potentials)
+    assert_spikes_match(per_bin_spikes(dense, kernel, cfg), want_spikes, want_potentials)
 
     want_pooled = oracle_max_pool(want_spikes, want_potentials, cfg.pool_lateral_inhibition)
-    assert_planes_match(max_pool(infer_image(dense, kernel, cfg), cfg.pool_lateral_inhibition),
-                        want_pooled, oracle_block_max(want_spikes, want_potentials))
+    np.testing.assert_array_equal(fallback_pooled(dense, kernel, cfg),
+                                  SpikeTensor.from_dense(want_pooled).events)
 
     pipe = ConvPipeline(kernel, cfg)
     tensor = SpikeTensor.from_dense(dense)
@@ -147,7 +148,7 @@ def layer_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(layer_cases())
-def test_infer_image_matches_per_bin_loop(case):
+def test_per_bin_spikes_matches_per_bin_loop(case):
     assert_matches_oracle(*case)
 
 
@@ -166,13 +167,17 @@ def test_reference_layer_matches_per_bin_loop(threshold, lateral, pool_lateral):
         assert_matches_oracle(dense, kernel, cfg)
 
 
+def oracle_fired(dense, kernel, cfg):
+    return per_bin_oracle(dense, kernel, cfg)[0].any(axis=0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(layer_cases())
-def test_infer_fired_matches_infer_image(case):
+def test_infer_fired_matches_per_bin_loop(case):
     dense, kernel, cfg = case
     fired = infer_fired(dense, kernel, cfg)
     assert fired.dtype == bool
-    np.testing.assert_array_equal(fired, infer_image(dense, kernel, cfg).fired)
+    np.testing.assert_array_equal(fired, oracle_fired(dense, kernel, cfg))
 
 
 # numpy hands a 1-map kernel or a 1x1 output map to gemv, not dgemm
@@ -185,7 +190,7 @@ def test_infer_fired_on_gemv_shapes(maps, k, size, lateral):
         kernel = ConvKernel(rng.random((maps, 2, k, k)))
         dense = rng.random((6, 2, size, size)) < 0.25
         np.testing.assert_array_equal(infer_fired(dense, kernel, cfg),
-                                      infer_image(dense, kernel, cfg).fired)
+                                      oracle_fired(dense, kernel, cfg))
 
 
 @pytest.mark.parametrize("lateral", [True, False])
@@ -198,27 +203,27 @@ def test_infer_fired_with_locations_spiking_in_several_bins(lateral):
         kernel = ConvKernel(rng.random((6, 2, 3, 3)))
         dense = rng.random((8, 2, 10, 10)) < 0.4
         dense[:, :, 4, 4] = True
-        want = infer_image(dense, kernel, cfg)
-        np.testing.assert_array_equal(infer_fired(dense, kernel, cfg), want.fired)
-        first_bins |= set(want.first_bin[want.fired].tolist())
+        record = per_bin_oracle(dense, kernel, cfg)[0]
+        np.testing.assert_array_equal(infer_fired(dense, kernel, cfg), record.any(axis=0))
+        first_bins |= set(np.nonzero(record)[0].tolist())
     assert len(first_bins) > 2  # crossings in several bins were decided
 
 
 @contextlib.contextmanager
 def counting_fallbacks():
-    """Calls of ``core.infer_image``, the fallback of the candidate passes."""
+    """Calls of ``core.per_bin_spikes``, the fallback of the candidate passes."""
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return infer_image(*args)
+        return per_bin_spikes(*args)
 
-    with mock.patch.object(core, "infer_image", counting):
+    with mock.patch.object(core, "per_bin_spikes", counting):
         yield calls
 
 
 @pytest.fixture
-def infer_image_calls():
+def fallback_calls():
     with counting_fallbacks() as calls:
         yield calls
 
@@ -232,56 +237,53 @@ def two_spike_case(maps):
 
 
 @pytest.mark.parametrize("lateral", [True, False])
-def test_potential_on_the_threshold_takes_the_fallback(infer_image_calls, lateral):
+def test_potential_on_the_threshold_takes_the_fallback(fallback_calls, lateral):
     dense, kernel = two_spike_case(1)
     cfg = InhibitionConfig(threshold=1.0, lateral_inhibition=lateral)
     fired = infer_fired(dense, kernel, cfg)
-    assert len(infer_image_calls) == 1
+    assert len(fallback_calls) == 1
     assert not fired.any()  # 1.0 > 1.0 is false
 
 
 @pytest.mark.parametrize("toward, fires", [(2.0, False), (0.0, True)])
-def test_potential_one_ulp_from_the_threshold_takes_the_fallback(infer_image_calls,
+def test_potential_one_ulp_from_the_threshold_takes_the_fallback(fallback_calls,
                                                                  toward, fires):
     # 1.0 is exact, but another summation order could round it to a
     # neighbour: within the rounding bound nothing is decided
     dense, kernel = two_spike_case(1)
     fired = infer_fired(dense, kernel, InhibitionConfig(threshold=np.nextafter(1.0, toward)))
-    assert len(infer_image_calls) == 1
+    assert len(fallback_calls) == 1
     assert fired.all() == fires
 
 
-def test_potential_clear_of_the_threshold_needs_no_fallback(infer_image_calls):
+def test_potential_clear_of_the_threshold_needs_no_fallback(fallback_calls):
     dense, kernel = two_spike_case(1)
     for threshold, fires in ((0.75, True), (1.25, False)):
         fired = infer_fired(dense, kernel, InhibitionConfig(threshold=threshold))
         assert fired.all() == fires
-    assert infer_image_calls == []
+    assert fallback_calls == []
 
 
-def test_tied_maps_take_the_fallback(infer_image_calls):
+def test_tied_maps_take_the_fallback(fallback_calls):
     dense, kernel = two_spike_case(3)
     fired = infer_fired(dense, kernel, InhibitionConfig(threshold=0.75))
-    assert len(infer_image_calls) == 1
+    assert len(fallback_calls) == 1
     np.testing.assert_array_equal(fired.ravel(), [True, False, False])  # the lowest map
     # without inhibition a tie decides nothing
     fired = infer_fired(dense, kernel, InhibitionConfig(threshold=0.75,
                                                         lateral_inhibition=False))
-    assert len(infer_image_calls) == 1 and fired.all()
+    assert len(fallback_calls) == 1 and fired.all()
 
 
 def pooled_events(dense, kernel, cfg):
-    """``max_pool`` over ``infer_image``'s planes, as canonical events, and
-    the layer's spike count."""
-    planes = infer_image(dense, kernel, cfg)
-    pooled = max_pool(planes, cfg.pool_lateral_inhibition)
-    dense_pooled = np.zeros((dense.shape[0],) + pooled.fired.shape, dtype=bool)
-    m, u, v = np.nonzero(pooled.fired)
-    dense_pooled[pooled.first_bin[m, u, v], m, u, v] = True
-    return SpikeTensor.from_dense(dense_pooled).events, int(planes.fired.sum())
+    """``oracle_max_pool`` over ``per_bin_oracle``'s record, as canonical
+    events, and the layer's spike count."""
+    spikes, potentials = per_bin_oracle(dense, kernel, cfg)
+    pooled = oracle_max_pool(spikes, potentials, cfg.pool_lateral_inhibition)
+    return SpikeTensor.from_dense(pooled).events, int(spikes.sum())
 
 
-def assert_pools_like_max_pool(dense, kernel, cfg, certified=None):
+def assert_pools_like_the_oracle(dense, kernel, cfg, certified=None):
     """``infer_pooled`` returns ``pooled_events`` in canonical order; with
     ``certified`` given, it took that path.  Returns whether it was certified."""
     want_events, want_spikes = pooled_events(dense, kernel, cfg)
@@ -295,13 +297,13 @@ def assert_pools_like_max_pool(dense, kernel, cfg, certified=None):
     return not calls
 
 
-def test_infer_pooled_matches_max_pool():
+def test_infer_pooled_matches_the_oracle_pool():
     paths = Counter()
 
     @settings(max_examples=300, deadline=None)
     @given(layer_cases())
     def check(case):
-        paths["certified" if assert_pools_like_max_pool(*case) else "fallback"] += 1
+        paths["certified" if assert_pools_like_the_oracle(*case) else "fallback"] += 1
 
     check()
     assert paths["certified"] and paths["fallback"], paths
@@ -323,14 +325,14 @@ def block_delta(dense, top):
 
 
 def test_block_top_tied_across_bins_takes_the_fallback():
-    assert_pools_like_max_pool(*block_case((0, 1), 0.5), certified=False)
+    assert_pools_like_the_oracle(*block_case((0, 1), 0.5), certified=False)
     # the first in row-major order passes, at its own bin
     events, _ = infer_pooled(*block_case((1, 0), 0.5))
     np.testing.assert_array_equal(events, [[1, 0, 0, 0]])
 
 
 def test_block_top_tied_in_one_bin_is_certified():
-    assert_pools_like_max_pool(*block_case((1, 1), 0.5), certified=True)
+    assert_pools_like_the_oracle(*block_case((1, 1), 0.5), certified=True)
 
 
 @pytest.mark.parametrize("bins", [(0, 1), (1, 0)])
@@ -339,10 +341,10 @@ def test_block_gap_is_certified_only_beyond_twice_delta(bins):
     second = 0.5
     while second - 0.5 <= 2 * block_delta(dense, second):
         second = np.nextafter(second, 1.0)  # the first weight clear of 2 delta
-    assert_pools_like_max_pool(*block_case(bins, second), certified=True)
+    assert_pools_like_the_oracle(*block_case(bins, second), certified=True)
     within = 0.5 + 1.5 * block_delta(dense, second)  # beyond delta, within 2 delta
     assert block_delta(dense, within) < within - 0.5 <= 2 * block_delta(dense, within)
-    assert_pools_like_max_pool(*block_case(bins, within), certified=False)
+    assert_pools_like_the_oracle(*block_case(bins, within), certified=False)
 
 
 @pytest.mark.parametrize("pool_lateral", [True, False])
@@ -354,4 +356,4 @@ def test_maps_tied_at_a_pooled_location_in_one_bin(pool_lateral):
     kernel = ConvKernel(np.array([[0.5, 0.0], [0.0, 0.5]]).reshape(2, 2, 1, 1))
     cfg = InhibitionConfig(threshold=0.25, pool_lateral_inhibition=pool_lateral)
     # only pool inhibition compares the two maps
-    assert_pools_like_max_pool(dense, kernel, cfg, certified=not pool_lateral)
+    assert_pools_like_the_oracle(dense, kernel, cfg, certified=not pool_lateral)

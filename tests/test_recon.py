@@ -165,14 +165,12 @@ class TestRendering:
         pgm = tmp_path / "x.pgm"
         write_pgm(pgm, g)
         raw = pgm.read_bytes()
-        assert raw.startswith(b"P5\n4 3\n255\n")
-        assert len(raw) == len(b"P5\n4 3\n255\n") + 12
+        assert raw == b"P5\n4 3\n255\n" + bytes(range(0, 240, 20))
         rgb = np.stack([g, g, g], axis=-1)
         ppm = tmp_path / "x.ppm"
         write_ppm(ppm, rgb)
         raw = ppm.read_bytes()
-        assert raw.startswith(b"P6\n4 3\n255\n")
-        assert len(raw) == len(b"P6\n4 3\n255\n") + 36
+        assert raw == b"P6\n4 3\n255\n" + bytes(v for v in range(0, 240, 20) for _ in range(3))
 
     def test_montage_grid(self):
         tiles = [np.full((5, 5), i, dtype=np.uint8) for i in range(7)]
