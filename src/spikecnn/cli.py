@@ -167,7 +167,12 @@ def cmd_train(cfg: dict, out: Path) -> dict:
     maps_in = inputs[0].channels
     for n, (section, tag, stream) in enumerate(_stack(cfg)):
         if n:  # trains on the frozen previous layer's pooled spikes, only those it reads
-            inputs = [previous.pooled(t)[0] for t in inputs[:plan.n_images]]
+            pooled = [previous.pooled(t) for t in inputs[:plan.n_images]]
+            inputs = [tensor for tensor, _ in pooled]
+            if pooled:  # features reads them back instead of pooling these images again
+                artifacts["pooled_train"] = _pooled_path(cfg, out)
+                encode.write_pooled(artifacts["pooled_train"], inputs,
+                                    [n_spikes for _, n_spikes in pooled])
         layer_cfg = _layer_cfg(cfg[section])
         kernel = _init_kernel(cfg[section], maps_in, substream(cfg["seed"], stream))
         maps_in = kernel.maps_out
@@ -190,11 +195,31 @@ def _pipeline(cfg: dict, out: Path) -> train.ConvPipeline:
     return train.ConvPipeline(kernels[0], _layer_cfg(cfg["layer"]), *kernels[1:])
 
 
+def _pooled_path(cfg: dict, out: Path) -> Path:
+    """Where ``train`` keeps layer 2's input, the pooled layer-1 spikes of
+    the train images it trains on.  The name hashes all they depend on: the
+    train split's encode key, the layer-1 kernel's bytes and the layer
+    section."""
+    key = config_hash({"encoded": _split_key(cfg, "train"),
+                       "kernel": file_sha256(out / "kernel-l2.skrn"),
+                       "layer": cfg["layer"]})
+    return out / f"pooled-train-{key}.spkt"
+
+
 def _split_features(cfg: dict, out: Path, pipeline: train.ConvPipeline, split: str):
-    """(FeatureMatrix, mean conv spikes per image) of one encoded split."""
+    """(FeatureMatrix, mean conv spikes per image) of one encoded split.  On
+    a two-layer stack, the train images that ``train`` pooled for layer 2
+    take those spikes and skip layer 1."""
     cache, labels_file = _encoded_paths(cfg, out, split)
-    return train.extract_features(pipeline, encode.read_cache(cache),
-                                  encode.load_idx_labels(labels_file), threads=cfg["threads"])
+    tensors = encode.read_cache(cache)
+    pooled = []
+    if split == "train" and pipeline.readout is not None:
+        path = _pooled_path(cfg, out)
+        if path.exists():
+            pooled = encode.read_pooled(path, pipeline.pooled_shape(tensors[0].shape),
+                                        len(tensors))
+    return train.extract_features(pipeline, tensors, encode.load_idx_labels(labels_file),
+                                  threads=cfg["threads"], pooled=pooled)
 
 
 def cmd_features(cfg: dict, out: Path) -> dict:
@@ -437,7 +462,7 @@ def main(argv=None) -> int:
                 raise RuntimeError(f"artifact {name} missing after run: {path}")
         print(f"{args.command}: wrote {len(result['artifacts'])} artifact(s) to {out}")
         return 0
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"spikecnn {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,6 +114,47 @@ class LayerState:
         self.reset_image()
 
 
+def _check_input(shape: tuple, weights: np.ndarray) -> None:
+    """Refuse a (..., c, H, W) input that a (maps, c', k, k) kernel cannot read."""
+    *_, c, h, w = shape
+    _, maps_in, k, _ = weights.shape
+    if c != maps_in:
+        raise ValueError(f"spike channels {c} != kernel maps_in {maps_in}")
+    if k > h or k > w:
+        raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
+
+
+def busy_bins(dense_spikes: np.ndarray, first: bool = False) -> np.ndarray:
+    """The bins of a (T, ...) spike array that hold a spike, in order, and
+    bin 0 too when ``first``."""
+    busy = dense_spikes.reshape(dense_spikes.shape[0], -1).any(axis=1)
+    busy[:1] |= first
+    return np.flatnonzero(busy)
+
+
+def _spiking_rows(spikes_bin: np.ndarray, k: int):
+    """(flat indices of the im2col rows (c, dy, dx) of one (c, H, W) bin whose
+    k x k window holds a spike, those rows as a float64 (rows, H'W') matrix),
+    or None for a silent bin."""
+    c = spikes_bin.shape[0]
+    active = np.flatnonzero(spikes_bin.reshape(c, -1).any(axis=1))
+    if not active.size:
+        return None
+    # A silent map's rows are all silent, so only the spiking maps are
+    # windowed: win[(a, dy, dx), (u, v)] = spikes_bin[active[a], u + dy, v + dx].
+    # Over a C-ordered copy a plain ndarray view is safe, and cheaper than
+    # as_strided.
+    spiking = np.ascontiguousarray(spikes_bin[active])
+    _, h, w = spiking.shape
+    sc, sh, sw = spiking.strides
+    win = np.ndarray((active.size, k, k, h - k + 1, w - k + 1), spiking.dtype, spiking, 0,
+                     (sc, sh, sw, sh, sw)).reshape(active.size * k * k, -1)
+    held = win.any(axis=1)
+    hit = np.zeros((c, k * k), dtype=bool)
+    hit[active] = held.reshape(active.size, k * k)
+    return np.flatnonzero(hit), win[held].astype(np.float64, copy=False)
+
+
 def conv_accumulate(spikes_bin: np.ndarray, weights: np.ndarray,
                     potentials: np.ndarray) -> np.ndarray:
     """Add one bin's valid-mode correlation response into the potentials.
@@ -125,31 +166,16 @@ def conv_accumulate(spikes_bin: np.ndarray, weights: np.ndarray,
     them) against those rows.  A silent row adds exact zeros, but the BLAS
     may round the shorter product differently from the all-rows one.
     """
-    maps_out, maps_in, k, _ = weights.shape
-    c, h, w = spikes_bin.shape
-    if c != maps_in:
-        raise ValueError(f"spike channels {c} != kernel maps_in {maps_in}")
-    if k > h or k > w:
-        raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
+    _check_input(spikes_bin.shape, weights)
+    maps_out, _, k, _ = weights.shape
+    _, h, w = spikes_bin.shape
     expect = (maps_out, h - k + 1, w - k + 1)
     if potentials.shape != expect:
         raise ValueError(f"potentials shape {potentials.shape} != {expect}")
-    active = np.flatnonzero(spikes_bin.reshape(c, -1).any(axis=1))
-    if not active.size:
-        return potentials
-    # A silent map's rows are all silent, so only the spiking maps are
-    # windowed: win[(a, dy, dx), (u, v)] = spikes_bin[active[a], u + dy, v + dx].
-    # Over a C-ordered copy a plain ndarray view is safe, and cheaper than
-    # as_strided.
-    spiking = np.ascontiguousarray(spikes_bin[active])
-    sc, sh, sw = spiking.strides
-    win = np.ndarray((active.size, k, k, *expect[1:]), spiking.dtype, spiking, 0,
-                     (sc, sh, sw, sh, sw)).reshape(active.size * k * k, -1)
-    held = win.any(axis=1)
-    hit = np.zeros((c, k * k), dtype=bool)
-    hit[active] = held.reshape(active.size, k * k)
-    wm = weights.reshape(maps_out, -1)[:, np.flatnonzero(hit)]
-    potentials += np.dot(wm, win[held].astype(np.float64, copy=False)).reshape(expect)
+    found = _spiking_rows(spikes_bin, k)
+    if found is not None:
+        rows, cols = found
+        potentials += np.dot(weights.reshape(maps_out, -1)[:, rows], cols).reshape(expect)
     return potentials
 
 
@@ -255,13 +281,16 @@ def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibition
     spike of the layer as (map, flat output position, bin, potential at that
     bin) arrays in (map, position) order.  The definition of the layer, and
     the fallback of ``infer_fired`` and ``infer_pooled``."""
-    t_bins, c, h, w = dense_spikes.shape
+    _, c, h, w = dense_spikes.shape
     state = LayerState(kernel.maps_out, c, h - kernel.k + 1, w - kernel.k + 1, h, w)
     potentials = np.zeros(state.out_shape)
     spike_bin = np.zeros(potentials.size, dtype=np.int64)
     spike_potential = np.zeros(potentials.size)
     above = 0
-    for t in range(t_bins):
+    # A silent bin adds nothing to the potentials, so it crosses nothing new,
+    # except that the first fire step fires at potential 0 below a negative
+    # threshold
+    for t in busy_bins(dense_spikes, first=cfg.threshold < 0):
         conv_accumulate(dense_spikes[t], kernel.weights, potentials)
         # Potentials never decrease and a fire step leaves every neuron above
         # threshold fired or locked: no new crossing, nothing can fire.
@@ -278,7 +307,7 @@ def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibition
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
     """k x k windows of a C-ordered (c, h, w, *rest) array: the view
-    win[c, dy, dx, u, v, ...] = x[c, u + dy, v + dx, ...].  ``conv_accumulate``
+    win[c, dy, dx, u, v, ...] = x[c, u + dy, v + dx, ...].  ``_spiking_rows``
     builds the same view inline: it runs for every busy bin of training,
     where this call would add about 1 us to its ~70."""
     c, h, w, *rest = x.shape
@@ -291,12 +320,9 @@ def _count_potentials(dense_spikes: np.ndarray, weights: np.ndarray):
     """(im2col of the per-location spike counts summed over all bins, every
     neuron's final potential as a (maps, positions) dgemm of the two, the
     most spikes at one input location)."""
-    t_bins, c, h, w = dense_spikes.shape
-    maps, maps_in, k, _ = weights.shape
-    if c != maps_in:
-        raise ValueError(f"spike channels {c} != kernel maps_in {maps_in}")
-    if k > h or k > w:
-        raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
+    _check_input(dense_spikes.shape, weights)
+    c = dense_spikes.shape[1]
+    maps, _, k, _ = weights.shape
     counts = dense_spikes.sum(axis=0, dtype=np.float64)
     cols = _windows(counts, k).reshape(c * k * k, -1)
     return cols, np.dot(weights.reshape(maps, -1), cols), counts.max(initial=0)
@@ -673,21 +699,32 @@ def _compete(spiking: list, state: LayerState, gap: float, span: int, pos: np.nd
     return (spiking[-1][0] if spiking else -1), []
 
 
-def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel) -> np.ndarray:
+def readout_columns(kernel: ConvKernel) -> np.ndarray:
+    """The kernel's weights as a C-ordered (c k^2, maps) matrix: row r is
+    the weight column W[:, r], so ``WT[rows].T`` is a contiguous gather with
+    the layout and strides of ``W[:, rows]``."""
+    return np.ascontiguousarray(kernel.weights.reshape(kernel.maps_out, -1).T)
+
+
+def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel,
+                         columns: np.ndarray | None = None) -> np.ndarray:
     """Per-bin fresh response, per-map spatial max, summed across bins.
 
     Yields one real value per output map; the layer's potentials are reset
     between bins rather than accumulated.  A silent bin's maxima are all 0.0
     and adding them is exact, so only bins that hold a spike are visited.
+    Each bin's maxima come straight from its dgemm, ``conv_accumulate``'s
+    own call: every term is >= 0, so the response holds no -0 and equals the
+    response added to fresh zeros.  ``columns`` is ``readout_columns(kernel)``,
+    which a frozen readout makes once.
     """
-    t_bins, c, h, w = dense_spikes.shape
-    out_h, out_w = h - kernel.k + 1, w - kernel.k + 1
+    _check_input(dense_spikes.shape, kernel.weights)
+    if columns is None:
+        columns = readout_columns(kernel)
     total = np.zeros(kernel.maps_out)
-    potentials = np.zeros((kernel.maps_out, out_h, out_w))
-    for t in np.flatnonzero(dense_spikes.reshape(t_bins, -1).any(axis=1)):
-        potentials[:] = 0.0
-        conv_accumulate(dense_spikes[t], kernel.weights, potentials)
-        total += potentials.max(axis=(1, 2))
+    for t in busy_bins(dense_spikes):
+        rows, cols = _spiking_rows(dense_spikes[t], kernel.k)
+        total += np.dot(columns[rows].T, cols).max(axis=1)
     return total
 
 

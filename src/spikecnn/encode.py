@@ -28,6 +28,7 @@ IDX_LABEL_MAGIC = b"\x00\x00\x08\x01"
 
 CACHE_MAGIC = b"SPKT"
 CACHE_VERSION = 1
+POOLED_MAGIC = b"SPKP"  # a spike cache plus per-image spike counts
 
 ON, OFF = 0, 1
 
@@ -273,29 +274,68 @@ def load_aer_recording(path, n_bins: int, silent_bins: int = DEFAULT_SILENT_BINS
     return SpikeTensor(shape, quads.astype(np.uint8))
 
 
-def write_cache(path, tensors) -> None:
-    """Write an encoded dataset cache (magic SPKT, little-endian header)."""
+def _cache_parts(tensors) -> list:
+    """The SPKT header and per-tensor parts of a spike cache."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("cannot write an empty cache")
     shape = tensors[0].shape
     if any(t.shape != shape for t in tensors):
         raise ValueError("all cached tensors must share one shape")
-    container.write(path, CACHE_MAGIC, ("<6I", CACHE_VERSION, *shape, len(tensors)),
-                    *(part for t in tensors for part in (container.varint(t.n_events), t.events)))
+    return [("<6I", CACHE_VERSION, *shape, len(tensors)),
+            *(part for t in tensors for part in (container.varint(t.n_events), t.events))]
 
 
-def read_cache(path) -> list[SpikeTensor]:
-    r = container.Reader(path, CACHE_MAGIC, "spike cache")
+def _read_tensors(r: container.Reader) -> list[SpikeTensor]:
     version, *shape, count = r.unpack("<6I")
     if version != CACHE_VERSION:
         raise ValueError(f"unsupported cache version {version}")
     if count == 0:
         raise ValueError("spike cache is empty")
     shape = tuple(shape)
-    out = [SpikeTensor(shape, r.array(np.uint8, r.varint(), 4).copy()) for _ in range(count)]
+    return [SpikeTensor(shape, r.array(np.uint8, r.varint(), 4).copy()) for _ in range(count)]
+
+
+def write_cache(path, tensors) -> None:
+    """Write an encoded dataset cache (magic SPKT, little-endian header)."""
+    container.write(path, CACHE_MAGIC, *_cache_parts(tensors))
+
+
+def read_cache(path) -> list[SpikeTensor]:
+    r = container.Reader(path, CACHE_MAGIC, "spike cache")
+    out = _read_tensors(r)
     r.done()
     return out
+
+
+def write_pooled(path, tensors, spike_counts) -> None:
+    """Write a frozen layer's pooled spikes of the first images of a split
+    and, per image, the layer's spike count before pooling: magic SPKP, the
+    spike cache's header and tensor parts, then the counts as little-endian
+    int64."""
+    tensors = list(tensors)
+    counts = np.asarray(spike_counts, dtype="<i8")
+    if counts.shape != (len(tensors),):
+        raise ValueError(f"{counts.size} spike counts for {len(tensors)} pooled tensors")
+    container.write(path, POOLED_MAGIC, *_cache_parts(tensors), counts)
+
+
+def read_pooled(path, shape: tuple, limit: int) -> list[tuple[SpikeTensor, int]]:
+    """(pooled tensor, spike count) pairs of a ``write_pooled`` file, which
+    must hold tensors of ``shape``, at most ``limit`` of them."""
+    r = container.Reader(path, POOLED_MAGIC, "pooled spike cache")
+    tensors = _read_tensors(r)
+    counts = r.array("<i8", len(tensors))
+    r.done()
+    if tensors[0].shape != tuple(shape):
+        raise ValueError(f"pooled spike cache holds tensors of shape {tensors[0].shape}, "
+                         f"not {tuple(shape)}")
+    if len(tensors) > limit:
+        raise ValueError(f"pooled spike cache holds {len(tensors)} images, "
+                         f"the split {limit}")
+    if (counts < 0).any():
+        raise ValueError("pooled spike cache holds a negative spike count")
+    return list(zip(tensors, counts.tolist()))
 
 
 def encode_dataset(images: np.ndarray, threshold: float = DEFAULT_DOG_THRESHOLD,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -13,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConvKernel, InhibitionConfig, LayerState, conv_accumulate,
+from .core import (ConvKernel, InhibitionConfig, LayerState, busy_bins, conv_accumulate,
                    depress_map, double_learning_rates, fire_and_inhibit,
                    global_max_potential, homeostasis_gate, infer_fired,
-                   infer_pooled, stdp_competition, stdp_update, train_certified)
+                   infer_pooled, readout_columns, stdp_competition, stdp_update,
+                   train_certified)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
                     fcn_train_epoch, init_fcn_head)
@@ -85,13 +87,15 @@ def train_image(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
 
 def _train_image_per_bin(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
                          state: LayerState) -> int:
-    """``train_image`` one bin at a time: accumulate, fire, compete, update."""
-    t_bins = dense.shape[0]
+    """``train_image`` one bin at a time: accumulate, fire, compete, update.
+    A silent bin adds nothing to ``input_cum`` or the potentials, so only
+    busy bins are visited, and bin 0, whose fire step fires at potential 0
+    below a negative threshold."""
     state.begin_image()
     potentials = np.zeros(state.out_shape)
     k = kernel.k
     n_spikes = above = 0
-    for t in range(t_bins):
+    for t in busy_bins(dense, first=cfg.threshold < 0):
         state.input_cum |= dense[t]
         conv_accumulate(dense[t], kernel.weights, potentials)
         # Potentials never decrease and a fire step leaves every neuron above
@@ -182,12 +186,21 @@ class ConvPipeline:
     cfg: InhibitionConfig
     readout: ConvKernel | None = None
 
+    def pooled_shape(self, input_shape: tuple) -> tuple[int, int, int, int]:
+        """The shape of ``pooled``'s tensors for input of ``input_shape``."""
+        t_bins, _, h, w = input_shape
+        k = self.kernel.k
+        return t_bins, self.kernel.maps_out, (h - k + 1) // 2, (w - k + 1) // 2
+
     def pooled(self, tensor: SpikeTensor) -> tuple[SpikeTensor, int]:
         """(pooled first-layer spikes with the input's bins, first-layer
         spike count) for one image: a second layer's input, or its features."""
         events, n_spikes = infer_pooled(tensor.dense(), self.kernel, self.cfg)
-        h, w = (side - self.kernel.k + 1 for side in tensor.shape[2:])
-        return SpikeTensor((tensor.bins, self.kernel.maps_out, h // 2, w // 2), events), n_spikes
+        return SpikeTensor(self.pooled_shape(tensor.shape), events), n_spikes
+
+    @functools.cached_property
+    def _readout_columns(self) -> np.ndarray:
+        return readout_columns(self.readout)
 
     def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
         """(feature vector, conv-layer spike count) for one image: bool
@@ -200,12 +213,20 @@ class ConvPipeline:
             h, w = fired.shape[1] // 2 * 2, fired.shape[2] // 2 * 2
             rows = fired[:, 0:h:2] | fired[:, 1:h:2]  # odd sizes lose the last row/column
             return (rows[..., 0:w:2] | rows[..., 1:w:2]).ravel(), np.count_nonzero(fired)
-        pooled, n_spikes = self.pooled(tensor)
+        return self.features_pooled(*self.pooled(tensor))
+
+    def features_pooled(self, pooled: SpikeTensor, n_spikes: int) -> tuple[np.ndarray, int]:
+        """``features_one`` of an image whose ``pooled`` result is known."""
         if self.readout is None:
             bits = np.zeros(pooled.shape[1:], dtype=bool)
             bits[tuple(pooled.events[:, 1:].T)] = True
             return bits.ravel(), n_spikes
-        return global_max_potential(pooled.dense(), self.readout), n_spikes
+        return global_max_potential(pooled.dense(), self.readout, self._readout_columns), n_spikes
+
+    def _row(self, item: tuple[SpikeTensor, tuple[SpikeTensor, int] | None]):
+        """``extract_features``' row of one (image, its ``pooled`` result or None)."""
+        tensor, pooled = item
+        return self.features_one(tensor) if pooled is None else self.features_pooled(*pooled)
 
 
 def _usable_cpus() -> int:
@@ -216,26 +237,32 @@ def _usable_cpus() -> int:
 
 
 def extract_features(pipeline: ConvPipeline, tensors: list[SpikeTensor],
-                     labels: np.ndarray | None = None, threads: int = 1):
+                     labels: np.ndarray | None = None, threads: int = 1,
+                     pooled: list[tuple[SpikeTensor, int]] = ()):
     """Run every image through the frozen stack; row order = input order.
 
-    Returns (FeatureMatrix, mean conv spikes per image).  With more than one
-    worker, images are farmed out to a process pool in one contiguous chunk
-    per worker; results are identical to the serial path because each image
-    is processed independently.  The pool starts every worker up front, so
-    it gets at most min(``threads``, images, usable CPUs) of them.
+    Returns (FeatureMatrix, mean conv spikes per image).  ``pooled`` holds
+    ``pipeline.pooled``'s result for the first images, which then skip the
+    first layer.  With more than one worker, images are farmed out to a
+    process pool in one contiguous chunk per worker; results are identical
+    to the serial path because each image is processed independently.  The
+    pool starts every worker up front, so it gets at most min(``threads``,
+    images, usable CPUs) of them.
     """
     n = len(tensors)
     if n == 0:
         raise ValueError("no images to extract features from")
+    if len(pooled) > n:
+        raise ValueError(f"pooled results for {len(pooled)} of {n} images")
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
+    items = list(zip(tensors, [*pooled, *[None] * (n - len(pooled))]))
     workers = min(threads, n, _usable_cpus())
     values, spikes = None, np.empty(n)
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         # either way rows arrive in input order and go straight into the matrix
-        rows = (pool.map(pipeline.features_one, tensors, chunksize=math.ceil(n / workers))
-                if pool else map(pipeline.features_one, tensors))
+        rows = (pool.map(pipeline._row, items, chunksize=math.ceil(n / workers))
+                if pool else map(pipeline._row, items))
         for i, (vec, n_spikes) in enumerate(rows):
             if values is None:
                 values = np.empty((n, vec.size), dtype=vec.dtype)

@@ -12,7 +12,7 @@ from spikecnn.cli import _take_per_class, main, write_csv
 from spikecnn import container, core
 from spikecnn.config import ConfigError, load_config, validate_config
 from spikecnn.encode import (SpikeTensor, encode_dataset, load_idx_images, load_idx_labels,
-                             read_cache, write_idx_labels)
+                             read_cache, read_pooled, write_idx_labels, write_pooled)
 from spikecnn.heads import import_features
 from spikecnn.train import ConvPipeline, ForgetPlan
 from forget_oracle import oracle_run_forgetting
@@ -442,7 +442,9 @@ def per_bin_pooled(pipeline, tensor):
 
 def test_two_layer_run_matches_the_per_bin_path(tmp_path, monkeypatch):
     """Layer 2 trains on, and its readout reads, the certified pooled pass's
-    spikes: its kernel, monitor and features keep the per-bin path's bytes."""
+    spikes: its kernel, monitor and features keep the per-bin path's bytes.
+    The train split's features read the spikes ``train`` pooled and kept, so
+    ``features`` pools only the test split."""
     data = write_idx_dataset(tmp_path / "data", n_train=200, n_test=80, seed=41)
 
     def run(name):
@@ -464,7 +466,7 @@ def test_two_layer_run_matches_the_per_bin_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "per_bin_spikes", counting)
     fast = run("pass")
-    assert len(fallbacks) < 0.1 * (200 + 280), "the pass pooled most images itself"
+    assert len(fallbacks) < 0.1 * (200 + 80), "the pass pooled most images itself"
     monkeypatch.setattr(ConvPipeline, "pooled", per_bin_pooled)
     assert run("per-bin") == fast
 
@@ -553,6 +555,139 @@ class TestTwoConvPipeline:
         assert main(["train", "--config", bogus]) == 1
         assert "feature_mode" in capsys.readouterr().err
         assert not list(out.glob("kernel-*.skrn"))
+
+
+class TestPooledTrainCache:
+    """``train`` keeps layer 2's input, and ``features`` reads it for the
+    train images it covers instead of running layer 1 on them again."""
+
+    FILES = ("features-train.fmat", "features-test.fmat", "features-stats.csv")
+
+    def trained(self, dataset, tmp_path, n_images=120, **layer):
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, feature_mode="global_max_potential",
+                          layer={"maps": 12, **layer},
+                          plan={"n_images": n_images, "monitor_stride": 40})
+        cfg["layer2"] = {"maps": 20, "threshold": 10.0}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        return out, cfg, cfg_path
+
+    def features(self, cfg_path, out):
+        assert main(["features", "--config", cfg_path, "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in self.FILES}
+
+    def without_cache(self, out, cfg_path, tmp_path):
+        """``features`` in a copy of ``out`` whose pooled caches are deleted."""
+        copy = tmp_path / "no-cache"
+        shutil.copytree(out, copy)
+        for path in copy.glob("pooled-train-*.spkt"):
+            path.unlink()
+        return self.features(cfg_path, copy)
+
+    def count_pooled(self, monkeypatch):
+        seen = []
+        real = ConvPipeline.pooled
+
+        def counting(self, tensor):
+            seen.append(tensor)
+            return real(self, tensor)
+
+        monkeypatch.setattr(ConvPipeline, "pooled", counting)
+        return seen
+
+    @pytest.mark.parametrize("n_images,layer", [(120, {}), (50, {}),
+                                                (120, {"pool_lateral_inhibition": True})])
+    def test_cached_features_keep_the_bytes(self, dataset, tmp_path, n_images, layer):
+        out, _, cfg_path = self.trained(dataset, tmp_path, n_images, **layer)
+        caches = list(out.glob("pooled-train-*.spkt"))
+        assert len(caches) == 1
+        manifest = json.loads((out / "manifest-train.json").read_text())
+        assert Path(manifest["artifact_paths"]["pooled_train"]) == caches[0]
+        assert self.features(cfg_path, out) == self.without_cache(out, cfg_path, tmp_path)
+
+    @pytest.mark.parametrize("n_images", [120, 50])
+    def test_layer1_skipped_for_cached_images(self, dataset, tmp_path, monkeypatch, n_images):
+        out, _, cfg_path = self.trained(dataset, tmp_path, n_images)
+        seen = self.count_pooled(monkeypatch)
+        self.features(cfg_path, out)
+        assert len(seen) == (120 - n_images) + 40  # the uncached train images and the test split
+
+    def test_retrained_layer1_does_not_read_the_old_file(self, dataset, tmp_path):
+        out, _, cfg_path = self.trained(dataset, tmp_path)
+        old = next(out.glob("pooled-train-*.spkt"))
+        assert main(["train", "--config", cfg_path, "--seed", "6"]) == 0
+        new = set(out.glob("pooled-train-*.spkt")) - {old}
+        assert len(new) == 1  # a new kernel, a new name; the old file stays unread
+        retrained = tmp_path / "retrained.json"
+        write_config(retrained, {**json.loads(Path(cfg_path).read_text()), "seed": 6})
+        assert (self.features(str(retrained), out)
+                == self.without_cache(out, str(retrained), tmp_path))
+
+    def test_edited_threshold_does_not_read_the_old_file(self, dataset, tmp_path, monkeypatch):
+        out, cfg, _ = self.trained(dataset, tmp_path)
+        cfg["layer"]["threshold"] = 14.0
+        edited = write_config(tmp_path / "edited.json", cfg)
+        seen = self.count_pooled(monkeypatch)
+        got = self.features(edited, out)
+        assert len(seen) == 120 + 40
+        assert got == self.without_cache(out, edited, tmp_path)
+
+    @pytest.mark.parametrize("damage", ["cut", "magic", "shape", "too many", "negative"])
+    def test_corrupt_cache_exits_1(self, dataset, tmp_path, capsys, damage):
+        out, _, cfg_path = self.trained(dataset, tmp_path)
+        path = next(out.glob("pooled-train-*.spkt"))
+        good = path.read_bytes()
+        pooled = read_pooled(path, (12, 12, 11, 11), 120)
+        tensors = [t for t, _ in pooled]
+        counts = [n for _, n in pooled]
+        if damage == "cut":
+            path.write_bytes(good[:-3])
+        elif damage == "magic":
+            path.write_bytes(b"SPKT" + good[4:])
+        elif damage == "shape":  # one more layer-1 map than the kernel has
+            write_pooled(path, [SpikeTensor((12, 13, 11, 11), t.events) for t in tensors],
+                         counts)
+        elif damage == "too many":
+            write_pooled(path, tensors + tensors[:1], counts + counts[:1])
+        else:
+            write_pooled(path, tensors, [-1] + counts[1:])
+        capsys.readouterr()
+        assert main(["features", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "pooled spike cache" in err and "Traceback" not in err
+        assert not (out / "features-train.fmat").exists()
+
+    def test_no_training_images_writes_no_cache(self, dataset, tmp_path):
+        out, _, cfg_path = self.trained(dataset, tmp_path, n_images=0)
+        assert not list(out.glob("pooled-train-*.spkt"))
+        assert "pooled_train" not in json.loads((out / "manifest-train.json").read_text())[
+            "artifact_paths"]
+        self.features(cfg_path, out)
+
+
+class TestPathErrors:
+    """An OS error on a path the user gave exits 1 with the message."""
+
+    def run(self, capsys, *argv):
+        capsys.readouterr()
+        assert main(["features", *argv]) == 1
+        err = capsys.readouterr().err
+        assert "spikecnn features: error" in err and "Traceback" not in err
+        return err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert "Is a directory" in self.run(capsys, "--config", str(tmp_path))
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", {})
+        assert "File exists" in self.run(capsys, "--config", cfg_path, "--out", cfg_path)
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", {})
+        assert "Not a directory" in self.run(capsys, "--config", cfg_path,
+                                             "--out", f"{cfg_path}/sub")
 
 
 class TestEvalChanceLevel:

@@ -15,7 +15,8 @@ from spikecnn import container
 from spikecnn.cli import main
 from spikecnn.core import ConvKernel, load_kernel, save_kernel
 from spikecnn.encode import (SpikeTensor, load_idx_images, load_idx_labels, read_cache,
-                             write_cache, write_idx_images, write_idx_labels)
+                             read_pooled, write_cache, write_idx_images, write_idx_labels,
+                             write_pooled)
 from spikecnn.heads import (FcnHead, FeatureMatrix, RstdpHead, export_features,
                             import_features, load_head, save_head)
 
@@ -38,6 +39,11 @@ FORMATS = {
                 SpikeTensor((3, 2, 4, 4), np.empty((0, 4), dtype=np.uint8))]),
              lambda p, d: read_cache(p),
              "7bdd6fea5f9ca7d588651631e4ef6c43e954a398a9ab7ece5dc839ab8f364c72"),
+    "SPKP": (lambda p: write_pooled(p, [
+                SpikeTensor((3, 2, 4, 4), np.array([[0, 0, 1, 2], [2, 1, 3, 3]])),
+                SpikeTensor((3, 2, 4, 4), np.empty((0, 4), dtype=np.uint8))], [5, 0]),
+             lambda p, d: read_pooled(p, (3, 2, 4, 4), 2),
+             "fe8c765896fdc0c442997fd8c967bf29ea511c835c4c84fe74aa5b7458293703"),
     "FMAT": (lambda p: export_features(
                 FeatureMatrix(np.arange(6.0).reshape(3, 2) / 4, np.array([0, 7, 255])), p),
              lambda p, d: import_features(p),
@@ -123,6 +129,9 @@ def _flip_survives(name, d, good, pos, mask):
     # (the cache re-sorts events on load, so only their type is checked)
     if name == "SPKT":
         assert all(isinstance(t, SpikeTensor) for t in obj)
+        return
+    if name == "SPKP":
+        assert all(isinstance(t, SpikeTensor) and n >= 0 for t, n in obj)
         return
     path = d / f"rewrite-{name}"
     if name == "SKRN":

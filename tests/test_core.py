@@ -478,6 +478,70 @@ class TestGlobalMaxPotential:
             self.assert_matches_all_bins(dense, readout)
 
 
+def looped_global_max(dense, kernel):
+    """``global_max_potential`` as it was summed before it took each bin's
+    dgemm directly: per busy bin, ``conv_accumulate`` into zeroed (maps, H',
+    W') potentials, then the max over axes (1, 2)."""
+    t_bins, _, h, w = dense.shape
+    total = np.zeros(kernel.maps_out)
+    potentials = np.zeros((kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1))
+    for t in np.flatnonzero(dense.reshape(t_bins, -1).any(axis=1)):
+        potentials[:] = 0.0
+        conv_accumulate(dense[t], kernel.weights, potentials)
+        total += potentials.max(axis=(1, 2))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_global_max_potential_keeps_the_old_loops_bits(data):
+    k = data.draw(st.integers(1, 5), label="k")
+    h, w = (data.draw(st.integers(k, 12)) for _ in range(2))
+    maps_in = data.draw(st.integers(1, 8), label="maps_in")
+    maps = data.draw(st.integers(1, 60), label="maps")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = data.draw(st.sampled_from([0.02, 0.1, 0.5]), label="density")
+    dense = rng.random((data.draw(st.integers(1, 6)), maps_in, h, w)) < density
+    kernel = ConvKernel(rng.random((maps, maps_in, k, k)))
+    want = looped_global_max(dense, kernel)
+    for got in (global_max_potential(dense, kernel),
+                global_max_potential(dense, kernel, core.readout_columns(kernel))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_global_max_potential_checks_its_input():
+    kernel = ConvKernel(np.full((3, 2, 5, 5), 0.5))
+    with pytest.raises(ValueError, match="maps_in"):
+        global_max_potential(np.zeros((4, 3, 9, 9), dtype=bool), kernel)
+    with pytest.raises(ValueError, match="exceeds"):
+        global_max_potential(np.zeros((4, 2, 4, 9), dtype=bool), kernel)
+
+
+@pytest.mark.parametrize("threshold, visits", [(4.0, [True] * 5), (-0.5, [False] + [True] * 5)])
+def test_per_bin_loops_visit_only_busy_bins(monkeypatch, threshold, visits):
+    """A silent bin adds nothing, so neither per-bin loop accumulates it,
+    except bin 0 below a negative threshold, where potential 0 fires."""
+    from spikecnn import train
+
+    calls = []
+    real = core.conv_accumulate
+
+    def counting(spikes_bin, *args):
+        calls.append(spikes_bin.any())
+        return real(spikes_bin, *args)
+
+    monkeypatch.setattr(core, "conv_accumulate", counting)
+    monkeypatch.setattr(train, "conv_accumulate", counting)
+    rng = np.random.default_rng(16)
+    dense = rng.random((9, 2, 12, 12)) < 0.2
+    dense[[0, 3, 7, 8]] = False
+    kernel = init_kernel(4, 2, 5, rng)
+    cfg = InhibitionConfig(threshold=threshold, competition_radius=1)
+    per_bin_spikes(dense, kernel, cfg)
+    train._train_image_per_bin(dense, kernel, cfg, fresh_state(4, 2, 8, 8, 12, 12))
+    assert calls == visits * 2
+
+
 class TestKernelCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -287,6 +287,31 @@ class TestExtractFeatures:
         assert matrix.n_cols == 9
 
 
+    @pytest.mark.parametrize("cached", [0, 3, 5])
+    def test_pooled_results_skip_the_first_layer(self, monkeypatch, cached):
+        rng = np.random.default_rng(13)
+        pipe = ConvPipeline(init_kernel(4, 2, 5, rng), InhibitionConfig(threshold=10),
+                            readout=init_kernel(9, 4, 3, rng))
+        tensors = random_tensors(5, rng, shape=(12, 2, 27, 27), density=0.15)
+        want, want_spikes = extract_features(pipe, tensors)
+        pooled = [pipe.pooled(t) for t in tensors[:cached]]
+        seen = []
+        real = ConvPipeline.pooled
+        monkeypatch.setattr(ConvPipeline, "pooled",
+                            lambda self, t: seen.append(t) or real(self, t))
+        got, spikes = extract_features(pipe, tensors, pooled=pooled)
+        assert got.values.tobytes() == want.values.tobytes() and spikes == want_spikes
+        assert seen == tensors[cached:]
+
+    def test_more_pooled_results_than_images(self):
+        rng = np.random.default_rng(14)
+        pipe = ConvPipeline(init_kernel(4, 2, 5, rng), InhibitionConfig(threshold=10),
+                            readout=init_kernel(9, 4, 3, rng))
+        tensors = random_tensors(2, rng, shape=(12, 2, 27, 27), density=0.15)
+        with pytest.raises(ValueError, match="3 of 2 images"):
+            extract_features(pipe, tensors, pooled=[pipe.pooled(tensors[0])] * 3)
+
+
 class TestFrozenLayerIntegrity:
     def test_inference_never_mutates_kernel(self, tmp_path):
         rng = np.random.default_rng(12)
