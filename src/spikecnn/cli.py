@@ -2,9 +2,10 @@
 
 Every subcommand reads one JSON config (a prior run's manifest also works,
 since it embeds the config), writes its artifacts into the output directory,
-and drops a manifest recording the config, seed, and artifact hashes.  With
---threads 1 a re-run from a manifest reproduces checkpoints and CSVs byte for
-byte.
+and drops a manifest recording the config, seed, and artifact hashes.  A
+re-run from a manifest reproduces checkpoints and CSVs byte for byte, at any
+--threads: each image's features are computed alone, whichever worker takes
+it.
 """
 
 from __future__ import annotations

@@ -245,6 +245,12 @@ def validate_config(raw: dict) -> dict:
         if not classes or any(type(c) is not int or c < 0 for c in classes):
             raise ConfigError(f"config.forget.{key}: must be a non-empty list of class "
                               f"numbers >= 0, got {classes!r}")
+    # a class listed twice would double its rows in a task's pool, or sit in both tasks
+    listed = forget["task_a_classes"] + forget["task_b_classes"]
+    twice = sorted({c for c in listed if listed.count(c) > 1})
+    if twice:
+        raise ConfigError("config.forget.task_a_classes + config.forget.task_b_classes: "
+                          f"class {twice[0]} is listed twice")
     return top
 
 

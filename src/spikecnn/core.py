@@ -10,6 +10,8 @@ gate caps how often any one map may update.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +79,9 @@ class InhibitionConfig:
     def __post_init__(self):
         if self.competition_radius < 0:
             raise ValueError("competition radius must be >= 0")
-        if not np.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
+        # below 0 a neuron would fire at potential 0, with no input
+        if not 0 <= self.threshold < np.inf:
+            raise ValueError("threshold must be finite and >= 0")
 
 
 class LayerState:
@@ -89,10 +92,9 @@ class LayerState:
     at each image boundary.
     """
 
-    def __init__(self, maps_out: int, maps_in: int, out_h: int, out_w: int,
-                 in_h: int, in_w: int, homeo_window: int = 5, homeo_limit: int = 2):
+    def __init__(self, maps_out: int, out_h: int, out_w: int, homeo_window: int = 5,
+                 homeo_limit: int = 2):
         self.out_shape = (maps_out, out_h, out_w)
-        self.in_shape = (maps_in, in_h, in_w)
         self.homeo_window = homeo_window
         self.homeo_limit = homeo_limit
         self.images_seen = 0
@@ -105,7 +107,6 @@ class LayerState:
         self.location_locked = np.zeros((out_h, out_w), dtype=bool)
         self.map_updated = np.zeros(maps_out, dtype=bool)
         self.winner_positions: list[tuple[int, int]] = []
-        self.input_cum = np.zeros(self.in_shape, dtype=bool)
 
     def begin_image(self) -> None:
         """Reset transient state; roll the homeostasis window when due."""
@@ -124,12 +125,9 @@ def _check_input(shape: tuple, weights: np.ndarray) -> None:
         raise ValueError(f"kernel size {k} exceeds the {h}x{w} input")
 
 
-def busy_bins(dense_spikes: np.ndarray, first: bool = False) -> np.ndarray:
-    """The bins of a (T, ...) spike array that hold a spike, in order, and
-    bin 0 too when ``first``."""
-    busy = dense_spikes.reshape(dense_spikes.shape[0], -1).any(axis=1)
-    busy[:1] |= first
-    return np.flatnonzero(busy)
+def busy_bins(dense_spikes: np.ndarray) -> np.ndarray:
+    """The bins of a (T, ...) spike array that hold a spike, in order."""
+    return np.flatnonzero(dense_spikes.reshape(dense_spikes.shape[0], -1).any(axis=1))
 
 
 def _spiking_rows(spikes_bin: np.ndarray, k: int):
@@ -205,27 +203,52 @@ def fire_and_inhibit(potentials: np.ndarray, state: LayerState,
 
 def stdp_competition(fired_now: np.ndarray, potentials: np.ndarray,
                      state: LayerState, radius: int) -> list[tuple[int, int, int]]:
-    """Pick this bin's weight-update winners (training only).
+    """Pick this bin's weight-update winners (training only) among the
+    neurons of ``fired_now``, by ``_competition``."""
+    idx = np.flatnonzero(fired_now)
+    maps, pos = np.divmod(idx, potentials[0].size)
+    spikes = zip(maps.tolist(), pos.tolist(), potentials.flat[idx].tolist())
+    return _competition(spikes, state, radius, potentials.shape[2])
 
-    Each map's candidate is its highest-potential neuron among those that
-    fired this bin.  Candidates are taken greedily by descending potential;
-    a winner excludes every other candidate that fits with it inside one
+
+def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float = -np.inf):
+    """The competition over one bin's spikes, given as (map, flat position,
+    potential) tuples in (map, position) order: the winners as (map, u, v).
+
+    Each map's candidate is its highest-potential spike, the first in
+    position order among equals.  Candidates are taken greedily by
+    descending potential, the lower map first among equals; a winner
+    excludes every other candidate that fits with it inside one
     (2*radius+1)^2 window, across all maps and for the rest of the image,
     and a map that wins is done updating for this image.
+
+    Returns None, before it touches ``state``, when a map's best two spikes
+    or two adjacent candidates in that ranking are within ``gap``; the
+    default checks nothing.  A bin's spikes are few, and on so few plain
+    Python costs less than numpy's calls.
     """
+    best: dict[int, list] = {}  # per map [highest potential, its position, runner-up]
+    for m, p, x in spikes:
+        if state.map_updated[m]:
+            continue
+        top = best.get(m)
+        if top is None:
+            best[m] = [x, p, -np.inf]
+        elif x > top[0]:
+            top[:] = x, p, top[0]
+        else:
+            top[2] = max(top[2], x)
+    if any(x - second <= gap for x, _, second in best.values()):
+        return None
+    ranked = sorted(best.items(), key=lambda item: -item[1][0])  # stable: lower map first
+    if any(a[1][0] - b[1][0] <= gap for a, b in zip(ranked, ranked[1:])):
+        return None
     winners: list[tuple[int, int, int]] = []
-    idx = np.flatnonzero(fired_now)
-    idx = idx[~state.map_updated[idx // potentials[0].size]]
-    maps, rows, cols = np.unravel_index(idx, potentials.shape)
-    neg = -potentials.flat[idx]
-    order = np.lexsort((neg, maps))
-    cand = order[_leads(maps[order])]  # per map the highest potential, first in row-major order
-    cand = cand[np.lexsort((maps[cand], neg[cand]))]
     span = 2 * radius
-    for m, u, v in zip(maps[cand].tolist(), rows[cand].tolist(), cols[cand].tolist()):
-        clash = any(abs(u - pu) <= span and abs(v - pv) <= span
-                    for pu, pv in state.winner_positions)
-        if clash:
+    for m, (_, p, _) in ranked:
+        u, v = divmod(p, out_w)
+        if any(abs(u - pu) <= span and abs(v - pv) <= span
+               for pu, pv in state.winner_positions):
             continue
         winners.append((m, u, v))
         state.winner_positions.append((u, v))
@@ -264,6 +287,19 @@ def homeostasis_gate(state: LayerState, map_index: int) -> bool:
     return False
 
 
+def update_winners(kernel: ConvKernel, state: LayerState, dense_spikes: np.ndarray, t: int,
+                   winners: list[tuple[int, int, int]]) -> None:
+    """Each of bin ``t``'s winners updates its map as homeostasis allows:
+    ``stdp_update`` from the input spikes of its window up to bin ``t``, or
+    else ``depress_map``."""
+    k = kernel.k
+    for m, u, v in winners:
+        if homeostasis_gate(state, m):
+            stdp_update(kernel, m, dense_spikes[:t + 1, :, u:u + k, v:v + k].any(axis=0))
+        else:
+            depress_map(kernel, m)
+
+
 def double_learning_rates(kernel: ConvKernel, images_seen: int,
                           every: int = 1000, cap: float = RATE_CAP) -> ConvKernel:
     """Double both learning rates at each ``every``-image mark while neither
@@ -275,22 +311,19 @@ def double_learning_rates(kernel: ConvKernel, images_seen: int,
     return kernel
 
 
-def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
-    """Run one image through a frozen layer (no competition, no learning):
-    ``conv_accumulate`` then ``fire_and_inhibit`` bin by bin.  Returns every
-    spike of the layer as (map, flat output position, bin, potential at that
-    bin) arrays in (map, position) order.  The definition of the layer, and
-    the fallback of ``infer_fired`` and ``infer_pooled``."""
-    _, c, h, w = dense_spikes.shape
-    state = LayerState(kernel.maps_out, c, h - kernel.k + 1, w - kernel.k + 1, h, w)
+def layer_steps(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
+                state: LayerState):
+    """The layer step over one image, bin by bin: ``conv_accumulate``, then
+    ``fire_and_inhibit`` into ``state``.  Yields (bin, potentials, plane of
+    the neurons fired in that bin) after each fire step; the potentials
+    array is the loop's own.  ``kernel.weights`` is read in every bin, so a
+    caller may update the kernel between steps.
+
+    A silent bin adds nothing to the potentials, and with a threshold >= 0
+    potential 0 fires nothing, so only bins that hold a spike are visited."""
     potentials = np.zeros(state.out_shape)
-    spike_bin = np.zeros(potentials.size, dtype=np.int64)
-    spike_potential = np.zeros(potentials.size)
     above = 0
-    # A silent bin adds nothing to the potentials, so it crosses nothing new,
-    # except that the first fire step fires at potential 0 below a negative
-    # threshold
-    for t in busy_bins(dense_spikes, first=cfg.threshold < 0):
+    for t in busy_bins(dense_spikes):
         conv_accumulate(dense_spikes[t], kernel.weights, potentials)
         # Potentials never decrease and a fire step leaves every neuron above
         # threshold fired or locked: no new crossing, nothing can fire.
@@ -298,11 +331,25 @@ def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibition
         if now == above:
             continue
         above = now
-        idx = np.flatnonzero(fire_and_inhibit(potentials, state, cfg))
+        yield t, potentials, fire_and_inhibit(potentials, state, cfg)
+
+
+def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
+    """Run one image through a frozen layer (no competition, no learning) by
+    ``layer_steps``.  Returns every spike of the layer as (map, flat output
+    position, bin, potential at that bin) arrays in (map, position) order.
+    The definition of the layer, and the fallback of ``infer_fired`` and
+    ``infer_pooled``."""
+    _, _, h, w = dense_spikes.shape
+    state = LayerState(kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1)
+    spike_bin = np.zeros(state.fired.size, dtype=np.int64)
+    spike_potential = np.zeros(state.fired.size)
+    for t, potentials, fired in layer_steps(dense_spikes, kernel, cfg, state):
+        idx = np.flatnonzero(fired)
         spike_bin[idx] = t
         spike_potential[idx] = potentials.flat[idx]
     idx = np.flatnonzero(state.fired)
-    return (*np.divmod(idx, potentials[0].size), spike_bin[idx], spike_potential[idx])
+    return (*np.divmod(idx, state.fired[0].size), spike_bin[idx], spike_potential[idx])
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -360,17 +407,38 @@ def _cumulate(per_bin: np.ndarray) -> np.ndarray:
     return np.dot(per_bin.reshape(-1, t_bins), np.tri(t_bins).T).reshape(per_bin.shape)
 
 
-def _clear_winners(score: np.ndarray, gap: float):
-    """Per column of ``score`` (-inf where a map does not compete) the
-    winning map, the lowest among equals, and its score; None when a
-    runner-up comes within ``gap`` of a winner.  Overwrites ``score``."""
-    win = score.argmax(axis=0)
-    cols = np.arange(win.size)
-    top = score[win, cols]
-    score[win, cols] = -np.inf
+def _first_spikes(traj: np.ndarray, thr: float, inhibit: bool, gap: float, done: int):
+    """The spikes of (maps, positions, T) trajectories after bin ``done``:
+    (map, position index, bin, potential) arrays, in position order within
+    each map.  A neuron fires in the first bin it is above ``thr``; with
+    lateral inhibition a location fires once, in the first bin a map is
+    above ``thr`` there: the map of highest potential in that bin, the
+    lowest among equals.  None when a runner-up comes within ``gap`` of
+    such a winner.
+
+    The callers certify every threshold test, and exact potentials never
+    decrease, so a neuron is above ``thr`` from its crossing on.  A neuron
+    or location that crossed by bin ``done`` has fired already, and a
+    trajectory recomputed after ``done`` cannot move that crossing."""
+    t_bins = traj.shape[-1]
+    above = traj > thr
+    if not inhibit:
+        first = t_bins - np.count_nonzero(above, axis=-1)  # T where none
+        ms, ps = np.nonzero((first > done) & (first < t_bins))
+        at = first[ms, ps]
+        return ms, ps, at, traj[ms, ps, at]
+    when = t_bins - np.count_nonzero(above.any(axis=0), axis=-1)
+    ps = np.flatnonzero((when > done) & (when < t_bins))
+    at = when[ps]
+    # the maps above threshold in a location's first bin are those crossing there
+    score = np.where(above[:, ps, at], traj[:, ps, at], -np.inf)
+    ms = score.argmax(axis=0)
+    cols = np.arange(ps.size)
+    top = score[ms, cols]
+    score[ms, cols] = -np.inf
     if (top - score.max(axis=0) <= gap).any():
         return None
-    return win, top
+    return ms, ps, at, top
 
 
 def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
@@ -441,23 +509,12 @@ def _certified_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
         # image falls back.
         if np.abs(traj - thr).min() <= delta:
             return None
-    above = traj > thr
-    if not cfg.lateral_inhibition:
-        ms, ps = np.nonzero(above[..., -1])
-        at = t_bins - np.count_nonzero(above[ms, ps], axis=-1)
-        return (ms, pos[ps], at, traj[ms, ps, at]), delta
-    hit = np.flatnonzero(above[..., -1].any(axis=0))
-    above = above[:, hit]
-    earliest = above.any(axis=0).argmax(axis=-1)  # per location, its first spike's bin
-    # The certified tests agree with the per-bin potentials, which never
-    # decrease, so the maps above threshold in a location's earliest bin are
-    # the maps that cross there
-    cols = np.arange(hit.size)
-    score = np.where(above[:, cols, earliest], traj[:, hit, earliest], -np.inf)
-    winners = _clear_winners(score, 2 * delta)  # against the runner-up in the same bin
-    if winners is None:
+    # a winner must beat the runner-up of its bin by more than 2 delta
+    found = _first_spikes(traj, thr, cfg.lateral_inhibition, 2 * delta, -1)
+    if found is None:
         return None
-    return (winners[0], pos[hit], earliest, winners[1]), delta
+    ms, ps, at, potential = found
+    return (ms, pos[ps], at, potential), delta
 
 
 def infer_pooled(dense_spikes: np.ndarray, kernel: ConvKernel,
@@ -587,61 +644,45 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
     t_bins, c, h, w = dense_spikes.shape
     maps, _, k, _ = kernel.weights.shape
     out_w = w - k + 1
-    thr, inhibit, span = cfg.threshold, cfg.lateral_inhibition, 2 * cfg.competition_radius
+    thr, inhibit = cfg.threshold, cfg.lateral_inhibition
     cols, final, cmax = _count_potentials(dense_spikes, kernel.weights)
     # the update's own rounding adds at most a few ulps of 1 to a weight
     reach = final.max(axis=0) + (kernel.a_plus / 4 + 2.0 ** -50) * cols.sum(axis=0)
     delta = _rounding_bound(dense_spikes.shape, k, cmax, reach.max())
     gap = 2 * delta
     state.begin_image()
-    np.any(dense_spikes, axis=0, out=state.input_cum)
     pos = np.flatnonzero(reach >= thr - gap)
     if not pos.size:
         return 0
     table, per_bin, traj = _trajectories(dense_spikes, kernel.weights, pos, out_w)
     if np.abs(traj - thr).min() <= delta:
         return None
-    locked = np.zeros(pos.size, dtype=bool)
-    spikes: list[tuple[int, int]] = []
+    fired = np.zeros((maps, pos.size), dtype=bool)
     done = -1  # the last bin whose spikes are final
     while True:
-        # Every spike after bin ``done`` under the current trajectories, in
-        # bin order.  Exact potentials never decrease and every test is
-        # certified, so a neuron is above the threshold from its crossing on.
-        above = traj > thr
-        if inhibit:
-            # a free location fires once, in the first bin a map crosses
-            # there: the map of highest potential in that bin
-            when = t_bins - np.count_nonzero(above.any(axis=0), axis=1)
-            free = np.flatnonzero(~locked & (when < t_bins))
-            at = when[free]
-            winners = _clear_winners(np.where(above[:, free, at], traj[:, free, at], -np.inf),
-                                     gap)
-            if winners is None:
-                return None
-            spiking = sorted(zip(at.tolist(), winners[0].tolist(), free.tolist(),
-                                 winners[1].tolist()))
-        else:
-            first = t_bins - np.count_nonzero(above, axis=2)
-            ms, ps = np.nonzero((first > done) & (first < t_bins))
-            at = first[ms, ps]
-            spiking = sorted(zip(at.tolist(), ms.tolist(), ps.tolist(),
-                                 traj[ms, ps, at].tolist()))
-        t, won = _compete(spiking, state, gap, span, pos, out_w)
-        if won is None:
+        # every spike after bin ``done`` under the current trajectories
+        found = _first_spikes(traj, thr, inhibit, gap, done)
+        if found is None:
             return None
-        settled = [s for s in spiking if s[0] <= t]
-        spikes += [(m, p) for _, m, p, _ in settled]
-        if inhibit:
-            locked[[p for _, _, p, _ in settled]] = True
+        ms, ps, at, potential = found
+        # the competition bin by bin, up to the first bin with a winner
+        order = np.lexsort((ps, ms, at))  # by bin, in (map, position) order within one
+        rows = zip(at[order].tolist(), ms[order].tolist(), pos[ps[order]].tolist(),
+                   potential[order].tolist())
+        won, t = [], -1
+        for t, group in itertools.groupby(rows, key=operator.itemgetter(0)):
+            won = _competition([s[1:] for s in group], state, cfg.competition_radius, out_w, gap)
+            if won is None:
+                return None
+            if won:
+                break
+        settled = at <= t
+        fired[ms[settled], ps[settled]] = True
         if not won:
             break
-        for m, u, v in won:
+        for m, _, _ in won:
             saved[m] = kernel.weights[m].copy()
-            if homeostasis_gate(state, m):
-                stdp_update(kernel, m, dense_spikes[:t + 1, :, u:u + k, v:v + k].any(axis=0))
-            else:
-                depress_map(kernel, m)
+        update_winners(kernel, state, dense_spikes, t, won)
         done = t
         if t + 1 == t_bins:
             break
@@ -652,51 +693,10 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
         traj[ms] = _cumulate(per_bin[ms])
         if np.abs(traj[ms] - thr).min() <= delta:
             return None
-    if spikes:
-        ms, ps = zip(*spikes)
-        state.fired.reshape(maps, -1)[list(ms), pos[list(ps)]] = True
+    state.fired.reshape(maps, -1)[:, pos] = fired
     if inhibit:
-        state.location_locked.flat[pos] = locked
-    return len(spikes)
-
-
-def _compete(spiking: list, state: LayerState, gap: float, span: int, pos: np.ndarray,
-             out_w: int):
-    """``stdp_competition`` over (bin, map, position index, potential) spikes
-    sorted by bin, bin by bin up to the first bin with a winner.  Returns
-    (that bin, its winners as (map, u, v)), (the last bin, []) when no spike
-    wins, or (None, None) when two compared potentials are within ``gap``."""
-    i = 0
-    while i < len(spiking):
-        t = spiking[i][0]
-        best: dict[int, list] = {}  # per map [highest potential, its position, runner-up]
-        while i < len(spiking) and spiking[i][0] == t:
-            _, m, p, x = spiking[i]
-            i += 1
-            if state.map_updated[m]:
-                continue
-            top = best.setdefault(m, [x, p, -np.inf])
-            if x > top[0]:
-                top[:] = x, p, top[0]
-            elif top[1] != p:
-                top[2] = max(top[2], x)
-        if any(top - second <= gap for top, _, second in best.values()):
-            return None, None
-        ranked = sorted(best.items(), key=lambda item: -item[1][0])
-        if any(a[1][0] - b[1][0] <= gap for a, b in zip(ranked, ranked[1:])):
-            return None, None
-        won = []
-        for m, (_, p, _) in ranked:
-            u, v = divmod(int(pos[p]), out_w)
-            if any(abs(u - pu) <= span and abs(v - pv) <= span
-                   for pu, pv in state.winner_positions):
-                continue
-            state.winner_positions.append((u, v))
-            state.map_updated[m] = True
-            won.append((m, u, v))
-        if won:
-            return t, won
-    return (spiking[-1][0] if spiking else -1), []
+        state.location_locked.flat[pos] = fired.any(axis=0)
+    return int(np.count_nonzero(fired))
 
 
 def readout_columns(kernel: ConvKernel) -> np.ndarray:

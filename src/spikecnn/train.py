@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConvKernel, InhibitionConfig, LayerState, busy_bins, conv_accumulate,
-                   depress_map, double_learning_rates, fire_and_inhibit,
-                   global_max_potential, homeostasis_gate, infer_fired,
-                   infer_pooled, readout_columns, stdp_competition, stdp_update,
-                   train_certified)
+from .core import (ConvKernel, InhibitionConfig, LayerState, double_learning_rates,
+                   global_max_potential, infer_fired, infer_pooled, layer_steps,
+                   readout_columns, stdp_competition, train_certified, update_winners)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
                     fcn_train_epoch, init_fcn_head)
@@ -87,32 +85,17 @@ def train_image(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
 
 def _train_image_per_bin(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
                          state: LayerState) -> int:
-    """``train_image`` one bin at a time: accumulate, fire, compete, update.
-    A silent bin adds nothing to ``input_cum`` or the potentials, so only
-    busy bins are visited, and bin 0, whose fire step fires at potential 0
-    below a negative threshold."""
+    """``train_image`` one bin at a time: ``core.layer_steps`` accumulates and
+    fires, and each bin's spikes compete and update the kernel before the
+    next bin."""
     state.begin_image()
-    potentials = np.zeros(state.out_shape)
-    k = kernel.k
-    n_spikes = above = 0
-    for t in busy_bins(dense, first=cfg.threshold < 0):
-        state.input_cum |= dense[t]
-        conv_accumulate(dense[t], kernel.weights, potentials)
-        # Potentials never decrease and a fire step leaves every neuron above
-        # threshold fired or locked: no new crossing, nothing can fire.
-        now = np.count_nonzero(potentials > cfg.threshold)
-        if now == above:
-            continue
-        above = now
-        fired = fire_and_inhibit(potentials, state, cfg)
+    n_spikes = 0
+    for t, potentials, fired in layer_steps(dense, kernel, cfg, state):
         if not fired.any():
             continue
         n_spikes += int(fired.sum())
-        for m, u, v in stdp_competition(fired, potentials, state, cfg.competition_radius):
-            if homeostasis_gate(state, m):
-                stdp_update(kernel, m, state.input_cum[:, u:u + k, v:v + k])
-            else:
-                depress_map(kernel, m)
+        update_winners(kernel, state, dense, t,
+                       stdp_competition(fired, potentials, state, cfg.competition_radius))
     state.images_seen += 1
     return n_spikes
 
@@ -133,9 +116,8 @@ def train_conv_layer(plan: TrainPlan, dataset: list[SpikeTensor],
     monitor = MonitorSeries(stride=plan.monitor_stride)
     if plan.n_images <= 0:
         return monitor
-    first = dataset[0]
-    t_bins, c, h, w = first.shape
-    state = LayerState(kernel.maps_out, c, h - kernel.k + 1, w - kernel.k + 1, h, w)
+    _, _, h, w = dataset[0].shape
+    state = LayerState(kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1)
     prev = kernel.weights.copy()
     for i in range(plan.n_images):
         dense = dataset[i % len(dataset)].dense()

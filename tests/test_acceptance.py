@@ -232,7 +232,7 @@ def test_criterion_4_inhibition_invariants():
     violations = 0
     for _ in range(1000):
         dense = rng.random((6, 2, 16, 16)) < rng.uniform(0.05, 0.3)
-        state = LayerState(8, 2, 12, 12, 16, 16)
+        state = LayerState(8, 12, 12)
         state.begin_image()
         potentials = np.zeros((8, 12, 12))
         winners = []
@@ -265,7 +265,7 @@ def test_criterion_5_weight_domain():
     kernel = ConvKernel(rng.uniform(0, 1, size=(4, 2, 5, 5)),
                         a_plus=0.02, a_minus=0.015)
     rhead = RstdpHead(rng.uniform(0, 1, size=(6, 40)), miss_ratio=0.6)
-    state = LayerState(4, 2, 8, 8, 12, 12)
+    state = LayerState(4, 8, 8)
     updates = 0
     violations = 0
     from spikecnn.heads import rstdp_update

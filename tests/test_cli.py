@@ -835,7 +835,9 @@ class TestConfigRanges:
         ("forget", "rehearsal_fractions", [[0.1]]), ("forget", "rehearsal_fractions", []),
         ("forget", "task_a_classes", []), ("forget", "task_b_classes", [5, True]),
         ("forget", "task_a_classes", [1.0]), ("forget", "task_a_classes", ["3"]),
-        ("forget", "task_b_classes", [-1]),
+        ("forget", "task_b_classes", [-1]), ("forget", "task_a_classes", [0, 0, 1]),
+        ("forget", "task_b_classes", [7, 5, 7]),
+        ("forget", "task_a_classes", [4, 5]), ("forget", "task_b_classes", [0, 9]),
         ("head", "eta0", 0), ("head", "eta0", -0.1), ("head", "eta_decay", 0),
         ("head", "eta_decay", -1), ("head", "lam", -0.1),
         ("head", "init_miss_ratio", 1.5), ("head", "init_miss_ratio", -0.1),
@@ -855,6 +857,17 @@ class TestConfigRanges:
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             validate_config(raw)
+
+    @pytest.mark.parametrize("forget,message", [
+        ({"task_a_classes": [0, 0, 1]}, "class 0 is listed twice"),
+        ({"task_a_classes": [0, 1], "task_b_classes": [2, 1, 3]}, "class 1 is listed twice")])
+    def test_forget_task_classes_listed_twice_exit_1(self, tmp_path, capsys, forget, message):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json", {"out_dir": str(out), "forget": forget})
+        assert main(["forget", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--threads", "-3"), ("--seed", "-1")])
     def test_override_flags_are_validated(self, tmp_path, capsys, flag, value):

@@ -18,8 +18,8 @@ from spikecnn.train import ConvPipeline
 from synth_digits import make_dataset
 
 
-def fresh_state(maps_out=3, maps_in=2, out_h=8, out_w=8, in_h=12, in_w=12):
-    return LayerState(maps_out, maps_in, out_h, out_w, in_h, in_w)
+def fresh_state(maps_out=3, out_h=8, out_w=8):
+    return LayerState(maps_out, out_h, out_w)
 
 
 def brute_force_valid_conv(spikes, weights):
@@ -72,6 +72,17 @@ class TestConvKernel:
         assert k.weights.shape == (30, 2, 5, 5)
         assert 0 < k.weights.min() and k.weights.max() < 1
         assert abs(k.weights.mean() - 0.8) < 0.01
+
+
+class TestInhibitionConfig:
+    @pytest.mark.parametrize("bad", [-0.5, -1e-9, -np.inf, np.nan, np.inf])
+    def test_rejects_a_negative_or_non_finite_threshold(self, bad):
+        # below 0 a neuron would fire at potential 0, in a bin with no input
+        with pytest.raises(ValueError, match="threshold"):
+            InhibitionConfig(threshold=bad)
+
+    def test_accepts_a_zero_threshold(self):
+        assert InhibitionConfig(threshold=0.0).threshold == 0.0
 
 
 class TestConvAccumulate:
@@ -197,7 +208,7 @@ def test_fire_and_inhibit_matches_a_lexsort_per_location(data):
     maps, h, w = (data.draw(st.integers(1, n)) for n in (6, 4, 4))
     cfg = InhibitionConfig(threshold=data.draw(st.sampled_from([0.5, 1.0])),
                            lateral_inhibition=data.draw(st.booleans()))
-    got, want = fresh_state(maps, 1, h, w, h, w), fresh_state(maps, 1, h, w, h, w)
+    got, want = fresh_state(maps, h, w), fresh_state(maps, h, w)
     for _ in range(data.draw(st.integers(1, 3))):  # later calls see fired and locked neurons
         pot = data.draw(hnp.arrays(np.float64, (maps, h, w),
                                    elements=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])))
@@ -517,10 +528,9 @@ def test_global_max_potential_checks_its_input():
         global_max_potential(np.zeros((4, 2, 4, 9), dtype=bool), kernel)
 
 
-@pytest.mark.parametrize("threshold, visits", [(4.0, [True] * 5), (-0.5, [False] + [True] * 5)])
+@pytest.mark.parametrize("threshold, visits", [(4.0, [True] * 5)])
 def test_per_bin_loops_visit_only_busy_bins(monkeypatch, threshold, visits):
-    """A silent bin adds nothing, so neither per-bin loop accumulates it,
-    except bin 0 below a negative threshold, where potential 0 fires."""
+    """A silent bin adds nothing, so neither per-bin loop accumulates it."""
     from spikecnn import train
 
     calls = []
@@ -531,14 +541,13 @@ def test_per_bin_loops_visit_only_busy_bins(monkeypatch, threshold, visits):
         return real(spikes_bin, *args)
 
     monkeypatch.setattr(core, "conv_accumulate", counting)
-    monkeypatch.setattr(train, "conv_accumulate", counting)
     rng = np.random.default_rng(16)
     dense = rng.random((9, 2, 12, 12)) < 0.2
     dense[[0, 3, 7, 8]] = False
     kernel = init_kernel(4, 2, 5, rng)
     cfg = InhibitionConfig(threshold=threshold, competition_radius=1)
     per_bin_spikes(dense, kernel, cfg)
-    train._train_image_per_bin(dense, kernel, cfg, fresh_state(4, 2, 8, 8, 12, 12))
+    train._train_image_per_bin(dense, kernel, cfg, fresh_state(4, 8, 8))
     assert calls == visits * 2
 
 

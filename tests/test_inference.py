@@ -32,7 +32,7 @@ from spikecnn.train import ConvPipeline
 def per_bin_oracle(dense, kernel, cfg):
     t_bins, c, h, w = dense.shape
     out_h, out_w = h - kernel.k + 1, w - kernel.k + 1
-    state = LayerState(kernel.maps_out, c, out_h, out_w, h, w)
+    state = LayerState(kernel.maps_out, out_h, out_w)
     potentials = np.zeros((kernel.maps_out, out_h, out_w))
     fired_potential = np.zeros_like(potentials)
     out = np.zeros((t_bins, kernel.maps_out, out_h, out_w), dtype=bool)
@@ -139,7 +139,7 @@ def layer_cases(draw):
     if maps > 1 and draw(st.booleans()):
         weights[-1] = weights[0]  # identical maps tie at every location
     dense = draw(hnp.arrays(np.bool_, (t_bins, maps_in, h, w)))
-    threshold = draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.75, 8.0]))
+    threshold = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.75, 8.0]))
     cfg = InhibitionConfig(threshold=threshold,
                            lateral_inhibition=draw(st.booleans()),
                            pool_lateral_inhibition=draw(st.booleans()))

@@ -20,6 +20,7 @@ image went, so the tests can require both ways and each fallback rule.
 """
 
 import contextlib
+import copy
 from collections import Counter
 from unittest import mock
 
@@ -29,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spikecnn import train
+from spikecnn import core, train
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
                            conv_accumulate, depress_map, fire_and_inhibit,
                            homeostasis_gate, init_kernel, stdp_competition,
@@ -111,10 +112,11 @@ def oracle_stdp_competition(fired_now, potentials, state, radius):
 def oracle_train_image(dense, kernel, cfg, state):
     state.begin_image()
     potentials = np.zeros(state.out_shape)
+    input_cum = np.zeros(dense.shape[1:], dtype=bool)
     k = kernel.k
     n_spikes = 0
     for t in range(dense.shape[0]):
-        state.input_cum |= dense[t]
+        input_cum |= dense[t]
         oracle_conv_accumulate(dense[t], kernel.weights, potentials)
         fired = oracle_fire_and_inhibit(potentials, state, cfg)
         if not fired.any():
@@ -123,7 +125,7 @@ def oracle_train_image(dense, kernel, cfg, state):
         for m, u, v in oracle_stdp_competition(fired, potentials, state,
                                                cfg.competition_radius):
             if homeostasis_gate(state, m):
-                stdp_update(kernel, m, state.input_cum[:, u:u + k, v:v + k])
+                stdp_update(kernel, m, input_cum[:, u:u + k, v:v + k])
             else:
                 depress_map(kernel, m)
     state.images_seen += 1
@@ -136,7 +138,7 @@ def assert_bytes_equal(got, want):
 
 
 def assert_states_equal(got, want):
-    for name in ("fired", "location_locked", "map_updated", "input_cum", "homeo_counts"):
+    for name in ("fired", "location_locked", "map_updated", "homeo_counts"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     assert got.winner_positions == want.winner_positions
     assert got.images_seen == want.images_seen
@@ -224,7 +226,7 @@ def layer_cases(draw):
     t_bins = draw(st.integers(1, 6))
     images = draw(st.lists(hnp.arrays(np.bool_, (t_bins, maps_in, h, w)),
                            min_size=n_images, max_size=n_images))
-    threshold = draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.75]))
+    threshold = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.75]))
     cfg = InhibitionConfig(threshold=threshold,
                            competition_radius=draw(st.sampled_from([0, 1, 5])),
                            lateral_inhibition=draw(st.booleans()))
@@ -233,7 +235,7 @@ def layer_cases(draw):
 
 def run_layer(step, images, kernel, cfg):
     t_bins, c, h, w = images[0].shape
-    state = LayerState(kernel.maps_out, c, h - kernel.k + 1, w - kernel.k + 1, h, w,
+    state = LayerState(kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1,
                        homeo_window=2, homeo_limit=1)
     spikes = [step(dense, kernel, cfg, state) for dense in images]
     return spikes, state
@@ -294,16 +296,16 @@ def test_fire_and_competition_match_oracles(data):
     w = data.draw(st.integers(1, 9))
     shape = (maps, h, w)
     potentials = data.draw(hnp.arrays(np.float64, shape, elements=QUARTERS))
-    cfg = InhibitionConfig(threshold=data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5])),
+    cfg = InhibitionConfig(threshold=data.draw(st.sampled_from([0.0, 0.25, 0.5])),
                            lateral_inhibition=data.draw(st.booleans()))
     radius = data.draw(st.sampled_from([0, 1, 5]))
-    got = LayerState(maps, 1, h, w, h, w)
+    got = LayerState(maps, h, w)
     got.fired = data.draw(hnp.arrays(np.bool_, shape))
     got.location_locked = data.draw(hnp.arrays(np.bool_, (h, w)))
     got.map_updated = data.draw(hnp.arrays(np.bool_, maps))
     got.winner_positions = data.draw(st.lists(st.tuples(st.integers(0, h - 1),
                                                         st.integers(0, w - 1)), max_size=3))
-    want = LayerState(maps, 1, h, w, h, w)
+    want = LayerState(maps, h, w)
     for name in ("fired", "location_locked", "map_updated"):
         setattr(want, name, getattr(got, name).copy())
     want.winner_positions = list(got.winner_positions)
@@ -515,3 +517,54 @@ def test_input_rule_keeps_few_spikes_over_many_maps_per_bin():
         dense.flat[rng.choice(dense.size, n_events, replace=False)] = True
         seen, _ = check_one_image(dense, kernel, cfg)
         assert (seen == {way: 1}) if way else ("per_bin" not in seen), (n_events, seen)
+
+
+
+def too_close(maps, potential, state, gap):
+    """Whether, among the maps not yet updated, a map's best two potentials
+    or two neighbours in the ranking of the maps' best are within ``gap``."""
+    best = []
+    for m in sorted(set(maps.tolist()) - set(np.flatnonzero(state.map_updated).tolist())):
+        mine = sorted(potential[maps == m], reverse=True)
+        if len(mine) > 1 and mine[0] - mine[1] <= gap:
+            return True
+        best.append(mine[0])
+    best.sort(reverse=True)
+    return any(a - b <= gap for a, b in zip(best, best[1:]))
+
+
+def test_competition_with_a_gap_picks_the_same_winners_or_none():
+    """The competition with a gap, as the training pass runs it, against the
+    same rule without one, as the per-bin loop runs it."""
+    outcomes = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        maps = data.draw(st.sampled_from([1, 2, 5, 30]))
+        h, w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        shape = (maps, h, w)
+        idx = np.flatnonzero(data.draw(hnp.arrays(np.bool_, shape)))
+        potentials = data.draw(hnp.arrays(np.float64, shape, elements=QUARTERS))
+        radius = data.draw(st.sampled_from([0, 1, 5]))
+        gap = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
+        state = LayerState(maps, h, w)
+        state.map_updated = data.draw(hnp.arrays(np.bool_, maps))
+        state.winner_positions = data.draw(st.lists(st.tuples(st.integers(0, h - 1),
+                                                              st.integers(0, w - 1)), max_size=3))
+        maps_of, pos = np.divmod(idx, h * w)
+        potential = potentials.flat[idx]
+        spikes = list(zip(maps_of.tolist(), pos.tolist(), potential.tolist()))
+        before, plain = copy.deepcopy(state), copy.deepcopy(state)
+        want = core._competition(spikes, plain, radius, w)
+        got = core._competition(spikes, state, radius, w, gap)
+        assert (got is None) == too_close(maps_of, potential, before, gap)
+        if got is None:
+            assert_states_equal(state, before)
+        else:
+            assert got == want
+            assert_states_equal(state, plain)
+        outcomes["none" if got is None else "winners" if got else "no winner"] += 1
+
+    check()
+    assert outcomes["none"] and outcomes["winners"] and outcomes["no winner"], outcomes
