@@ -218,6 +218,9 @@ def validate_config(raw: dict) -> dict:
     enc = top["encoding"]
     if enc["bins"] + enc["silent_bins"] > 256:
         raise ConfigError("config.encoding: bins + silent_bins must be <= 256 (u8 event times)")
+    if top["feature_mode"] == "global_max_potential" and top["layer"]["maps"] > 256:
+        raise ConfigError(f"config.layer.maps: {top['layer']['maps']} maps exceed the 256 u8 "
+                          "channels that layer2 reads under global_max_potential")
     plan = top["plan"]
     if plan["band_low"] > plan["band_high"]:
         raise ConfigError(f"config.plan: band_low {plan['band_low']!r} must be <= "
@@ -236,10 +239,16 @@ def validate_config(raw: dict) -> dict:
     forget = top["forget"]
     if not forget["rehearsal_fractions"]:
         raise ConfigError("config.forget.rehearsal_fractions: must name at least one fraction")
+    named: dict[str, float] = {}  # each fraction's curve is forget-r<name>.csv
     for frac in forget["rehearsal_fractions"]:
         if isinstance(frac, bool) or not isinstance(frac, (int, float)) or frac < 0:
             raise ConfigError(f"config.forget.rehearsal_fractions: fraction {frac!r} "
                               "must be a number >= 0")
+        name = f"{frac:0.3f}"
+        if name in named:
+            raise ConfigError(f"config.forget.rehearsal_fractions: fractions {named[name]!r} "
+                              f"and {frac!r} both name forget-r{name}.csv")
+        named[name] = frac
     for key in ("task_a_classes", "task_b_classes"):
         classes = forget[key]
         if not classes or any(type(c) is not int or c < 0 for c in classes):

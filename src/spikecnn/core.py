@@ -338,7 +338,7 @@ def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibition
     """Run one image through a frozen layer (no competition, no learning) by
     ``layer_steps``.  Returns every spike of the layer as (map, flat output
     position, bin, potential at that bin) arrays in (map, position) order.
-    The definition of the layer, and the fallback of ``infer_fired`` and
+    The definition of the layer, and the fallback of ``infer_spikes`` and
     ``infer_pooled``."""
     _, _, h, w = dense_spikes.shape
     state = LayerState(kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1)
@@ -379,7 +379,7 @@ def _rounding_bound(shape: tuple, k: int, cmax: float, top: float) -> float:
     """delta = 2 gamma_n S for a k x k layer over (T, c, H, W) input: n =
     c k^2 T cmax + T terms, cmax the most spikes at one input location, and
     S = top / (1 - gamma_n) for ``top`` a computed upper bound of every
-    potential (see ``infer_fired``)."""
+    potential (see ``_candidate_step``)."""
     t_bins, c = shape[:2]
     n = c * k * k * t_bins * max(int(cmax), 1) + t_bins
     gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
@@ -395,7 +395,7 @@ def _trajectories(dense_spikes: np.ndarray, weights: np.ndarray, pos: np.ndarray
     t_bins = dense_spikes.shape[0]
     table = _windows(dense_spikes.transpose(1, 2, 3, 0).copy(), k)[:, :, :, pos // out_w,
                                                                    pos % out_w]
-    table = table.reshape(-1, pos.size * t_bins).astype(np.float64)
+    table = table.reshape(weights[0].size, -1).astype(np.float64)
     per_bin = np.dot(weights.reshape(maps, -1), table).reshape(maps, pos.size, t_bins)
     return table, per_bin, _cumulate(per_bin)
 
@@ -441,86 +441,67 @@ def _first_spikes(traj: np.ndarray, thr: float, inhibit: bool, gap: float, done:
     return ms, ps, at, top
 
 
-def infer_fired(dense_spikes: np.ndarray, kernel: ConvKernel,
-                cfg: InhibitionConfig) -> np.ndarray:
-    """The layer's (maps, H', W') plane of neurons that fire in the image,
-    as ``per_bin_spikes`` finds them, without its dgemm per bin.
+def _candidate_step(dense_spikes: np.ndarray, weights: np.ndarray, thr: float, margin: float):
+    """The candidate step of both passes: (candidate positions, there
+    ``_trajectories``' table, per_bin and traj, delta), or None when a
+    potential there comes within delta of ``thr``.  ``margin`` bounds how far
+    a potential may rise above its final value under ``weights``, per input
+    spike in its window: 0 for a frozen layer.
 
     One dgemm of the kernel against the im2col of the per-location spike
-    counts (all bins summed) gives every neuron's final potential.  Only
-    neurons whose final potential reaches ``threshold - delta`` can fire.  At
-    their positions only, a dgemm against a per-bin im2col table and a second
-    against a triangle of ones give every map's potential after each bin,
-    hence each candidate's first crossing.  Lateral inhibition then picks per
-    location the earliest bin, then the highest potential, then the lowest
-    map.
-
-    These potentials may differ in the last bits from ``per_bin_spikes``',
-    which sums the same terms bin by bin in its BLAS's order, so no decision
-    rests on a near miss.  Every weight lies in [0, 1] and every input count
-    is >= 0, so every term of every potential is >= 0, and a floating-point
-    sum of at most n such terms, in any order (any blocking, any BLAS, with
-    or without FMA), lies within gamma_n * s of its exact value s, where
-    gamma_n = n u / (1 - n u) and u = 2^-53.  Here n = c k^2 T cmax + T (c
-    input maps, a k x k kernel, T bins, cmax the most spikes at one input
-    location), more terms than either path sums; the slack also covers the
-    few roundings in computing delta.  Exact potentials never decrease, so
-    S = (largest final potential) / (1 - gamma_n) bounds every one, and two
-    computations of one potential differ by at most delta = 2 gamma_n S.
-    Hence:
-
-    - a candidate is dropped only when its final potential is below
-      ``threshold - delta``;
-    - each threshold test on a candidate, in every bin, needs
-      |P - threshold| > delta;
-    - per location, the winner and the runner-up that crossed in the same
-      bin must differ by more than 2 delta.
-
-    If any test is not certified, the image goes through ``per_bin_spikes``.
+    counts (all bins summed) gives every neuron's final potential; only
+    positions where some map reaches ``thr - 2 delta`` (margin included) are
+    candidates, and a per-bin window table there gives every map's potential
+    after each bin.  These may differ in the last bits from the per-bin
+    loop's, which sums the same terms bin by bin in its BLAS's order.  Every
+    weight lies in [0, 1] and every input count is >= 0, so every term is
+    >= 0, and a floating-point sum of at most n such terms, in any order (any
+    blocking, any BLAS, with or without FMA), lies within gamma_n * s of its
+    exact value s, gamma_n = n u / (1 - n u), u = 2^-53; n =
+    ``_rounding_bound``'s, more terms than either path sums, and the slack
+    covers the few roundings in computing delta.  Exact potentials never
+    decrease, so S = (largest final potential plus margin) / (1 - gamma_n)
+    bounds every one, and two computations of one potential differ by at
+    most delta = 2 gamma_n S.  Hence each threshold test needs |P - thr| >
+    delta, checked here at every candidate and bin, and two potentials
+    compared must differ by more than 2 delta, which the callers check.
     """
-    found = _certified_spikes(dense_spikes, kernel, cfg)
-    m, pos, _, _ = found[0] if found else per_bin_spikes(dense_spikes, kernel, cfg)
-    t_bins, c, h, w = dense_spikes.shape
-    maps, _, k, _ = kernel.weights.shape
-    fired = np.zeros((maps, h - k + 1, w - k + 1), dtype=bool)
-    fired.reshape(maps, -1)[m, pos] = True
-    return fired
-
-
-def _certified_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
-    """``infer_fired``'s pass: (every spike of the layer as (map, flat output
-    position, bin, potential at that bin) arrays, in position order within
-    each map, delta).  The spikes and bins are ``per_bin_spikes``' and the
-    potentials lie within delta of its.  None when a decision is not
-    certified."""
-    t_bins, c, h, w = dense_spikes.shape
-    maps, _, k, _ = kernel.weights.shape
-    _, final, cmax = _count_potentials(dense_spikes, kernel.weights)
-    peak = final.max(axis=0)  # per position, over maps
-    delta = _rounding_bound(dense_spikes.shape, k, cmax, peak.max())
-    thr = cfg.threshold
-    pos = np.flatnonzero(peak - thr >= -delta)
-    traj = np.zeros((maps, 0, t_bins))
-    if pos.size:
-        _, _, traj = _trajectories(dense_spikes, kernel.weights, pos, w - k + 1)
-        # Every map at these positions is tested.  One that is no candidate
-        # stays below the threshold here, each of its potentials being below
-        # its final potential plus delta; should one come within delta, the
-        # image falls back.
-        if np.abs(traj - thr).min() <= delta:
-            return None
-    # a winner must beat the runner-up of its bin by more than 2 delta
-    found = _first_spikes(traj, thr, cfg.lateral_inhibition, 2 * delta, -1)
-    if found is None:
+    cols, final, cmax = _count_potentials(dense_spikes, weights)
+    reach = final.max(axis=0)  # per position, over maps
+    if margin:  # a frozen layer skips the window sums, ~4% of its pass
+        reach = reach + margin * cols.sum(axis=0)
+    k = weights.shape[2]
+    delta = _rounding_bound(dense_spikes.shape, k, cmax, reach.max())
+    pos = np.flatnonzero(reach >= thr - 2 * delta)
+    table, per_bin, traj = _trajectories(dense_spikes, weights, pos, dense_spikes.shape[3] - k + 1)
+    if np.abs(traj - thr).min(initial=np.inf) <= delta:
         return None
-    ms, ps, at, potential = found
-    return (ms, pos[ps], at, potential), delta
+    return pos, table, per_bin, traj, delta
+
+
+def infer_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
+    """(every spike of the layer as (map, flat output position, bin,
+    potential at that bin) arrays, in position order within each map, the
+    gap they are certified at).  The spikes and bins are ``per_bin_spikes``'.
+    From the candidate step, with each location's winner beating the
+    runner-up of its bin by more than 2 delta, the potentials lie within
+    delta of the per-bin ones and the gap is 2 delta; otherwise the image
+    goes through ``per_bin_spikes``, whose potentials are exact, and the gap
+    is -inf."""
+    found = _candidate_step(dense_spikes, kernel.weights, cfg.threshold, 0.0)
+    if found is not None:
+        pos, _, _, traj, delta = found
+        spikes = _first_spikes(traj, cfg.threshold, cfg.lateral_inhibition, 2 * delta, -1)
+        if spikes is not None:
+            ms, ps, at, potential = spikes
+            return (ms, pos[ps], at, potential), 2 * delta
+    return per_bin_spikes(dense_spikes, kernel, cfg), -np.inf
 
 
 def infer_pooled(dense_spikes: np.ndarray, kernel: ConvKernel,
                  cfg: InhibitionConfig) -> tuple[np.ndarray, int]:
     """(the layer's spikes pooled 2x2, as (bin, map, row, col) rows in
-    canonical order, the layer's spike count), from ``infer_fired``'s pass.
+    canonical order, the layer's spike count), from ``infer_spikes``.
 
     Per map and 2x2 block the spike of highest potential passes, at its own
     bin; equal potentials go to the first in row-major block order, and odd
@@ -529,9 +510,9 @@ def infer_pooled(dense_spikes: np.ndarray, kernel: ConvKernel,
     lowest map wins.
 
     Downstream code reads only each pooled spike's bin and place, never its
-    potential.  The pass has every spike's exact bin and its potential within
-    delta, so the pooling choices need certifying only where they can move a
-    bin:
+    potential.  The candidate step gives every spike's exact bin and its
+    potential within delta, so the pooling choices need certifying only where
+    they can move a bin:
 
     - every spike of a block that fired in another bin than the block's top
       must trail it by more than 2 delta;
@@ -543,15 +524,26 @@ def infer_pooled(dense_spikes: np.ndarray, kernel: ConvKernel,
     """
     t_bins, c, h, w = dense_spikes.shape
     out_shape = (h - kernel.k + 1, w - kernel.k + 1)
-    found = _certified_spikes(dense_spikes, kernel, cfg)
-    if found is not None:
-        spikes, delta = found
-        events = _pool_spikes(spikes, 2 * delta, out_shape, cfg.pool_lateral_inhibition)
-        if events is not None:
-            return events, spikes[0].size
-    spikes = per_bin_spikes(dense_spikes, kernel, cfg)
-    # no margin: the checks against -inf never fail
-    return _pool_spikes(spikes, -np.inf, out_shape, cfg.pool_lateral_inhibition), spikes[0].size
+    spikes, gap = infer_spikes(dense_spikes, kernel, cfg)
+    events = _pool_spikes(spikes, gap, out_shape, cfg.pool_lateral_inhibition)
+    if events is None:
+        spikes = per_bin_spikes(dense_spikes, kernel, cfg)
+        # no margin: the checks against -inf never fail
+        events = _pool_spikes(spikes, -np.inf, out_shape, cfg.pool_lateral_inhibition)
+    return events, spikes[0].size
+
+
+def pool_blocks(spikes: tuple, out_shape: tuple[int, int]):
+    """(each spike's 2x2 block, as a flat index into the (maps, H'//2, W'//2)
+    pooled maps, its bin, its potential) for the spikes (map, flat position,
+    bin, potential) of an H' x W' layer that fall in a block: odd sizes lose
+    the last row and column."""
+    m, pos, at, x = spikes
+    out_h, out_w = out_shape
+    h2, w2 = out_h // 2, out_w // 2
+    u, v = np.divmod(pos, out_w)
+    keep = (u < 2 * h2) & (v < 2 * w2)
+    return (m * (h2 * w2) + u // 2 * w2 + v // 2)[keep], at[keep], x[keep]
 
 
 def _pool_spikes(spikes: tuple, gap: float, out_shape: tuple[int, int], pool_inhibit: bool):
@@ -560,14 +552,9 @@ def _pool_spikes(spikes: tuple, gap: float, out_shape: tuple[int, int], pool_inh
     choice that moves a bin rests on potentials within ``gap``.  The stable
     sorts keep that order among equals: row-major within a block, then the
     lowest map at a pooled location."""
-    m, pos, at, x = spikes
-    out_h, out_w = out_shape
-    h2, w2 = out_h // 2, out_w // 2
-    u, v = np.divmod(pos, out_w)
-    keep = (u < 2 * h2) & (v < 2 * w2)  # odd sizes lose the last row/column
-    cells = h2 * w2
-    block = (m * cells + u // 2 * w2 + v // 2)[keep]
-    at, x = at[keep], x[keep]
+    block, at, x = pool_blocks(spikes, out_shape)
+    w2 = out_shape[1] // 2
+    cells = out_shape[0] // 2 * w2
     order = np.lexsort((-x, block))
     block, at, x = block[order], at[order], x[order]
     lead = _leads(block)
@@ -608,18 +595,17 @@ def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibitio
     once per image, and one update (``stdp_update`` or ``depress_map``)
     raises a weight by at most a_plus/4.  No potential of the image then
     exceeds its final potential under the image's first weights by more than
-    a margin of a_plus/4 per input spike in its window.  As in
-    ``infer_fired``, one dgemm over the per-location spike counts gives those
-    final potentials, and only positions where some map reaches ``threshold
-    - 2 delta - margin`` are kept; a per-bin window table there gives every
-    map's trajectory.  The decisions are replayed on these small arrays: the
-    threshold tests, lateral inhibition, each map's best fired neuron, the
-    ranking by potential, the radius exclusion, and homeostasis followed by
+    a margin of a_plus/4 per input spike in its window, which
+    ``_candidate_step`` adds before its cut at ``threshold - 2 delta``; its
+    per-bin window table at the candidates gives every map's trajectory.  The
+    decisions are replayed on these small arrays: the threshold tests,
+    lateral inhibition, each map's best fired neuron, the ranking by
+    potential, the radius exclusion, and homeostasis followed by
     ``stdp_update`` or ``depress_map``.  After a bin with winners only their
     trajectories are recomputed, from the next bin on, and the later bins
     are replayed again.
 
-    delta is ``infer_fired``'s bound, with S covering the margin.  Every
+    delta is ``_candidate_step``'s bound, with S covering the margin.  Every
     threshold test, at every kept position and bin, must clear the threshold
     by more than delta.  Every comparison of two potentials (inhibition at a
     location, a map's best neuron in a bin, the ranking of a bin's
@@ -645,18 +631,13 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
     maps, _, k, _ = kernel.weights.shape
     out_w = w - k + 1
     thr, inhibit = cfg.threshold, cfg.lateral_inhibition
-    cols, final, cmax = _count_potentials(dense_spikes, kernel.weights)
     # the update's own rounding adds at most a few ulps of 1 to a weight
-    reach = final.max(axis=0) + (kernel.a_plus / 4 + 2.0 ** -50) * cols.sum(axis=0)
-    delta = _rounding_bound(dense_spikes.shape, k, cmax, reach.max())
+    found = _candidate_step(dense_spikes, kernel.weights, thr, kernel.a_plus / 4 + 2.0 ** -50)
+    if found is None:
+        return None
+    pos, table, per_bin, traj, delta = found
     gap = 2 * delta
     state.begin_image()
-    pos = np.flatnonzero(reach >= thr - gap)
-    if not pos.size:
-        return 0
-    table, per_bin, traj = _trajectories(dense_spikes, kernel.weights, pos, out_w)
-    if np.abs(traj - thr).min() <= delta:
-        return None
     fired = np.zeros((maps, pos.size), dtype=bool)
     done = -1  # the last bin whose spikes are final
     while True:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ConvKernel, InhibitionConfig, LayerState, double_learning_rates,
-                   global_max_potential, infer_fired, infer_pooled, layer_steps,
+                   global_max_potential, infer_pooled, infer_spikes, layer_steps, pool_blocks,
                    readout_columns, stdp_competition, train_certified, update_winners)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
@@ -184,31 +184,28 @@ class ConvPipeline:
     def _readout_columns(self) -> np.ndarray:
         return readout_columns(self.readout)
 
-    def features_one(self, tensor: SpikeTensor) -> tuple[np.ndarray, int]:
+    def features(self, tensor: SpikeTensor,
+                 pooled: tuple[SpikeTensor, int] | None = None) -> tuple[np.ndarray, int]:
         """(feature vector, conv-layer spike count) for one image: bool
-        pooled spikes, or float64 readout potentials.
-
-        Without pool inhibition a pooled bit is the OR of its 2x2 block, so
-        spike-count features need only the layer's ``fired`` plane."""
-        if self.readout is None and not self.cfg.pool_lateral_inhibition:
-            fired = infer_fired(tensor.dense(), self.kernel, self.cfg)
-            h, w = fired.shape[1] // 2 * 2, fired.shape[2] // 2 * 2
-            rows = fired[:, 0:h:2] | fired[:, 1:h:2]  # odd sizes lose the last row/column
-            return (rows[..., 0:w:2] | rows[..., 1:w:2]).ravel(), np.count_nonzero(fired)
-        return self.features_pooled(*self.pooled(tensor))
-
-    def features_pooled(self, pooled: SpikeTensor, n_spikes: int) -> tuple[np.ndarray, int]:
-        """``features_one`` of an image whose ``pooled`` result is known."""
-        if self.readout is None:
-            bits = np.zeros(pooled.shape[1:], dtype=bool)
-            bits[tuple(pooled.events[:, 1:].T)] = True
-            return bits.ravel(), n_spikes
-        return global_max_potential(pooled.dense(), self.readout, self._readout_columns), n_spikes
-
-    def _row(self, item: tuple[SpikeTensor, tuple[SpikeTensor, int] | None]):
-        """``extract_features``' row of one (image, its ``pooled`` result or None)."""
-        tensor, pooled = item
-        return self.features_one(tensor) if pooled is None else self.features_pooled(*pooled)
+        pooled spikes, or float64 readout potentials.  ``pooled`` is the
+        image's ``pooled`` result when known.  Spike-count bits build no
+        pooled ``SpikeTensor``."""
+        if self.readout is not None:
+            layer2, n_spikes = pooled or self.pooled(tensor)
+            return global_max_potential(layer2.dense(), self.readout,
+                                        self._readout_columns), n_spikes
+        bits = np.zeros(self.pooled_shape(tensor.shape)[1:], dtype=bool)
+        if pooled is None and not self.cfg.pool_lateral_inhibition:
+            # without pool inhibition any spike of a 2x2 block sets its bit
+            spikes, _ = infer_spikes(tensor.dense(), self.kernel, self.cfg)
+            k = self.kernel.k
+            block, _, _ = pool_blocks(spikes, (tensor.shape[2] - k + 1, tensor.shape[3] - k + 1))
+            bits.reshape(-1)[block] = True
+            return bits.ravel(), spikes[0].size
+        events, n_spikes = ((pooled[0].events, pooled[1]) if pooled else
+                            infer_pooled(tensor.dense(), self.kernel, self.cfg))
+        bits[tuple(events[:, 1:].T)] = True
+        return bits.ravel(), n_spikes
 
 
 def _usable_cpus() -> int:
@@ -238,13 +235,13 @@ def extract_features(pipeline: ConvPipeline, tensors: list[SpikeTensor],
         raise ValueError(f"pooled results for {len(pooled)} of {n} images")
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
-    items = list(zip(tensors, [*pooled, *[None] * (n - len(pooled))]))
+    known = [*pooled, *[None] * (n - len(pooled))]
     workers = min(threads, n, _usable_cpus())
     values, spikes = None, np.empty(n)
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         # either way rows arrive in input order and go straight into the matrix
-        rows = (pool.map(pipeline._row, items, chunksize=math.ceil(n / workers))
-                if pool else map(pipeline._row, items))
+        rows = (pool.map(pipeline.features, tensors, known, chunksize=math.ceil(n / workers))
+                if pool else map(pipeline.features, tensors, known))
         for i, (vec, n_spikes) in enumerate(rows):
             if values is None:
                 values = np.empty((n, vec.size), dtype=vec.dtype)

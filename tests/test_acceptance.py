@@ -147,9 +147,9 @@ def test_criterion_3_spike_sparsity(trained):
 
 
 def test_candidate_pass_rarely_falls_back(corpus, trained, monkeypatch):
-    """``infer_fired`` matches the per-bin reference layer on every test
-    image of the corpus under the trained kernel, and falls back to
-    ``per_bin_spikes`` on at most 1%."""
+    """``infer_spikes`` finds the neurons that fire in the per-bin reference
+    layer, each at its bin, on every test image of the corpus under the
+    trained kernel, and falls back to ``per_bin_spikes`` on at most 1%."""
     calls = []
     real = core.per_bin_spikes
 
@@ -162,8 +162,11 @@ def test_candidate_pass_rarely_falls_back(corpus, trained, monkeypatch):
     images = corpus["enc_test"]
     for tensor in images:
         dense = tensor.dense()
-        np.testing.assert_array_equal(core.infer_fired(dense, kernel, cfg),
-                                      per_bin_oracle(dense, kernel, cfg)[0].any(axis=0))
+        (maps, pos, at, _), _ = core.infer_spikes(dense, kernel, cfg)
+        record = per_bin_oracle(dense, kernel, cfg)[0]
+        got = np.zeros_like(record)
+        got.reshape(*record.shape[:2], -1)[at, maps, pos] = True
+        np.testing.assert_array_equal(got, record)
     assert len(calls) <= 0.01 * len(images), f"{len(calls)} of {len(images)} fell back"
 
 

@@ -401,23 +401,23 @@ class TestCandidatePass:
         from spikecnn import train
 
         calls = []
-        real = train.infer_fired
+        real = train.infer_spikes
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(train, "infer_fired", counting)
+        monkeypatch.setattr(train, "infer_spikes", counting)
         fast = self.features(trained_run, threads)
         if threads == 1:  # a pool's workers count in their own processes
             assert len(calls) == 280
 
         # the reference layer and pooling; the name the pool pickles it by
-        def features_one(pipeline, tensor):
+        def features(pipeline, tensor, pooled=None):
             spikes, potentials = per_bin_oracle(tensor.dense(), pipeline.kernel, pipeline.cfg)
             return oracle_max_pool(spikes, potentials).any(axis=0).ravel(), int(spikes.sum())
 
-        monkeypatch.setattr(train.ConvPipeline, "features_one", features_one)
+        monkeypatch.setattr(train.ConvPipeline, "features", features)
         assert self.features(trained_run, threads) == fast
 
 
@@ -852,7 +852,8 @@ class TestConfigRanges:
         ("demo", "a_minus", -0.5), ("encoding", "sigma_center", 0),
         ("encoding", "sigma_surround", -2.0),
         ("plan", "band_low", -0.01), ("plan", "band_low", 0.3),
-        ("plan", "band_high", -0.01), ("plan", "band_high", 0.26)])
+        ("plan", "band_high", -0.01), ("plan", "band_high", 0.26),
+        ("forget", "rehearsal_fractions", [0.1, 0.1004, 0.1])])
     def test_below_minimum(self, section, key, value):
         raw = {key: value} if section == "config" else {section: {key: value}}
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
@@ -860,7 +861,10 @@ class TestConfigRanges:
 
     @pytest.mark.parametrize("forget,message", [
         ({"task_a_classes": [0, 0, 1]}, "class 0 is listed twice"),
-        ({"task_a_classes": [0, 1], "task_b_classes": [2, 1, 3]}, "class 1 is listed twice")])
+        ({"task_a_classes": [0, 1], "task_b_classes": [2, 1, 3]}, "class 1 is listed twice"),
+        # one curve file per name: the later fraction's curve would replace the earlier's
+        ({"rehearsal_fractions": [0.1, 0.1004, 0.1]},
+         "fractions 0.1 and 0.1004 both name forget-r0.100.csv")])
     def test_forget_task_classes_listed_twice_exit_1(self, tmp_path, capsys, forget, message):
         out = tmp_path / "run"
         cfg_path = write_config(tmp_path / "c.json", {"out_dir": str(out), "forget": forget})
@@ -868,6 +872,18 @@ class TestConfigRanges:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_layer2_reads_at_most_256_layer1_maps(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json", {
+            "out_dir": str(out), "feature_mode": "global_max_potential", "layer": {"maps": 300}})
+        assert main(["train", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "config.layer.maps: 300 maps exceed" in err and "Traceback" not in err
+        assert not out.exists()  # before layer 1 trains
+        # 256 maps fit u8 channels; spike-count features read no channel
+        for mode, maps in (("global_max_potential", 256), ("spike_count", 300)):
+            validate_config({"feature_mode": mode, "layer": {"maps": maps}})
 
     @pytest.mark.parametrize("flag,value", [("--threads", "-3"), ("--seed", "-1")])
     def test_override_flags_are_validated(self, tmp_path, capsys, flag, value):

@@ -6,7 +6,7 @@ every bin, exactly as training does, and keeps the full (T, M, H', W') spike
 record.  ``oracle_max_pool`` is the reference pooling over that record.
 ``per_bin_spikes`` and the pooling of its spikes must match them bit for
 bit, and so must the pipeline's pooled ``SpikeTensor`` (a second layer's
-input) and its spike-count features.  ``infer_fired`` and ``infer_pooled``
+input) and its spike-count features.  ``infer_spikes`` and ``infer_pooled``
 must match them too, each taking ``per_bin_spikes`` whenever a decision is
 too close to call.
 """
@@ -23,10 +23,10 @@ from hypothesis.extra import numpy as hnp
 
 from spikecnn import core
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
-                           conv_accumulate, fire_and_inhibit, infer_fired,
-                           infer_pooled, init_kernel, per_bin_spikes)
+                           conv_accumulate, fire_and_inhibit, infer_pooled,
+                           infer_spikes, init_kernel, per_bin_spikes)
 from spikecnn.encode import SpikeTensor
-from spikecnn.train import ConvPipeline
+from spikecnn.train import ConvPipeline, extract_features
 
 
 def per_bin_oracle(dense, kernel, cfg):
@@ -81,15 +81,16 @@ def count_spikes(spikes):
     return spikes.sum(axis=0, dtype=np.float64).ravel()
 
 
-def assert_spikes_match(spikes, record, potentials):
+def assert_spikes_match(spikes, record, potentials, within=0.0):
     """``spikes``, (map, flat position, bin, potential) arrays, list exactly
     the (T, M, H', W') spike ``record`` in (map, position) order, each with
-    its neuron's potential in ``potentials``."""
+    its neuron's potential in ``potentials`` to ``within``."""
     t_bins, maps = record.shape[:2]
     ms, ps = np.nonzero(record.any(axis=0).reshape(maps, -1))
-    for got, want in zip(spikes, (ms, ps, record.reshape(t_bins, maps, -1).argmax(axis=0)[ms, ps],
-                                  potentials.reshape(maps, -1)[ms, ps])):
+    bins = record.reshape(t_bins, maps, -1).argmax(axis=0)[ms, ps]
+    for got, want in zip(spikes[:3], (ms, ps, bins)):
         np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(spikes[3], potentials.reshape(maps, -1)[ms, ps], rtol=0, atol=within)
 
 
 def fallback_pooled(dense, kernel, cfg):
@@ -114,10 +115,13 @@ def assert_matches_oracle(dense, kernel, cfg):
     np.testing.assert_array_equal(layer2.events, SpikeTensor.from_dense(want_pooled).events)
     assert n_spikes == int(want_spikes.sum())
 
-    features, n_spikes = pipe.features_one(tensor)
+    features, n_spikes = pipe.features(tensor)
     np.testing.assert_array_equal(features, count_spikes(want_pooled))
     assert features.dtype == bool  # spike-count features are bits
     assert n_spikes == int(want_spikes.sum())
+    known, n_known = pipe.features(tensor, (layer2, n_spikes))  # from the pooled result
+    np.testing.assert_array_equal(known, features)
+    assert n_known == n_spikes
 
 
 # Weights on a quarter grid make potentials exact multiples of 0.25, so
@@ -167,17 +171,21 @@ def test_reference_layer_matches_per_bin_loop(threshold, lateral, pool_lateral):
         assert_matches_oracle(dense, kernel, cfg)
 
 
-def oracle_fired(dense, kernel, cfg):
-    return per_bin_oracle(dense, kernel, cfg)[0].any(axis=0)
+def assert_infers_like_the_oracle(dense, kernel, cfg):
+    """``infer_spikes`` lists the reference layer's spikes, each at its bin,
+    with its potential within half the gap it returns (exact on the
+    fallback).  Returns the oracle's spike record."""
+    spikes, gap = infer_spikes(dense, kernel, cfg)
+    order = np.lexsort((spikes[1], spikes[0]))
+    record, potentials = per_bin_oracle(dense, kernel, cfg)
+    assert_spikes_match([a[order] for a in spikes], record, potentials, max(gap / 2, 0.0))
+    return record
 
 
 @settings(max_examples=300, deadline=None)
 @given(layer_cases())
 def test_infer_fired_matches_per_bin_loop(case):
-    dense, kernel, cfg = case
-    fired = infer_fired(dense, kernel, cfg)
-    assert fired.dtype == bool
-    np.testing.assert_array_equal(fired, oracle_fired(dense, kernel, cfg))
+    assert_infers_like_the_oracle(*case)
 
 
 # numpy hands a 1-map kernel or a 1x1 output map to gemv, not dgemm
@@ -189,8 +197,7 @@ def test_infer_fired_on_gemv_shapes(maps, k, size, lateral):
     for _ in range(20):
         kernel = ConvKernel(rng.random((maps, 2, k, k)))
         dense = rng.random((6, 2, size, size)) < 0.25
-        np.testing.assert_array_equal(infer_fired(dense, kernel, cfg),
-                                      oracle_fired(dense, kernel, cfg))
+        assert_infers_like_the_oracle(dense, kernel, cfg)
 
 
 @pytest.mark.parametrize("lateral", [True, False])
@@ -203,10 +210,23 @@ def test_infer_fired_with_locations_spiking_in_several_bins(lateral):
         kernel = ConvKernel(rng.random((6, 2, 3, 3)))
         dense = rng.random((8, 2, 10, 10)) < 0.4
         dense[:, :, 4, 4] = True
-        record = per_bin_oracle(dense, kernel, cfg)[0]
-        np.testing.assert_array_equal(infer_fired(dense, kernel, cfg), record.any(axis=0))
+        record = assert_infers_like_the_oracle(dense, kernel, cfg)
         first_bins |= set(np.nonzero(record)[0].tolist())
     assert len(first_bins) > 2  # crossings in several bins were decided
+
+
+def test_pool_inhibited_features_over_more_than_256_maps():
+    # the bits come from infer_pooled's events, not a SpikeTensor of u8 channels
+    rng = np.random.default_rng(21)
+    kernel = init_kernel(300, 2, 5, rng)
+    cfg = InhibitionConfig(threshold=15.0, pool_lateral_inhibition=True)
+    dense = rng.random((12, 2, 27, 27)) < 0.05
+    matrix, n_spikes = extract_features(ConvPipeline(kernel, cfg), [SpikeTensor.from_dense(dense)])
+    spikes, potentials = per_bin_oracle(dense, kernel, cfg)
+    want = oracle_max_pool(spikes, potentials, True).any(axis=0)
+    assert want[256:].any()  # maps past u8 fire
+    np.testing.assert_array_equal(matrix.values[0], want.ravel())
+    assert n_spikes == spikes.sum()
 
 
 @contextlib.contextmanager
@@ -240,9 +260,9 @@ def two_spike_case(maps):
 def test_potential_on_the_threshold_takes_the_fallback(fallback_calls, lateral):
     dense, kernel = two_spike_case(1)
     cfg = InhibitionConfig(threshold=1.0, lateral_inhibition=lateral)
-    fired = infer_fired(dense, kernel, cfg)
-    assert len(fallback_calls) == 1
-    assert not fired.any()  # 1.0 > 1.0 is false
+    (maps, _, _, _), gap = infer_spikes(dense, kernel, cfg)
+    assert len(fallback_calls) == 1 and gap == -np.inf
+    assert not maps.size  # 1.0 > 1.0 is false
 
 
 @pytest.mark.parametrize("toward, fires", [(2.0, False), (0.0, True)])
@@ -251,28 +271,30 @@ def test_potential_one_ulp_from_the_threshold_takes_the_fallback(fallback_calls,
     # 1.0 is exact, but another summation order could round it to a
     # neighbour: within the rounding bound nothing is decided
     dense, kernel = two_spike_case(1)
-    fired = infer_fired(dense, kernel, InhibitionConfig(threshold=np.nextafter(1.0, toward)))
-    assert len(fallback_calls) == 1
-    assert fired.all() == fires
+    (maps, _, _, _), gap = infer_spikes(dense, kernel,
+                                        InhibitionConfig(threshold=np.nextafter(1.0, toward)))
+    assert len(fallback_calls) == 1 and gap == -np.inf
+    assert maps.size == fires
 
 
 def test_potential_clear_of_the_threshold_needs_no_fallback(fallback_calls):
     dense, kernel = two_spike_case(1)
     for threshold, fires in ((0.75, True), (1.25, False)):
-        fired = infer_fired(dense, kernel, InhibitionConfig(threshold=threshold))
-        assert fired.all() == fires
+        (maps, _, _, _), gap = infer_spikes(dense, kernel, InhibitionConfig(threshold=threshold))
+        assert maps.size == fires and gap > 0
     assert fallback_calls == []
 
 
 def test_tied_maps_take_the_fallback(fallback_calls):
     dense, kernel = two_spike_case(3)
-    fired = infer_fired(dense, kernel, InhibitionConfig(threshold=0.75))
+    (maps, _, _, _), _ = infer_spikes(dense, kernel, InhibitionConfig(threshold=0.75))
     assert len(fallback_calls) == 1
-    np.testing.assert_array_equal(fired.ravel(), [True, False, False])  # the lowest map
+    np.testing.assert_array_equal(maps, [0])  # the lowest map
     # without inhibition a tie decides nothing
-    fired = infer_fired(dense, kernel, InhibitionConfig(threshold=0.75,
-                                                        lateral_inhibition=False))
-    assert len(fallback_calls) == 1 and fired.all()
+    (maps, _, _, _), _ = infer_spikes(dense, kernel, InhibitionConfig(threshold=0.75,
+                                                                      lateral_inhibition=False))
+    assert len(fallback_calls) == 1
+    np.testing.assert_array_equal(maps, [0, 1, 2])
 
 
 def pooled_events(dense, kernel, cfg):

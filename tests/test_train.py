@@ -242,8 +242,8 @@ class TestExtractFeatures:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):  # Executor.map's signature
+                return map(fn, *iterables)
 
         monkeypatch.setattr(train_mod, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(train_mod, "_usable_cpus", lambda: cpus)
