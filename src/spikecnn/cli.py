@@ -2,10 +2,10 @@
 
 Every subcommand reads one JSON config (a prior run's manifest also works,
 since it embeds the config), writes its artifacts into the output directory,
-and drops a manifest recording the config, seed, and artifact hashes.  A
-re-run from a manifest reproduces checkpoints and CSVs byte for byte, at any
---threads: each image's features are computed alone, whichever worker takes
-it.
+each whole or not at all, and last a manifest of the config, seed and
+artifact hashes.  A re-run reproduces checkpoints and CSVs byte for byte, at
+any --threads (each image's features are computed alone), and a frozen
+layer's spikes are exact, the same on any BLAS.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, encode, heads, recon, train
+from . import container, core, encode, heads, recon, train
 from .config import (ConfigError, config_hash, file_sha256, load_config,
                      substream, write_manifest)
 
@@ -32,7 +32,7 @@ def _csv_cell(value) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w") as f:
+    with container.replacing(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_csv_cell(v) for v in row) + "\n")

@@ -15,6 +15,8 @@ from typing import Any
 
 import numpy as np
 
+from . import container
+
 
 class ConfigError(ValueError):
     """Raised when a config document fails schema validation."""
@@ -307,4 +309,5 @@ def write_manifest(path: str | Path, cfg: dict, artifacts: dict[str, str],
         doc["wall_clock_seconds"] = round(wall_clock, 3)
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with container.replacing(path, "w") as f:
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

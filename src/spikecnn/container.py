@@ -4,12 +4,15 @@ An artifact is a magic tag, packed header fields and raw array payloads,
 nothing else.  ``write`` lays the parts out back to back; ``Reader`` walks
 them in the same order and checks the remaining length before every read,
 so a cut, padded or corrupt file raises ``ValueError`` and never
-``struct.error`` or a short array.
+``struct.error`` or a short array.  Every file the package writes goes
+through ``replacing``, so it appears whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -34,10 +37,25 @@ def u8(values, what: str) -> np.ndarray:
     return values.astype(np.uint8)
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb"):
+    """The file object of a sibling temporary file, renamed over ``path``
+    when the block ends.  If the block raises, the temporary file is removed
+    and ``path`` keeps what it held, so a killed or failed write never
+    leaves a cut file under the real name."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write(path, magic: bytes, *parts) -> None:
     """Write ``magic`` then each part: a ``(struct_fmt, *values)`` tuple is
     packed, an ndarray goes in as its C-order bytes, bytes as they are."""
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(magic)
         for part in parts:
             if isinstance(part, tuple):

@@ -10,7 +10,9 @@ gate caps how often any one map may update.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -177,16 +179,17 @@ def conv_accumulate(spikes_bin: np.ndarray, weights: np.ndarray,
     return potentials
 
 
-def fire_and_inhibit(potentials: np.ndarray, state: LayerState,
-                     cfg: InhibitionConfig) -> np.ndarray:
+def fire_and_inhibit(potentials: np.ndarray, state: LayerState, cfg: InhibitionConfig,
+                     above: np.ndarray | None = None) -> np.ndarray:
     """Fire neurons above threshold, applying lateral inhibition.
 
     A neuron fires at most once per image.  With lateral inhibition on, only
     the highest-potential map may fire at each location, which then locks the
     location for the rest of the image (ties go to the lower map index).
     Returns the boolean (maps, H, W) plane of spikes emitted this bin.
+    ``above`` is ``potentials > threshold`` when the caller has it.
     """
-    eligible = (potentials > cfg.threshold) & ~state.fired
+    eligible = (potentials > cfg.threshold if above is None else above) & ~state.fired
     if cfg.lateral_inhibition:
         eligible &= ~state.location_locked[None, :, :]
         maps = potentials.shape[0]
@@ -322,34 +325,17 @@ def layer_steps(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionCon
     A silent bin adds nothing to the potentials, and with a threshold >= 0
     potential 0 fires nothing, so only bins that hold a spike are visited."""
     potentials = np.zeros(state.out_shape)
-    above = 0
+    seen = 0
     for t in busy_bins(dense_spikes):
         conv_accumulate(dense_spikes[t], kernel.weights, potentials)
         # Potentials never decrease and a fire step leaves every neuron above
         # threshold fired or locked: no new crossing, nothing can fire.
-        now = np.count_nonzero(potentials > cfg.threshold)
-        if now == above:
+        above = potentials > cfg.threshold
+        now = np.count_nonzero(above)
+        if now == seen:
             continue
-        above = now
-        yield t, potentials, fire_and_inhibit(potentials, state, cfg)
-
-
-def per_bin_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
-    """Run one image through a frozen layer (no competition, no learning) by
-    ``layer_steps``.  Returns every spike of the layer as (map, flat output
-    position, bin, potential at that bin) arrays in (map, position) order.
-    The definition of the layer, and the fallback of ``infer_spikes`` and
-    ``infer_pooled``."""
-    _, _, h, w = dense_spikes.shape
-    state = LayerState(kernel.maps_out, h - kernel.k + 1, w - kernel.k + 1)
-    spike_bin = np.zeros(state.fired.size, dtype=np.int64)
-    spike_potential = np.zeros(state.fired.size)
-    for t, potentials, fired in layer_steps(dense_spikes, kernel, cfg, state):
-        idx = np.flatnonzero(fired)
-        spike_bin[idx] = t
-        spike_potential[idx] = potentials.flat[idx]
-    idx = np.flatnonzero(state.fired)
-    return (*np.divmod(idx, state.fired[0].size), spike_bin[idx], spike_potential[idx])
+        seen = now
+        yield t, potentials, fire_and_inhibit(potentials, state, cfg, above)
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -386,6 +372,22 @@ def _rounding_bound(shape: tuple, k: int, cmax: float, top: float) -> float:
     return 2 * gamma * top / (1 - gamma)
 
 
+def _exact_sign(dense_spikes: np.ndarray, weights: np.ndarray, a, b=None,
+                thr: float = 0.0) -> int:
+    """The exact sign of P_a - thr, or with ``b`` of P_a - P_b, for a frozen
+    layer's neurons (map, flat position, bin): ``math.fsum`` of the window's
+    weights, each once per input spike up to the bin, rounds correctly."""
+    k = weights.shape[2]
+    out_w = dense_spikes.shape[3] - k + 1
+    terms = [-thr]
+    for (m, p, t), side in zip((a, b) if b else (a,), (1.0, -1.0)):
+        u, v = divmod(p, out_w)
+        counts = dense_spikes[:t + 1, :, u:u + k, v:v + k].sum(axis=0)
+        terms += np.repeat(side * weights[m].ravel(), counts.ravel()).tolist()
+    total = math.fsum(terms)
+    return (total > 0) - (total < 0)
+
+
 def _trajectories(dense_spikes: np.ndarray, weights: np.ndarray, pos: np.ndarray,
                   out_w: int):
     """(table, per_bin, traj) at the listed positions: table[(c, dy, dx),
@@ -400,28 +402,30 @@ def _trajectories(dense_spikes: np.ndarray, weights: np.ndarray, pos: np.ndarray
     return table, per_bin, _cumulate(per_bin)
 
 
+_upper_ones = functools.lru_cache(lambda t: np.broadcast_to(np.tri(t).T, (t, t)))  # read-only
+
+
 def _cumulate(per_bin: np.ndarray) -> np.ndarray:
     """Per-bin increments (..., T) summed over bins, by a dgemm against ones
     on and above the diagonal."""
     t_bins = per_bin.shape[-1]
-    return np.dot(per_bin.reshape(-1, t_bins), np.tri(t_bins).T).reshape(per_bin.shape)
+    return np.dot(per_bin.reshape(-1, t_bins), _upper_ones(t_bins)).reshape(per_bin.shape)
 
 
-def _first_spikes(traj: np.ndarray, thr: float, inhibit: bool, gap: float, done: int):
-    """The spikes of (maps, positions, T) trajectories after bin ``done``:
-    (map, position index, bin, potential) arrays, in position order within
-    each map.  A neuron fires in the first bin it is above ``thr``; with
-    lateral inhibition a location fires once, in the first bin a map is
-    above ``thr`` there: the map of highest potential in that bin, the
-    lowest among equals.  None when a runner-up comes within ``gap`` of
-    such a winner.
-
-    The callers certify every threshold test, and exact potentials never
-    decrease, so a neuron is above ``thr`` from its crossing on.  A neuron
-    or location that crossed by bin ``done`` has fired already, and a
-    trajectory recomputed after ``done`` cannot move that crossing."""
+def _first_spikes(traj: np.ndarray, above: np.ndarray, inhibit: bool, gap: float, done: int,
+                  beats=None):
+    """The spikes of (maps, positions, T) trajectories after bin ``done``,
+    from their threshold tests ``above``: (map, position index, bin,
+    potential) arrays, in position order within each map.  A neuron fires in
+    the first bin it is above the threshold; with lateral inhibition a
+    location fires once, in the first bin a map is above there: the map of
+    highest potential in that bin, the lowest among equals.  ``beats(map,
+    map', position index, bin)`` orders maps within ``gap`` of that
+    potential; without it such a runner-up makes the result None.  Exact
+    potentials never decrease, so a neuron or location that crossed by bin
+    ``done`` has fired, and a trajectory recomputed after it cannot move
+    that crossing."""
     t_bins = traj.shape[-1]
-    above = traj > thr
     if not inhibit:
         first = t_bins - np.count_nonzero(above, axis=-1)  # T where none
         ms, ps = np.nonzero((first > done) & (first < t_bins))
@@ -434,38 +438,37 @@ def _first_spikes(traj: np.ndarray, thr: float, inhibit: bool, gap: float, done:
     score = np.where(above[:, ps, at], traj[:, ps, at], -np.inf)
     ms = score.argmax(axis=0)
     cols = np.arange(ps.size)
-    top = score[ms, cols]
-    score[ms, cols] = -np.inf
-    if (top - score.max(axis=0) <= gap).any():
-        return None
-    return ms, ps, at, top
+    close = score >= score[ms, cols] - gap
+    close[ms, cols] = False  # the rivals of each location's top
+    for c in np.flatnonzero(close.any(axis=0)).tolist():
+        if beats is None:
+            return None
+        rivals = sorted([ms[c], *np.flatnonzero(close[:, c]).tolist()])  # in map order
+        ms[c] = functools.reduce(lambda b, m: m if beats(m, b, ps[c], at[c]) else b, rivals)
+    return ms, ps, at, score[ms, cols]
 
 
-def _candidate_step(dense_spikes: np.ndarray, weights: np.ndarray, thr: float, margin: float):
+def _candidate_step(dense_spikes: np.ndarray, weights: np.ndarray, thr: float, margin: float,
+                    sign=None):
     """The candidate step of both passes: (candidate positions, there
-    ``_trajectories``' table, per_bin and traj, delta), or None when a
-    potential there comes within delta of ``thr``.  ``margin`` bounds how far
-    a potential may rise above its final value under ``weights``, per input
-    spike in its window: 0 for a frozen layer.
+    ``_trajectories``' table, per_bin and traj, traj > ``thr``, delta).
+    ``margin`` bounds how far a potential may rise above its final value
+    under ``weights``, per input spike in its window: 0 for a frozen layer.
+    ``sign`` (``_exact_sign``) decides each threshold test within delta;
+    without it such a test makes the result None.
 
     One dgemm of the kernel against the im2col of the per-location spike
-    counts (all bins summed) gives every neuron's final potential; only
-    positions where some map reaches ``thr - 2 delta`` (margin included) are
-    candidates, and a per-bin window table there gives every map's potential
-    after each bin.  These may differ in the last bits from the per-bin
-    loop's, which sums the same terms bin by bin in its BLAS's order.  Every
-    weight lies in [0, 1] and every input count is >= 0, so every term is
-    >= 0, and a floating-point sum of at most n such terms, in any order (any
-    blocking, any BLAS, with or without FMA), lies within gamma_n * s of its
-    exact value s, gamma_n = n u / (1 - n u), u = 2^-53; n =
-    ``_rounding_bound``'s, more terms than either path sums, and the slack
-    covers the few roundings in computing delta.  Exact potentials never
-    decrease, so S = (largest final potential plus margin) / (1 - gamma_n)
-    bounds every one, and two computations of one potential differ by at
-    most delta = 2 gamma_n S.  Hence each threshold test needs |P - thr| >
-    delta, checked here at every candidate and bin, and two potentials
-    compared must differ by more than 2 delta, which the callers check.
-    """
+    counts gives every final potential; the candidates are the positions
+    where some map reaches ``thr - 2 delta`` (margin included), and a window
+    table there gives every potential after each bin.  Every term is >= 0,
+    so a float sum of at most n terms, in any order (any BLAS, with or
+    without FMA), lies within gamma_n s of its exact value s, gamma_n = n u
+    / (1 - n u), u = 2^-53, n as in ``_rounding_bound``.  Exact potentials
+    never decrease, so with S = (largest final potential plus margin) / (1 -
+    gamma_n) two computations of a potential differ by at most delta = 2
+    gamma_n S: a threshold test more than delta from ``thr``, or a
+    comparison of potentials more than 2 delta apart, is the same in every
+    order."""
     cols, final, cmax = _count_potentials(dense_spikes, weights)
     reach = final.max(axis=0)  # per position, over maps
     if margin:  # a frozen layer skips the window sums, ~4% of its pass
@@ -474,112 +477,97 @@ def _candidate_step(dense_spikes: np.ndarray, weights: np.ndarray, thr: float, m
     delta = _rounding_bound(dense_spikes.shape, k, cmax, reach.max())
     pos = np.flatnonzero(reach >= thr - 2 * delta)
     table, per_bin, traj = _trajectories(dense_spikes, weights, pos, dense_spikes.shape[3] - k + 1)
-    if np.abs(traj - thr).min(initial=np.inf) <= delta:
-        return None
-    return pos, table, per_bin, traj, delta
+    above, dist = traj > thr, np.abs(traj - thr)
+    if dist.min(initial=np.inf) <= delta:
+        if sign is None:
+            return None
+        last = (-1, -1, -1, False)  # exact potentials never decrease, and adding 0 keeps them
+        for m, i, t in zip(*(a.tolist() for a in np.nonzero(dist <= delta))):
+            same = last[:2] == (m, i) and (last[3] or (last[2] == t - 1 and not per_bin[m, i, t]))
+            above[m, i, t] = last[3] if same else sign((m, pos[i], t), thr=thr) > 0
+            last = m, i, t, above[m, i, t]
+    return pos, table, per_bin, traj, above, delta
 
 
 def infer_spikes(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig):
     """(every spike of the layer as (map, flat output position, bin,
     potential at that bin) arrays, in position order within each map, the
-    gap they are certified at).  The spikes and bins are ``per_bin_spikes``'.
-    From the candidate step, with each location's winner beating the
-    runner-up of its bin by more than 2 delta, the potentials lie within
-    delta of the per-bin ones and the gap is 2 delta; otherwise the image
-    goes through ``per_bin_spikes``, whose potentials are exact, and the gap
-    is -inf."""
-    found = _candidate_step(dense_spikes, kernel.weights, cfg.threshold, 0.0)
-    if found is not None:
-        pos, _, _, traj, delta = found
-        spikes = _first_spikes(traj, cfg.threshold, cfg.lateral_inhibition, 2 * delta, -1)
-        if spikes is not None:
-            ms, ps, at, potential = spikes
-            return (ms, pos[ps], at, potential), 2 * delta
-    return per_bin_spikes(dense_spikes, kernel, cfg), -np.inf
+    gap 2 delta of ``_candidate_step``), each potential within delta of the
+    exact one; ``_exact_sign`` decides every test too close for delta."""
+    sign = functools.partial(_exact_sign, dense_spikes, kernel.weights)
+    pos, _, _, traj, above, delta = _candidate_step(dense_spikes, kernel.weights, cfg.threshold,
+                                                    0.0, sign)
+    ms, ps, at, potential = _first_spikes(
+        traj, above, cfg.lateral_inhibition, 2 * delta, -1,
+        lambda a, b, i, t: sign((a, pos[i], t), (b, pos[i], t)) > 0)
+    return (ms, pos[ps], at, potential), 2 * delta
 
 
 def infer_pooled(dense_spikes: np.ndarray, kernel: ConvKernel,
                  cfg: InhibitionConfig) -> tuple[np.ndarray, int]:
     """(the layer's spikes pooled 2x2, as (bin, map, row, col) rows in
-    canonical order, the layer's spike count), from ``infer_spikes``.
-
-    Per map and 2x2 block the spike of highest potential passes, at its own
-    bin; equal potentials go to the first in row-major block order, and odd
-    sizes lose the last row/column.  With ``pool_lateral_inhibition``, per
-    pooled location the earliest bin, then the highest potential, then the
-    lowest map wins.
-
-    Downstream code reads only each pooled spike's bin and place, never its
-    potential.  The candidate step gives every spike's exact bin and its
-    potential within delta, so the pooling choices need certifying only where
-    they can move a bin:
-
-    - every spike of a block that fired in another bin than the block's top
-      must trail it by more than 2 delta;
-    - with ``pool_lateral_inhibition``, the runner-up in the winner's bin at
-      a pooled location must trail it by more than 2 delta.
-
-    Otherwise the image goes through ``per_bin_spikes``, whose potentials are
-    exact, and the same pooling.
-    """
-    t_bins, c, h, w = dense_spikes.shape
-    out_shape = (h - kernel.k + 1, w - kernel.k + 1)
+    canonical order, the layer's spike count), from ``infer_spikes``.  Per
+    map and 2x2 block the spike of highest potential passes, at its own bin:
+    the first in row-major block order among equals (odd sizes lose the last
+    row/column).  With ``pool_lateral_inhibition``, per pooled location the
+    earliest bin, then the highest potential, then the lowest map wins."""
     spikes, gap = infer_spikes(dense_spikes, kernel, cfg)
-    events = _pool_spikes(spikes, gap, out_shape, cfg.pool_lateral_inhibition)
-    if events is None:
-        spikes = per_bin_spikes(dense_spikes, kernel, cfg)
-        # no margin: the checks against -inf never fail
-        events = _pool_spikes(spikes, -np.inf, out_shape, cfg.pool_lateral_inhibition)
-    return events, spikes[0].size
+    out_shape = tuple(side - kernel.k + 1 for side in dense_spikes.shape[2:])
+    ties = gap, functools.partial(_exact_sign, dense_spikes, kernel.weights)
+    return _pool_spikes(spikes, out_shape, cfg.pool_lateral_inhibition, ties), spikes[0].size
 
 
 def pool_blocks(spikes: tuple, out_shape: tuple[int, int]):
     """(each spike's 2x2 block, as a flat index into the (maps, H'//2, W'//2)
-    pooled maps, its bin, its potential) for the spikes (map, flat position,
-    bin, potential) of an H' x W' layer that fall in a block: odd sizes lose
-    the last row and column."""
-    m, pos, at, x = spikes
+    pooled maps, the mask of the spikes in one) for the spikes (map, flat
+    position, ...) of an H' x W' layer: odd sizes lose the last row/column."""
+    m, pos = spikes[:2]
     out_h, out_w = out_shape
     h2, w2 = out_h // 2, out_w // 2
     u, v = np.divmod(pos, out_w)
     keep = (u < 2 * h2) & (v < 2 * w2)
-    return (m * (h2 * w2) + u // 2 * w2 + v // 2)[keep], at[keep], x[keep]
+    return (m * (h2 * w2) + u // 2 * w2 + v // 2)[keep], keep
 
 
-def _pool_spikes(spikes: tuple, gap: float, out_shape: tuple[int, int], pool_inhibit: bool):
+def _pool_spikes(spikes: tuple, out_shape: tuple[int, int], pool_inhibit: bool, ties):
     """``infer_pooled``'s events from the layer's spikes (map, flat position,
-    bin, potential), listed in position order within each map; None when a
-    choice that moves a bin rests on potentials within ``gap``.  The stable
+    bin, potential), listed in position order within each map.  The stable
     sorts keep that order among equals: row-major within a block, then the
-    lowest map at a pooled location."""
-    block, at, x = pool_blocks(spikes, out_shape)
-    w2 = out_shape[1] // 2
-    cells = out_shape[0] // 2 * w2
-    order = np.lexsort((-x, block))
-    block, at, x = block[order], at[order], x[order]
-    lead = _leads(block)
-    top = np.flatnonzero(lead)[np.cumsum(lead) - 1]  # each spike's block top
-    if ((at != at[top]) & (x[top] - x <= gap)).any():
-        return None
-    block, at, x = block[lead], at[lead], x[lead]
-    if pool_inhibit:
-        order = np.lexsort((-x, at, block % cells))
-        block, at, x = block[order], at[order], x[order]
-        lead = _leads(block % cells)
-        # each location's winner against its runner-up, when both fired in one bin
-        if (lead[:-1] & ~lead[1:] & (at[1:] == at[:-1]) & (x[:-1] - x[1:] <= gap)).any():
-            return None
-        block, at = block[lead], at[lead]
+    lowest map at a pooled location.  ``ties`` = (gap, ``_exact_sign``)
+    makes each choice between potentials within gap exactly."""
+    gap, sign = ties
+    block, keep = pool_blocks(spikes, out_shape)
+    cells = out_shape[0] // 2 * (out_shape[1] // 2)
+    rows = np.column_stack([block, *(a[keep] for a in spikes[1:])])  # block, position, bin, x
+
+    def beats(i, j):
+        return sign(*((int(r[0]) // cells, int(r[1]), int(r[2])) for r in rows[[i, j]])) > 0
+
+    def keep_leads(group, order, in_bin):
+        """Sort the rows by ``order`` and keep the first of each group, or the
+        exact top of its rivals within gap (``in_bin``: in its bin) where one
+        moves the bin or pool inhibition reads the potentials."""
+        nonlocal rows
+        rows, group = rows[order], group[order]
+        lead = np.ones(group.size, dtype=bool)
+        lead[1:] = group[1:] != group[:-1]
+        first = np.flatnonzero(lead)[np.cumsum(lead) - 1]
+        moved = rows[:, 2] != rows[first, 2]
+        close = ~lead & (rows[first, 3] - rows[:, 3] <= gap) & ~(in_bin & moved)
+        for h in set(first[close & (in_bin | pool_inhibit | moved)].tolist()):
+            rivals = sorted([h, *np.flatnonzero(close & (first == h)).tolist()],
+                            key=lambda i: tuple(rows[i, :2]))
+            rows[h] = rows[functools.reduce(lambda a, i: i if beats(i, a) else a, rivals)]
+        rows = rows[lead]
+
+    keep_leads(block, np.lexsort((-rows[:, 3], block)), False)  # each block's top
+    if pool_inhibit:  # the top of each pooled location's earliest bin
+        loc = rows[:, 0] % cells
+        keep_leads(loc, np.lexsort((-rows[:, 3], rows[:, 2], loc)), True)
+    block, at = rows[:, 0].astype(np.int64), rows[:, 2].astype(np.int64)
     order = np.lexsort((block, at))
     m, loc = np.divmod(block[order], cells)
-    return np.column_stack([at[order], m, *np.divmod(loc, w2)])
-
-
-def _leads(group: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in ``group`` starts."""
-    lead = np.ones(group.size, dtype=bool)
-    lead[1:] = group[1:] != group[:-1]
-    return lead
+    return np.column_stack([at[order], m, *np.divmod(loc, out_shape[1] // 2)])
 
 
 def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
@@ -590,27 +578,15 @@ def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibitio
     kernel and the state kept across images (``homeo_counts``,
     ``images_seen``) as they were.
 
-    The weights depend only on the decisions: which neuron fires in which
-    bin, and which wins.  ``stdp_competition`` lets each map update at most
-    once per image, and one update (``stdp_update`` or ``depress_map``)
-    raises a weight by at most a_plus/4.  No potential of the image then
-    exceeds its final potential under the image's first weights by more than
-    a margin of a_plus/4 per input spike in its window, which
-    ``_candidate_step`` adds before its cut at ``threshold - 2 delta``; its
-    per-bin window table at the candidates gives every map's trajectory.  The
-    decisions are replayed on these small arrays: the threshold tests,
-    lateral inhibition, each map's best fired neuron, the ranking by
-    potential, the radius exclusion, and homeostasis followed by
-    ``stdp_update`` or ``depress_map``.  After a bin with winners only their
-    trajectories are recomputed, from the next bin on, and the later bins
-    are replayed again.
-
-    delta is ``_candidate_step``'s bound, with S covering the margin.  Every
-    threshold test, at every kept position and bin, must clear the threshold
-    by more than delta.  Every comparison of two potentials (inhibition at a
-    location, a map's best neuron in a bin, the ranking of a bin's
-    candidates) must differ by more than 2 delta.
-    """
+    Each map updates at most once per image, by at most a_plus/4 per
+    weight, so no potential exceeds its final value under the first weights
+    by more than a_plus/4 per input spike in its window: the margin of
+    ``_candidate_step``.  The decisions (threshold tests, lateral
+    inhibition, competition, homeostasis and update) are replayed on its
+    trajectories; after a bin with winners only theirs are recomputed, from
+    the next bin on.  Each threshold test must clear the threshold by more
+    than delta, each comparison of two potentials differ by more than 2
+    delta."""
     homeo = state.homeo_counts.copy()
     saved: dict[int, np.ndarray] = {}  # kernel rows as they were, by map
     n_spikes = _replay_decisions(dense_spikes, kernel, cfg, state, saved)
@@ -635,14 +611,14 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
     found = _candidate_step(dense_spikes, kernel.weights, thr, kernel.a_plus / 4 + 2.0 ** -50)
     if found is None:
         return None
-    pos, table, per_bin, traj, delta = found
+    pos, table, per_bin, traj, above, delta = found
     gap = 2 * delta
     state.begin_image()
     fired = np.zeros((maps, pos.size), dtype=bool)
     done = -1  # the last bin whose spikes are final
     while True:
         # every spike after bin ``done`` under the current trajectories
-        found = _first_spikes(traj, thr, inhibit, gap, done)
+        found = _first_spikes(traj, above, inhibit, gap, done)
         if found is None:
             return None
         ms, ps, at, potential = found
@@ -674,6 +650,7 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
         traj[ms] = _cumulate(per_bin[ms])
         if np.abs(traj[ms] - thr).min() <= delta:
             return None
+        above[ms] = traj[ms] > thr
     state.fired.reshape(maps, -1)[:, pos] = fired
     if inhibit:
         state.location_locked.flat[pos] = fired.any(axis=0)

@@ -199,7 +199,7 @@ class ConvPipeline:
             # without pool inhibition any spike of a 2x2 block sets its bit
             spikes, _ = infer_spikes(tensor.dense(), self.kernel, self.cfg)
             k = self.kernel.k
-            block, _, _ = pool_blocks(spikes, (tensor.shape[2] - k + 1, tensor.shape[3] - k + 1))
+            block, _ = pool_blocks(spikes, (tensor.shape[2] - k + 1, tensor.shape[3] - k + 1))
             bits.reshape(-1)[block] = True
             return bits.ravel(), spikes[0].size
         events, n_spikes = ((pooled[0].events, pooled[1]) if pooled else

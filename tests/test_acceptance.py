@@ -146,52 +146,41 @@ def test_criterion_3_spike_sparsity(trained):
            f"mean spikes/image {spikes:.1f} (band [5, 40])")
 
 
-def test_candidate_pass_rarely_falls_back(corpus, trained, monkeypatch):
+@pytest.fixture
+def no_per_bin_inference(monkeypatch):
+    """Fails any run of the per-bin layer step: inference has no fallback."""
+    def refuse(*args):
+        raise AssertionError("inference ran the per-bin layer step")
+
+    monkeypatch.setattr(core, "layer_steps", refuse)
+
+
+def test_candidate_pass_rarely_falls_back(corpus, trained, no_per_bin_inference):
     """``infer_spikes`` finds the neurons that fire in the per-bin reference
     layer, each at its bin, on every test image of the corpus under the
-    trained kernel, and falls back to ``per_bin_spikes`` on at most 1%."""
-    calls = []
-    real = core.per_bin_spikes
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(core, "per_bin_spikes", counting)
+    trained kernel, with no fallback path to take."""
     kernel, cfg = trained["kernel"], trained["cfg"]
-    images = corpus["enc_test"]
-    for tensor in images:
+    for tensor in corpus["enc_test"]:
         dense = tensor.dense()
         (maps, pos, at, _), _ = core.infer_spikes(dense, kernel, cfg)
         record = per_bin_oracle(dense, kernel, cfg)[0]
         got = np.zeros_like(record)
         got.reshape(*record.shape[:2], -1)[at, maps, pos] = True
         np.testing.assert_array_equal(got, record)
-    assert len(calls) <= 0.01 * len(images), f"{len(calls)} of {len(images)} fell back"
 
 
 @pytest.mark.parametrize("pool_lateral", [False, True])
-def test_pooled_pass_rarely_falls_back(corpus, trained, monkeypatch, pool_lateral):
+def test_pooled_pass_rarely_falls_back(corpus, trained, no_per_bin_inference, pool_lateral):
     """``core.infer_pooled`` emits the events of the reference pooling over
     the per-bin reference layer on every test image of the corpus under the
-    trained kernel, and falls back to ``per_bin_spikes`` on at most 5%."""
-    calls = []
-    real = core.per_bin_spikes
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(core, "per_bin_spikes", counting)
+    trained kernel, with no fallback path to take."""
     kernel = trained["kernel"]
     cfg = dataclasses.replace(trained["cfg"], pool_lateral_inhibition=pool_lateral)
-    images = corpus["enc_test"]
-    for tensor in images:
+    for tensor in corpus["enc_test"]:
         dense = tensor.dense()
         pooled = oracle_max_pool(*per_bin_oracle(dense, kernel, cfg), pool_lateral)
         want = np.argwhere(pooled)  # canonical (bin, map, row, col) order
         np.testing.assert_array_equal(core.infer_pooled(dense, kernel, cfg)[0], want)
-    assert len(calls) <= 0.05 * len(images), f"{len(calls)} of {len(images)} fell back"
 
 
 def test_training_pass_rarely_falls_back(corpus, monkeypatch):

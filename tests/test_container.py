@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spikecnn import container
-from spikecnn.cli import main
+from spikecnn.cli import main, write_csv
+from spikecnn.config import write_manifest
 from spikecnn.core import ConvKernel, load_kernel, save_kernel
 from spikecnn.encode import (SpikeTensor, load_idx_images, load_idx_labels, read_cache,
                              read_pooled, write_cache, write_idx_images, write_idx_labels,
@@ -259,3 +260,63 @@ class TestReader:
         for bad in ([256], [-1], [300]):
             with pytest.raises(ValueError, match=r"\[0, 255\]"):
                 container.u8(bad, "labels")
+
+
+class FullDisk:
+    """``open`` for ``container``'s writes that takes ``budget`` bytes, then
+    fails as a full disk does, midway through a write."""
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def __call__(self, path, mode="r"):
+        return _FailingFile(open(path, mode), self)
+
+
+class _FailingFile:
+    def __init__(self, f, disk):
+        self.f, self.disk = f, disk
+
+    def write(self, data):
+        view = data if isinstance(data, str) else memoryview(data).cast("B")
+        if len(view) > self.disk.budget:
+            self.f.write(view[:self.disk.budget])
+            raise OSError(28, "No space left on device")
+        self.disk.budget -= len(view)
+        return self.f.write(view)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestReplacing:
+    """A write that fails midway leaves the final name as it was: absent,
+    or holding the old bytes, and leaves no temporary file behind."""
+
+    WRITERS = {
+        "container": lambda p, n: container.write(p, b"MAGC", ("<I", n), np.arange(n * 100.0)),
+        "csv": lambda p, n: write_csv(p, ["a", "b"], [(i, i / 3) for i in range(n * 100)]),
+        "manifest": lambda p, n: write_manifest(p, {"seed": n, "pad": "x" * 1000 * n}, {}),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_bytes(self, tmp_path, monkeypatch, writer):
+        write = self.WRITERS[writer]
+        path = tmp_path / "artifact"
+        write(path, 1)
+        old = path.read_bytes()
+        monkeypatch.setattr(container, "open", FullDisk(64), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(path, 2)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch, writer):
+        monkeypatch.setattr(container, "open", FullDisk(64), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            self.WRITERS[writer](tmp_path / "artifact", 2)
+        assert list(tmp_path.iterdir()) == []

@@ -11,7 +11,7 @@ from spikecnn import container, core
 from spikecnn.core import (ConvKernel, InhibitionConfig, LayerState,
                            conv_accumulate, depress_map, double_learning_rates,
                            fire_and_inhibit, global_max_potential, homeostasis_gate,
-                           init_kernel, load_kernel, per_bin_spikes, save_kernel,
+                           infer_spikes, init_kernel, load_kernel, save_kernel,
                            stdp_competition, stdp_update)
 from spikecnn.encode import encode_dataset
 from spikecnn.train import ConvPipeline
@@ -176,7 +176,7 @@ class TestFireAndInhibit:
         kernel = init_kernel(8, 2, 5, rng)
         for _ in range(20):
             dense = rng.random((6, 2, 16, 16)) < 0.25
-            _, pos, _, _ = per_bin_spikes(dense, kernel, cfg)
+            (_, pos, _, _), _ = infer_spikes(dense, kernel, cfg)
             assert np.bincount(pos).max(initial=0) <= 1
 
 
@@ -385,12 +385,13 @@ class TestLearningRateDoubling:
 
 
 def pool(h, w, spikes=(), pool_lateral_inhibition=False):
-    """``core._pool_spikes`` with no margin over an h x w layer's
-    (map, row, col, bin, potential) spikes: (bin, map, row, col) events."""
+    """``core._pool_spikes`` over an h x w layer's (map, row, col, bin,
+    potential) spikes: (bin, map, row, col) events.  The potentials are
+    exact, so only equal ones tie."""
     m, u, v, t, x = (np.array(col) for col in zip(*spikes)) if spikes else [np.zeros(0, int)] * 5
     order = np.lexsort((u * w + v, m))  # the layer's (map, position) order
     listed = (m[order], (u * w + v)[order], t[order], x[order].astype(float))
-    return core._pool_spikes(listed, -np.inf, (h, w), pool_lateral_inhibition)
+    return core._pool_spikes(listed, (h, w), pool_lateral_inhibition, (0.0, lambda a, b: 0))
 
 
 class TestMaxPool:
@@ -546,7 +547,7 @@ def test_per_bin_loops_visit_only_busy_bins(monkeypatch, threshold, visits):
     dense[[0, 3, 7, 8]] = False
     kernel = init_kernel(4, 2, 5, rng)
     cfg = InhibitionConfig(threshold=threshold, competition_radius=1)
-    per_bin_spikes(dense, kernel, cfg)
+    list(core.layer_steps(dense, kernel, cfg, fresh_state(4, 8, 8)))
     train._train_image_per_bin(dense, kernel, cfg, fresh_state(4, 8, 8))
     assert calls == visits * 2
 
