@@ -211,10 +211,11 @@ def stdp_competition(fired_now: np.ndarray, potentials: np.ndarray,
     idx = np.flatnonzero(fired_now)
     maps, pos = np.divmod(idx, potentials[0].size)
     spikes = zip(maps.tolist(), pos.tolist(), potentials.flat[idx].tolist())
-    return _competition(spikes, state, radius, potentials.shape[2])
+    # the per-bin loop decides by its floats: no two potentials are within -inf
+    return _competition(spikes, state, radius, potentials.shape[2], -np.inf, _refuse)
 
 
-def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float = -np.inf):
+def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float, decide):
     """The competition over one bin's spikes, given as (map, flat position,
     potential) tuples in (map, position) order: the winners as (map, u, v).
 
@@ -225,10 +226,11 @@ def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float 
     (2*radius+1)^2 window, across all maps and for the rest of the image,
     and a map that wins is done updating for this image.
 
-    Returns None, before it touches ``state``, when a map's best two spikes
-    or two adjacent candidates in that ranking are within ``gap``; the
-    default checks nothing.  A bin's spikes are few, and on so few plain
-    Python costs less than numpy's calls.
+    ``decide(decision)`` is called, before ``state`` is touched, when a
+    map's best two spikes or two adjacent candidates in that ranking are
+    within ``gap``; the training pass's (``_refuse``) raises.  A bin's
+    spikes are few, and on so few plain Python costs less than numpy's
+    calls.
     """
     best: dict[int, list] = {}  # per map [highest potential, its position, runner-up]
     for m, p, x in spikes:
@@ -242,10 +244,10 @@ def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float 
         else:
             top[2] = max(top[2], x)
     if any(x - second <= gap for x, _, second in best.values()):
-        return None
+        decide("a map's best spike")
     ranked = sorted(best.items(), key=lambda item: -item[1][0])  # stable: lower map first
     if any(a[1][0] - b[1][0] <= gap for a, b in zip(ranked, ranked[1:])):
-        return None
+        decide("the competition's ranking")
     winners: list[tuple[int, int, int]] = []
     span = 2 * radius
     for m, (_, p, _) in ranked:
@@ -303,39 +305,14 @@ def update_winners(kernel: ConvKernel, state: LayerState, dense_spikes: np.ndarr
             depress_map(kernel, m)
 
 
-def double_learning_rates(kernel: ConvKernel, images_seen: int,
-                          every: int = 1000, cap: float = RATE_CAP) -> ConvKernel:
+def double_learning_rates(kernel: ConvKernel, images_seen: int, every: int = 1000) -> ConvKernel:
     """Double both learning rates at each ``every``-image mark while neither
-    would exceed ``cap``."""
+    would exceed ``RATE_CAP``."""
     if images_seen > 0 and images_seen % every == 0:
-        if max(kernel.a_plus, kernel.a_minus) * 2.0 <= cap:
+        if max(kernel.a_plus, kernel.a_minus) * 2.0 <= RATE_CAP:
             kernel.a_plus *= 2.0
             kernel.a_minus *= 2.0
     return kernel
-
-
-def layer_steps(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
-                state: LayerState):
-    """The layer step over one image, bin by bin: ``conv_accumulate``, then
-    ``fire_and_inhibit`` into ``state``.  Yields (bin, potentials, plane of
-    the neurons fired in that bin) after each fire step; the potentials
-    array is the loop's own.  ``kernel.weights`` is read in every bin, so a
-    caller may update the kernel between steps.
-
-    A silent bin adds nothing to the potentials, and with a threshold >= 0
-    potential 0 fires nothing, so only bins that hold a spike are visited."""
-    potentials = np.zeros(state.out_shape)
-    seen = 0
-    for t in busy_bins(dense_spikes):
-        conv_accumulate(dense_spikes[t], kernel.weights, potentials)
-        # Potentials never decrease and a fire step leaves every neuron above
-        # threshold fired or locked: no new crossing, nothing can fire.
-        above = potentials > cfg.threshold
-        now = np.count_nonzero(above)
-        if now == seen:
-            continue
-        seen = now
-        yield t, potentials, fire_and_inhibit(potentials, state, cfg, above)
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -413,7 +390,7 @@ def _cumulate(per_bin: np.ndarray) -> np.ndarray:
 
 
 def _first_spikes(traj: np.ndarray, above: np.ndarray, inhibit: bool, gap: float, done: int,
-                  beats=None):
+                  beats):
     """The spikes of (maps, positions, T) trajectories after bin ``done``,
     from their threshold tests ``above``: (map, position index, bin,
     potential) arrays, in position order within each map.  A neuron fires in
@@ -421,7 +398,7 @@ def _first_spikes(traj: np.ndarray, above: np.ndarray, inhibit: bool, gap: float
     location fires once, in the first bin a map is above there: the map of
     highest potential in that bin, the lowest among equals.  ``beats(map,
     map', position index, bin)`` orders maps within ``gap`` of that
-    potential; without it such a runner-up makes the result None.  Exact
+    potential; the training pass's raises (``_refuse``).  Exact
     potentials never decrease, so a neuron or location that crossed by bin
     ``done`` has fired, and a trajectory recomputed after it cannot move
     that crossing."""
@@ -441,21 +418,19 @@ def _first_spikes(traj: np.ndarray, above: np.ndarray, inhibit: bool, gap: float
     close = score >= score[ms, cols] - gap
     close[ms, cols] = False  # the rivals of each location's top
     for c in np.flatnonzero(close.any(axis=0)).tolist():
-        if beats is None:
-            return None
         rivals = sorted([ms[c], *np.flatnonzero(close[:, c]).tolist()])  # in map order
         ms[c] = functools.reduce(lambda b, m: m if beats(m, b, ps[c], at[c]) else b, rivals)
     return ms, ps, at, score[ms, cols]
 
 
 def _candidate_step(dense_spikes: np.ndarray, weights: np.ndarray, thr: float, margin: float,
-                    sign=None):
+                    sign):
     """The candidate step of both passes: (candidate positions, there
     ``_trajectories``' table, per_bin and traj, traj > ``thr``, delta).
     ``margin`` bounds how far a potential may rise above its final value
     under ``weights``, per input spike in its window: 0 for a frozen layer.
-    ``sign`` (``_exact_sign``) decides each threshold test within delta;
-    without it such a test makes the result None.
+    ``sign`` decides each threshold test within delta: ``_exact_sign`` for a
+    frozen layer, while the training pass's raises (``_refuse``).
 
     One dgemm of the kernel against the im2col of the per-location spike
     counts gives every final potential; the candidates are the positions
@@ -479,8 +454,6 @@ def _candidate_step(dense_spikes: np.ndarray, weights: np.ndarray, thr: float, m
     table, per_bin, traj = _trajectories(dense_spikes, weights, pos, dense_spikes.shape[3] - k + 1)
     above, dist = traj > thr, np.abs(traj - thr)
     if dist.min(initial=np.inf) <= delta:
-        if sign is None:
-            return None
         last = (-1, -1, -1, False)  # exact potentials never decrease, and adding 0 keeps them
         for m, i, t in zip(*(a.tolist() for a in np.nonzero(dist <= delta))):
             same = last[:2] == (m, i) and (last[3] or (last[2] == t - 1 and not per_bin[m, i, t]))
@@ -570,13 +543,23 @@ def _pool_spikes(spikes: tuple, out_shape: tuple[int, int], pool_inhibit: bool, 
     return np.column_stack([at[order], m, *np.divmod(loc, out_shape[1] // 2)])
 
 
+class _Refused(Exception):
+    """A decision of the training pass lies within its rounding bound; the
+    message names it.  Only ``train_certified`` catches it."""
+
+
+def _refuse(decision: str, *_args, **_kwargs):
+    """The training pass's decider: it refuses to decide ``decision``."""
+    raise _Refused(decision)
+
+
 def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
                     state: LayerState) -> int | None:
     """One training image exactly as the per-bin loop of ``train.train_image``
     runs it, without a dgemm per bin: the same spike count, kernel bytes and
-    final ``state``.  Returns None when a decision is not certified, with the
-    kernel and the state kept across images (``homeo_counts``,
-    ``images_seen``) as they were.
+    final ``state``.  Returns None when the pass refuses a decision
+    (``_Refused``), with the kernel and the state kept across images
+    (``homeo_counts``, ``images_seen``) as they were.
 
     Each map updates at most once per image, by at most a_plus/4 per
     weight, so no potential exceeds its final value under the first weights
@@ -589,8 +572,9 @@ def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibitio
     delta."""
     homeo = state.homeo_counts.copy()
     saved: dict[int, np.ndarray] = {}  # kernel rows as they were, by map
-    n_spikes = _replay_decisions(dense_spikes, kernel, cfg, state, saved)
-    if n_spikes is None:
+    try:
+        n_spikes = _replay_decisions(dense_spikes, kernel, cfg, state, saved)
+    except _Refused:
         for m, row in saved.items():
             kernel.weights[m] = row
         state.homeo_counts[:] = homeo
@@ -600,7 +584,7 @@ def train_certified(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibitio
 
 
 def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
-                      state: LayerState, saved: dict[int, np.ndarray]) -> int | None:
+                      state: LayerState, saved: dict[int, np.ndarray]) -> int:
     """``train_certified`` up to its bookkeeping; keeps in ``saved`` each
     kernel row it changes, as it was."""
     t_bins, c, h, w = dense_spikes.shape
@@ -608,29 +592,25 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
     out_w = w - k + 1
     thr, inhibit = cfg.threshold, cfg.lateral_inhibition
     # the update's own rounding adds at most a few ulps of 1 to a weight
-    found = _candidate_step(dense_spikes, kernel.weights, thr, kernel.a_plus / 4 + 2.0 ** -50)
-    if found is None:
-        return None
-    pos, table, per_bin, traj, above, delta = found
+    pos, table, per_bin, traj, above, delta = _candidate_step(
+        dense_spikes, kernel.weights, thr, kernel.a_plus / 4 + 2.0 ** -50,
+        functools.partial(_refuse, "threshold"))
     gap = 2 * delta
     state.begin_image()
     fired = np.zeros((maps, pos.size), dtype=bool)
     done = -1  # the last bin whose spikes are final
     while True:
         # every spike after bin ``done`` under the current trajectories
-        found = _first_spikes(traj, above, inhibit, gap, done)
-        if found is None:
-            return None
-        ms, ps, at, potential = found
+        ms, ps, at, potential = _first_spikes(traj, above, inhibit, gap, done,
+                                              functools.partial(_refuse, "inhibition"))
         # the competition bin by bin, up to the first bin with a winner
         order = np.lexsort((ps, ms, at))  # by bin, in (map, position) order within one
         rows = zip(at[order].tolist(), ms[order].tolist(), pos[ps[order]].tolist(),
                    potential[order].tolist())
         won, t = [], -1
         for t, group in itertools.groupby(rows, key=operator.itemgetter(0)):
-            won = _competition([s[1:] for s in group], state, cfg.competition_radius, out_w, gap)
-            if won is None:
-                return None
+            won = _competition([s[1:] for s in group], state, cfg.competition_radius, out_w, gap,
+                               _refuse)
             if won:
                 break
         settled = at <= t
@@ -649,7 +629,7 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
         per_bin[ms, :, t + 1:] = after.reshape(len(ms), pos.size, t_bins)[..., t + 1:]
         traj[ms] = _cumulate(per_bin[ms])
         if np.abs(traj[ms] - thr).min() <= delta:
-            return None
+            _refuse("threshold after an update")
         above[ms] = traj[ms] > thr
     state.fired.reshape(maps, -1)[:, pos] = fired
     if inhibit:

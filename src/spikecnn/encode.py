@@ -179,7 +179,7 @@ def latency_encode(on: np.ndarray, off: np.ndarray, threshold: float,
     return SpikeTensor((n_bins + silent_bins, 2, *on.shape), events)
 
 
-def load_idx_images(images_path, labels_path, crop: bool = True):
+def load_idx_images(images_path, labels_path):
     """Load an IDX image/label pair.
 
     28x28 images are cropped to 27x27 by dropping the outermost (last) row
@@ -192,7 +192,7 @@ def load_idx_images(images_path, labels_path, crop: bool = True):
     labels = load_idx_labels(labels_path)
     if labels.shape[0] != n:
         raise ValueError(f"image/label count mismatch ({n} vs {labels.shape[0]})")
-    if crop and h == 28 and w == 28:
+    if h == 28 and w == 28:
         images = images[:, :27, :27]
     return images, labels
 

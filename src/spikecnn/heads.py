@@ -173,17 +173,16 @@ def fcn_gradients(head: FcnHead, x: np.ndarray, y: np.ndarray,
 
 
 def fcn_train_epoch(head: FcnHead, data: FeatureMatrix, batch: int, epoch: int,
-                    rng: np.random.Generator, n_total: int | None = None) -> None:
+                    rng: np.random.Generator) -> None:
     """One epoch of mini-batch gradient descent over a fresh permutation.
 
     The learning rate follows eta0 / decay^epoch and the weight update
-    includes the L2 term scaled by lam/n over the full training-set size.
+    includes the L2 term scaled by lam/n, n the rows of ``data``.
     """
     if data.n_rows == 0:
         raise ValueError("empty training data")
     order = rng.permutation(data.n_rows)
-    fcn_minibatches(head, data, order, batch, epoch,
-                    n_total if n_total is not None else data.n_rows)
+    fcn_minibatches(head, data, order, batch, epoch, data.n_rows)
 
 
 def fcn_minibatches(head: FcnHead, data: FeatureMatrix, order: np.ndarray, batch: int,

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConvKernel, InhibitionConfig, LayerState, double_learning_rates,
-                   global_max_potential, infer_pooled, infer_spikes, layer_steps, pool_blocks,
-                   readout_columns, stdp_competition, train_certified, update_winners)
+from .core import (ConvKernel, InhibitionConfig, LayerState, busy_bins, conv_accumulate,
+                   double_learning_rates, fire_and_inhibit, global_max_potential, infer_pooled,
+                   infer_spikes, pool_blocks, readout_columns, stdp_competition,
+                   train_certified, update_winners)
 from .encode import SpikeTensor
 from .heads import (FcnHead, FeatureMatrix, fcn_minibatches, fcn_predict,
                     fcn_train_epoch, init_fcn_head)
@@ -72,8 +73,9 @@ def train_image(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
     per event in every busy bin: with that many events a busy bin tends to
     read them all.  With fewer, as on a second layer that reads a few pooled
     spikes over many maps, the per-bin loop does less work.  An image the
-    pass cannot certify goes through the per-bin loop too; the result is the
-    same either way.
+    pass refuses (one exception, caught only in ``core.train_certified``,
+    which undoes the pass) goes through the per-bin loop too, to the same
+    result.
     """
     t_bins, c = dense.shape[:2]
     if np.count_nonzero(dense) > c * t_bins:
@@ -85,12 +87,26 @@ def train_image(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
 
 def _train_image_per_bin(dense: np.ndarray, kernel: ConvKernel, cfg: InhibitionConfig,
                          state: LayerState) -> int:
-    """``train_image`` one bin at a time: ``core.layer_steps`` accumulates and
-    fires, and each bin's spikes compete and update the kernel before the
-    next bin."""
+    """``train_image`` one bin at a time: each bin accumulates
+    (``conv_accumulate``, under the kernel as the bins before left it) and
+    fires (``fire_and_inhibit``), and its spikes compete and update the
+    kernel before the next bin.
+
+    A silent bin adds nothing to the potentials, and with a threshold >= 0
+    potential 0 fires nothing, so only bins that hold a spike are visited."""
     state.begin_image()
-    n_spikes = 0
-    for t, potentials, fired in layer_steps(dense, kernel, cfg, state):
+    potentials = np.zeros(state.out_shape)
+    n_spikes = seen = 0
+    for t in busy_bins(dense):
+        conv_accumulate(dense[t], kernel.weights, potentials)
+        # Potentials never decrease and a fire step leaves every neuron above
+        # threshold fired or locked: no new crossing, nothing can fire.
+        above = potentials > cfg.threshold
+        now = np.count_nonzero(above)
+        if now == seen:
+            continue
+        seen = now
+        fired = fire_and_inhibit(potentials, state, cfg, above)
         if not fired.any():
             continue
         n_spikes += int(fired.sum())

@@ -16,7 +16,8 @@ all-rows ``tensordot`` bit for bit as well.
 
 ``train.train_image`` first tries the candidate pass ``core.train_certified``
 and falls back to its per-bin loop; ``counting_paths`` records which way each
-image went, so the tests can require both ways and each fallback rule.
+image went, and which decision the pass refused, so the tests can require
+both ways and each fallback rule.
 """
 
 import contextlib
@@ -244,11 +245,20 @@ def run_layer(step, images, kernel, cfg):
 @contextlib.contextmanager
 def counting_paths():
     """Counts of the ways ``train.train_image`` takes its images: certified
-    by ``core.train_certified``, sent by it to the per-bin fallback, or sent
-    straight to the per-bin loop by the input rule."""
+    by ``core.train_certified``, sent by it to the per-bin fallback (counted
+    under the name of the decision it refused too), or sent straight to the
+    per-bin loop by the input rule."""
     paths = Counter()
     certified, per_bin = train.train_certified, train._train_image_per_bin
+    replay = core._replay_decisions
     tried = []
+
+    def naming_refusals(*args):
+        try:
+            return replay(*args)
+        except core._Refused as refused:
+            paths[str(refused)] += 1
+            raise
 
     def counting_certified(*args):
         tried.append(True)
@@ -263,7 +273,8 @@ def counting_paths():
         return per_bin(*args)
 
     with mock.patch.object(train, "train_certified", counting_certified), \
-            mock.patch.object(train, "_train_image_per_bin", counting_per_bin):
+            mock.patch.object(train, "_train_image_per_bin", counting_per_bin), \
+            mock.patch.object(core, "_replay_decisions", naming_refusals):
         yield paths
 
 
@@ -389,7 +400,7 @@ def test_two_positions_of_one_map_tied_take_the_fallback(lateral):
     dense, kernel = two_location_case()
     cfg = InhibitionConfig(threshold=0.25, competition_radius=0, lateral_inhibition=lateral)
     seen, state = check_one_image(dense, kernel, cfg)
-    assert seen == {"fallback": 1}
+    assert seen == {"fallback": 1, "a map's best spike": 1}
     assert state.winner_positions == [(0, 0)]  # the first in row-major order
 
 
@@ -410,7 +421,7 @@ def test_potential_on_or_next_to_the_threshold_takes_the_fallback(threshold):
     # 0.5 is exact, but another summation order could round it to a neighbour
     dense, kernel = two_location_case()
     cfg = InhibitionConfig(threshold=threshold, competition_radius=0)
-    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1}
+    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1, "threshold": 1}
 
 
 def test_potentials_clear_of_the_threshold_are_certified():
@@ -452,7 +463,8 @@ def test_update_landing_a_potential_on_the_threshold_takes_the_fallback():
     # which only the recomputed trajectories show
     dense, kernel = margin_case()
     cfg = InhibitionConfig(threshold=0.75, competition_radius=0)
-    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1}
+    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1,
+                                                      "threshold after an update": 1}
 
 
 def two_map_case():
@@ -470,7 +482,8 @@ def test_tied_candidates_of_two_maps_take_the_fallback():
     dense[0, 0, 0, 0] = dense[0, 1, 0, 1] = True
     dense[1, 0, 0, [0, 2, 3]] = True
     cfg = InhibitionConfig(threshold=0.25, competition_radius=1)
-    assert check_one_image(dense, two_map_case(), cfg)[0] == {"fallback": 1}
+    assert check_one_image(dense, two_map_case(), cfg)[0] == {
+        "fallback": 1, "the competition's ranking": 1}
 
 
 def test_fallback_after_an_update_restores_kernel_and_homeostasis():
@@ -489,7 +502,7 @@ def test_fallback_after_an_update_restores_kernel_and_homeostasis():
     with counting_paths() as seen:
         got_spikes, got_state = run_layer(train.train_image, images, got_kernel, cfg)
     want_spikes, want_state = run_layer(oracle_train_image, images, want_kernel, cfg)
-    assert seen == {"per_bin": 1, "fallback": 1}
+    assert seen == {"per_bin": 1, "fallback": 1, "a map's best spike": 1}
     assert got_spikes == want_spikes
     assert_bytes_equal(got_kernel.weights, want_kernel.weights)
     assert_states_equal(got_state, want_state)
@@ -503,7 +516,7 @@ def test_tied_maps_at_one_location_take_the_fallback():
     dense[0, 0, 0, 2] = True  # stays at 0.5, below the threshold
     kernel = ConvKernel(np.full((2, 1, 1, 1), 0.5), a_plus=0.1, a_minus=0.08)
     cfg = InhibitionConfig(threshold=0.75, competition_radius=0)
-    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1}
+    assert check_one_image(dense, kernel, cfg)[0] == {"fallback": 1, "inhibition": 1}
 
 
 def test_input_rule_keeps_few_spikes_over_many_maps_per_bin():
@@ -521,21 +534,26 @@ def test_input_rule_keeps_few_spikes_over_many_maps_per_bin():
 
 
 def too_close(maps, potential, state, gap):
-    """Whether, among the maps not yet updated, a map's best two potentials
-    or two neighbours in the ranking of the maps' best are within ``gap``."""
+    """The decision the gap cannot make, or None: among the maps not yet
+    updated, a map's best two potentials within ``gap``, else two
+    neighbours in the ranking of the maps' best within it."""
     best = []
     for m in sorted(set(maps.tolist()) - set(np.flatnonzero(state.map_updated).tolist())):
         mine = sorted(potential[maps == m], reverse=True)
         if len(mine) > 1 and mine[0] - mine[1] <= gap:
-            return True
+            return "a map's best spike"
         best.append(mine[0])
     best.sort(reverse=True)
-    return any(a - b <= gap for a, b in zip(best, best[1:]))
+    if any(a - b <= gap for a, b in zip(best, best[1:])):
+        return "the competition's ranking"
+    return None
 
 
 def test_competition_with_a_gap_picks_the_same_winners_or_none():
     """The competition with a gap, as the training pass runs it, against the
-    same rule without one, as the per-bin loop runs it."""
+    same rule without one, as the per-bin loop runs it: the same winners, or
+    the refusal of the decision too close for the gap, with ``state``
+    untouched."""
     outcomes = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -556,15 +574,19 @@ def test_competition_with_a_gap_picks_the_same_winners_or_none():
         potential = potentials.flat[idx]
         spikes = list(zip(maps_of.tolist(), pos.tolist(), potential.tolist()))
         before, plain = copy.deepcopy(state), copy.deepcopy(state)
-        want = core._competition(spikes, plain, radius, w)
-        got = core._competition(spikes, state, radius, w, gap)
-        assert (got is None) == too_close(maps_of, potential, before, gap)
-        if got is None:
+        want = core._competition(spikes, plain, radius, w, -np.inf, core._refuse)
+        try:
+            got = core._competition(spikes, state, radius, w, gap, core._refuse)
+        except core._Refused as refused:
+            assert str(refused) == too_close(maps_of, potential, before, gap)
             assert_states_equal(state, before)
-        else:
-            assert got == want
-            assert_states_equal(state, plain)
-        outcomes["none" if got is None else "winners" if got else "no winner"] += 1
+            outcomes[str(refused)] += 1
+            return
+        assert too_close(maps_of, potential, before, gap) is None
+        assert got == want
+        assert_states_equal(state, plain)
+        outcomes["winners" if got else "no winner"] += 1
 
     check()
-    assert outcomes["none"] and outcomes["winners"] and outcomes["no winner"], outcomes
+    refused = outcomes["a map's best spike"] + outcomes["the competition's ranking"]
+    assert refused and outcomes["winners"] and outcomes["no winner"], outcomes
