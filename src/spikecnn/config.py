@@ -220,10 +220,6 @@ def validate_config(raw: dict) -> dict:
     enc = top["encoding"]
     if enc["bins"] + enc["silent_bins"] > 256:
         raise ConfigError("config.encoding: bins + silent_bins must be <= 256 (u8 event times)")
-    # false stays valid: every manifest holds the filled-in layer2 section
-    if top["layer2"]["pool_lateral_inhibition"]:
-        raise ConfigError("config.layer2.pool_lateral_inhibition: only the readout reads "
-                          "layer 2, and it does not pool, so this must be false")
     if top["feature_mode"] == "global_max_potential" and top["layer"]["maps"] > 256:
         raise ConfigError(f"config.layer.maps: {top['layer']['maps']} maps exceed the 256 u8 "
                           "channels that layer2 reads under global_max_potential")

@@ -212,10 +212,10 @@ def stdp_competition(fired_now: np.ndarray, potentials: np.ndarray,
     maps, pos = np.divmod(idx, potentials[0].size)
     spikes = zip(maps.tolist(), pos.tolist(), potentials.flat[idx].tolist())
     # the per-bin loop decides by its floats: no two potentials are within -inf
-    return _competition(spikes, state, radius, potentials.shape[2], -np.inf, _refuse)
+    return _competition(spikes, state, radius, potentials.shape[2], -np.inf)
 
 
-def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float, decide):
+def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float):
     """The competition over one bin's spikes, given as (map, flat position,
     potential) tuples in (map, position) order: the winners as (map, u, v).
 
@@ -226,11 +226,10 @@ def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float,
     (2*radius+1)^2 window, across all maps and for the rest of the image,
     and a map that wins is done updating for this image.
 
-    ``decide(decision)`` is called, before ``state`` is touched, when a
-    map's best two spikes or two adjacent candidates in that ranking are
-    within ``gap``; the training pass's (``_refuse``) raises.  A bin's
-    spikes are few, and on so few plain Python costs less than numpy's
-    calls.
+    Raises ``_Refused``, before ``state`` is touched, when a map's best two
+    spikes or two adjacent candidates in that ranking are within ``gap``.
+    A bin's spikes are few, and on so few plain Python costs less than
+    numpy's calls.
     """
     best: dict[int, list] = {}  # per map [highest potential, its position, runner-up]
     for m, p, x in spikes:
@@ -244,10 +243,10 @@ def _competition(spikes, state: LayerState, radius: int, out_w: int, gap: float,
         else:
             top[2] = max(top[2], x)
     if any(x - second <= gap for x, _, second in best.values()):
-        decide("a map's best spike")
+        raise _Refused("a map's best spike")
     ranked = sorted(best.items(), key=lambda item: -item[1][0])  # stable: lower map first
     if any(a[1][0] - b[1][0] <= gap for a, b in zip(ranked, ranked[1:])):
-        decide("the competition's ranking")
+        raise _Refused("the competition's ranking")
     winners: list[tuple[int, int, int]] = []
     span = 2 * radius
     for m, (_, p, _) in ranked:
@@ -609,8 +608,7 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
                    potential[order].tolist())
         won, t = [], -1
         for t, group in itertools.groupby(rows, key=operator.itemgetter(0)):
-            won = _competition([s[1:] for s in group], state, cfg.competition_radius, out_w, gap,
-                               _refuse)
+            won = _competition([s[1:] for s in group], state, cfg.competition_radius, out_w, gap)
             if won:
                 break
         settled = at <= t
@@ -629,7 +627,7 @@ def _replay_decisions(dense_spikes: np.ndarray, kernel: ConvKernel, cfg: Inhibit
         per_bin[ms, :, t + 1:] = after.reshape(len(ms), pos.size, t_bins)[..., t + 1:]
         traj[ms] = _cumulate(per_bin[ms])
         if np.abs(traj[ms] - thr).min() <= delta:
-            _refuse("threshold after an update")
+            raise _Refused("threshold after an update")
         above[ms] = traj[ms] > thr
     state.fired.reshape(maps, -1)[:, pos] = fired
     if inhibit:

@@ -148,11 +148,14 @@ def test_criterion_3_spike_sparsity(trained):
 
 @pytest.fixture
 def no_per_bin_inference(monkeypatch):
-    """Fails any per-bin fire step: inference has no fallback."""
+    """Fails any per-bin fire step, in core or through train's own import
+    (the per-bin training loop and ``ConvPipeline`` live in train):
+    inference has no fallback."""
     def refuse(*args):
         raise AssertionError("inference ran the per-bin fire step")
 
     monkeypatch.setattr(core, "fire_and_inhibit", refuse)
+    monkeypatch.setattr(train, "fire_and_inhibit", refuse)
 
 
 def test_candidate_pass_rarely_falls_back(corpus, trained, no_per_bin_inference):

@@ -877,24 +877,6 @@ class TestConfigRanges:
         for mode, maps in (("global_max_potential", 256), ("spike_count", 300)):
             validate_config({"feature_mode": mode, "layer": {"maps": maps}})
 
-    def test_layer2_pool_lateral_inhibition_must_be_false(self, dataset, tmp_path, capsys):
-        # only the readout reads layer 2, and it does not pool: true used to
-        # train and write the same bytes as false
-        out = tmp_path / "run"
-        cfg = base_config(dataset, out, feature_mode="global_max_potential",
-                          layer2={"maps": 4}, plan={"n_images": 10, "monitor_stride": 5})
-        assert main(["encode", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
-        before = sorted(out.iterdir())
-        cfg["layer2"]["pool_lateral_inhibition"] = True
-        capsys.readouterr()
-        assert main(["train", "--config", write_config(tmp_path / "bad.json", cfg)]) == 1
-        err = capsys.readouterr().err
-        assert "config.layer2.pool_lateral_inhibition" in err and "Traceback" not in err
-        assert sorted(out.iterdir()) == before
-        # false stays valid: every earlier manifest holds the filled-in section
-        cfg["layer2"]["pool_lateral_inhibition"] = False
-        validate_config(cfg)
-
     @pytest.mark.parametrize("flag,value", [("--threads", "-3"), ("--seed", "-1")])
     def test_override_flags_are_validated(self, tmp_path, capsys, flag, value):
         out = tmp_path / "run"

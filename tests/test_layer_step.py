@@ -574,9 +574,9 @@ def test_competition_with_a_gap_picks_the_same_winners_or_none():
         potential = potentials.flat[idx]
         spikes = list(zip(maps_of.tolist(), pos.tolist(), potential.tolist()))
         before, plain = copy.deepcopy(state), copy.deepcopy(state)
-        want = core._competition(spikes, plain, radius, w, -np.inf, core._refuse)
+        want = core._competition(spikes, plain, radius, w, -np.inf)
         try:
-            got = core._competition(spikes, state, radius, w, gap, core._refuse)
+            got = core._competition(spikes, state, radius, w, gap)
         except core._Refused as refused:
             assert str(refused) == too_close(maps_of, potential, before, gap)
             assert_states_equal(state, before)
