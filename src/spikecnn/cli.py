@@ -296,7 +296,7 @@ def cmd_eval(cfg: dict, out: Path) -> dict:
     if head_classes != n_classes:
         raise ValueError(f"the trained head has {head_classes} classes, "
                          f"head.n_classes is {n_classes}")
-    pred = predict(head, data.values)
+    pred = predict(head, data)
     acc = float(np.mean(pred == data.labels))
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for truth, guess in zip(data.labels, pred):

@@ -8,8 +8,11 @@ hit/miss ratios.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +27,10 @@ HEAD_VERSION = 1
 HEAD_TAG_FCN = 1
 HEAD_TAG_RSTDP = 2
 
+_U = 2.0 ** -53                           # unit roundoff of float64
+_EXP_MAX = math.log(sys.float_info.max)   # math.exp raises above it; libm's exp gives inf
+_SIGMOID_MARGIN = 2.0 ** -40              # far above the few ulps of the sigmoid's rounding
+
 
 def _finite(*arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
@@ -34,8 +41,10 @@ class FeatureMatrix:
     """Dense (images x features) matrix with a class label per row.
 
     ``values`` stays ``bool`` when it is given as bool (spike-count bits);
-    anything else is held as float64.  The heads cast to float64 where the
-    matrix meets a matmul, so both give the same results.
+    anything else is held as float64.  Both give the heads the same results.
+    Training casts each mini-batch to float64 for its dgemms; prediction
+    sums the weights of each row's set bits (``set_bits``, indexed on first
+    use, so ``values`` must not change after that).
     """
 
     values: np.ndarray
@@ -61,6 +70,77 @@ class FeatureMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def set_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_index_bits`` of a bool matrix, computed once."""
+        return _index_bits(self.values)
+
+
+def _index_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(set bits per row, the column of each set bit in row order)."""
+    rows, cols = np.divmod(np.flatnonzero(values), values.shape[1])
+    return np.bincount(rows, minlength=len(values)), cols
+
+
+def _values_and_bits(x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """``x``'s values (``x`` an array or a FeatureMatrix) and, for a bool
+    matrix, its ``_index_bits`` (a FeatureMatrix's cached ``set_bits``)."""
+    if isinstance(x, FeatureMatrix):
+        return x.values, x.set_bits if x.values.dtype == bool else None
+    x = np.asarray(x)
+    return x, _index_bits(x) if x.dtype == bool and x.ndim == 2 else None
+
+
+def _bits_argmax(weights: np.ndarray, biases: np.ndarray, n_cols: int,
+                 bits: tuple[np.ndarray, np.ndarray], squash, margin: float):
+    """Each row's argmax of ``squash(x @ weights.T + biases)`` as the dense
+    product computes it, from the weights of the row's set bits alone; None
+    if any row is too close to call.  ``squash`` is the sigmoid or None.
+
+    For a row with n set bits, every product x_j w_j is exact (x_j is 0 or
+    1), and a product 0 * w adds nothing to a float sum but the sign of a
+    zero.  So the dgemm's sum d and the sum s here are two summation trees
+    of the same n terms; each lies within gamma_(n-1) A of the exact sum T
+    (A = the sum of their |w|, gamma_k = k u / (1 - k u), u = 2^-53), and
+    adding the bias b rounds once more: |fl(d + b) - (T + b)| <= gamma_(n-1)
+    A + u (A + |b|) (1 + gamma_(n-1)) <= gamma_n (A + |b|).  Both scores
+    thus lie within 2 gamma_n (A + |b|) of each other, and A <= n M, M the
+    largest |w| of the output's weights.  The bound used, delta = 2.02 (n +
+    1) u (n M + |b|), adds the rounding of computing it and of score +-
+    delta.  Dense BLAS kernels sum classically (no Strassen), in any order,
+    with or without FMA, so this holds on every OpenBLAS core.
+
+    A row is certified when the lower bound of its top score beats every
+    other score's upper bound, after ``squash``, by more than ``margin``:
+    then the dense product's top score is strictly the largest, and so its
+    argmax.  Through the sigmoid, ``margin`` must exceed its rounding; where
+    it saturates (z > 37 gives 1.0 in float) two large scores tie and the
+    row is not certified.
+    """
+    counts, cols = bits
+    if n_cols != weights.shape[1]:
+        raise ValueError(f"feature length {n_cols} != n_in {weights.shape[1]}")
+    n_rows, n_out = len(counts), weights.shape[0]
+    if n_out == 1:
+        return np.zeros(n_rows, dtype=np.intp)
+    z = np.zeros((n_rows, n_out))
+    busy = counts > 0
+    if cols.size:
+        starts = (np.cumsum(counts) - counts)[busy]
+        z[busy] = np.add.reduceat(weights.T[cols], starts, axis=0)
+    z += biases
+    n = counts[:, None].astype(np.float64)
+    delta = 2.02 * (n + 1) * _U * (n * np.abs(weights).max(axis=1, initial=0.0) + np.abs(biases))
+    rows = np.arange(n_rows)
+    top = np.argmax(z, axis=1)
+    lo = z[rows, top] - delta[rows, top]
+    hi = z + delta
+    hi[rows, top] = -np.inf
+    hi = hi.max(axis=1)
+    if squash is not None:
+        lo, hi = squash(lo), squash(hi)
+    return top if (lo - hi > margin).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +200,17 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # scipy.special's expit, not np.exp, whose bits differ; imported here so
-    # that the commands that never reach a head do not pay for scipy
-    from scipy.special import expit
-
-    return expit(z)
+    """1 / (1 + exp(-z)) with libm's exp (``math.exp``), as
+    ``scipy.special.expit`` computes it, to the same bits; ``np.exp``'s bits
+    differ.  Where exp(-z) overflows, libm's gives inf and the result is 0."""
+    z = np.asarray(z, dtype=np.float64)
+    t = (-z).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, t), np.float64, len(t))
+    except OverflowError:
+        e = np.array([math.inf if v > _EXP_MAX else math.exp(v) for v in t])
+    e += 1.0
+    return np.divide(1.0, e, out=e).reshape(z.shape)
 
 
 def fcn_forward(head: FcnHead, x: np.ndarray) -> np.ndarray:
@@ -135,8 +221,17 @@ def fcn_forward(head: FcnHead, x: np.ndarray) -> np.ndarray:
     return _sigmoid(x @ head.weights.T + head.biases)
 
 
-def fcn_predict(head: FcnHead, x: np.ndarray) -> np.ndarray:
-    return np.argmax(fcn_forward(head, x), axis=-1)
+def fcn_predict(head: FcnHead, x) -> np.ndarray:
+    """Class per row of ``x`` (an array or a FeatureMatrix): the argmax of
+    ``fcn_forward``.  Bits are scored over their set bits (``_bits_argmax``);
+    a call with a row too close to call there takes the dense product."""
+    values, bits = _values_and_bits(x)
+    if bits is not None:
+        pred = _bits_argmax(head.weights, head.biases, values.shape[1], bits, _sigmoid,
+                            _SIGMOID_MARGIN)
+        if pred is not None:
+            return pred
+    return np.argmax(fcn_forward(head, values), axis=-1)
 
 
 def fcn_cost(head: FcnHead, x: np.ndarray, y: np.ndarray, n_total: int) -> float:
@@ -157,7 +252,9 @@ def fcn_gradients(head: FcnHead, x: np.ndarray, y: np.ndarray,
     """Analytic gradients of ``fcn_cost`` w.r.t. weights and biases.
 
     For the quadratic cost the output error is (a - y) * sigma'(z); the
-    cross-entropy cost cancels the sigma' factor and leaves (a - y).
+    cross-entropy cost cancels the sigma' factor and leaves (a - y).  The
+    weight gradient, delta.T @ x / m + lam / n_total * w, is built in the
+    dgemm's own output, with the same operations as written out.
     """
     x = np.asarray(x, dtype=np.float64)
     z = x @ head.weights.T + head.biases
@@ -167,7 +264,9 @@ def fcn_gradients(head: FcnHead, x: np.ndarray, y: np.ndarray,
         delta = (a - y) * a * (1.0 - a)
     else:
         delta = a - y
-    grad_w = delta.T @ x / m + head.lam / n_total * head.weights
+    grad_w = delta.T @ x
+    grad_w /= m
+    grad_w += head.lam / n_total * head.weights
     grad_b = delta.mean(axis=0)
     return grad_w, grad_b
 
@@ -193,12 +292,13 @@ def fcn_minibatches(head: FcnHead, data: FeatureMatrix, order: np.ndarray, batch
     for start in range(0, len(order), batch):
         idx = order[start:start + batch]
         gw, gb = fcn_gradients(head, data.values[idx], y[idx], n_total)
-        head.weights -= eta * gw
+        gw *= eta
+        head.weights -= gw
         head.biases -= eta * gb
 
 
 def fcn_accuracy(head: FcnHead, data: FeatureMatrix) -> float:
-    return float(np.mean(fcn_predict(head, data.values) == data.labels))
+    return float(np.mean(fcn_predict(head, data) == data.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +467,22 @@ def rstdp_train_pass(head: RstdpHead, data: FeatureMatrix,
     return hits / max(1, data.n_rows)
 
 
-def rstdp_predict(head: RstdpHead, x: np.ndarray) -> np.ndarray:
-    """Class of the neuron with the highest potential, per row of ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.argmax(x @ head.weights.T, axis=1) // head.neurons_per_class
+def rstdp_predict(head: RstdpHead, x) -> np.ndarray:
+    """Class of the neuron with the highest potential, per row of ``x`` (an
+    array or a FeatureMatrix); bits as in ``fcn_predict``, with no bias or
+    sigmoid."""
+    values, bits = _values_and_bits(x)
+    if bits is not None:
+        winners = _bits_argmax(head.weights, np.zeros(head.n_out), values.shape[1], bits,
+                               None, 0.0)
+        if winners is not None:
+            return winners // head.neurons_per_class
+    winners = np.argmax(np.asarray(values, dtype=np.float64) @ head.weights.T, axis=1)
+    return winners // head.neurons_per_class
 
 
 def rstdp_accuracy(head: RstdpHead, data: FeatureMatrix) -> float:
-    return float(np.mean(rstdp_predict(head, data.values) == data.labels))
+    return float(np.mean(rstdp_predict(head, data) == data.labels))
 
 
 # ---------------------------------------------------------------------------

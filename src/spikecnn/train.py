@@ -455,10 +455,9 @@ def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMat
 
     in_a = np.isin(val.labels, plan.task_a_classes)
     in_b = np.isin(val.labels, plan.task_b_classes)
-    val_x = np.asarray(val.values, dtype=np.float64)  # cast once, not per probe
 
     def probe(h: FcnHead) -> tuple[float, float, float]:
-        hits = fcn_predict(h, val_x) == val.labels
+        hits = fcn_predict(h, val) == val.labels
         return float(np.mean(hits[in_a])), float(np.mean(hits[in_b])), float(np.mean(hits))
 
     return [_rehearse(plan, head.copy(), copy.deepcopy(rng), n, train_a, train_b, probe)

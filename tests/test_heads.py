@@ -2,10 +2,15 @@
 updates, hit/miss bookkeeping, dropout, and feature export."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from spikecnn import heads
 from spikecnn.heads import (FcnHead, FeatureMatrix, RstdpHead,
                             draw_dropout_mask, export_features, fcn_cost,
                             fcn_accuracy, fcn_forward, fcn_gradients, fcn_minibatches,
@@ -552,3 +557,207 @@ class TestBitFeatures:
         for got, want in zip(*results):
             assert got.curves == want.curves
             assert got.incremental == want.incremental
+
+
+class TestSigmoid:
+    def test_matches_scipy_expit_to_the_bit(self):
+        from scipy.special import expit  # the tests' oracle; the package does not import scipy
+
+        rng = np.random.default_rng(40)
+        edges = [-745.2, -745.0, -709.7827128933841, -709.782712893384, -709.5, -37.0,
+                 -1e-300, -0.0, 0.0, 5e-324, 36.5, 37.0, 38.0, 710.0, 800.0, np.inf, -np.inf]
+        z = np.concatenate([rng.normal(0, 6, 100_000), rng.uniform(-800, 800, 100_000),
+                            np.array(edges)])
+        assert heads._sigmoid(z).tobytes() == expit(z).tobytes()
+        grid = z[:60].reshape(3, 4, 5)
+        assert heads._sigmoid(grid).tobytes() == expit(grid).tobytes()
+
+
+def dense_fcn_argmax(head, bits):
+    """The prediction as the head made it before bits were summed: cast, dgemm,
+    sigmoid, argmax."""
+    return np.argmax(fcn_forward(head, bits.astype(np.float64)), axis=-1)
+
+
+def dense_rstdp_argmax(head, bits):
+    return np.argmax(bits.astype(np.float64) @ head.weights.T, axis=1) // head.neurons_per_class
+
+
+class TestBitPrediction:
+    """Predictions on bits sum the weights of each row's set bits and certify
+    the dense product's argmax; a call with a row too close to call falls
+    back to the dense product (``heads._bits_argmax`` returns None)."""
+
+    @staticmethod
+    def fallbacks_of(predict, head, x):
+        """(prediction, 1 if the call fell back to the dense product else 0)."""
+        certified = []
+        bits_argmax = heads._bits_argmax
+
+        def recording(*args):
+            result = bits_argmax(*args)
+            certified.append(result is not None)
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heads, "_bits_argmax", recording)
+            got = predict(head, x)
+        assert len(certified) == 1
+        return got, int(not certified[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_certified_argmax_equals_the_dense_one(self, data):
+        n_out = data.draw(st.integers(1, 3), label="n_out")
+        n_in = data.draw(st.integers(1, 30), label="n_in")
+        n_rows = data.draw(st.integers(0, 12), label="n_rows")
+        case = data.draw(st.sampled_from(["plain", "tie", "saturated"]), label="case")
+        weights = data.draw(hnp.arrays(np.float64, (n_out, n_in), elements=st.floats(-4, 4)))
+        biases = data.draw(hnp.arrays(np.float64, n_out, elements=st.floats(-4, 4)))
+        bits = data.draw(hnp.arrays(np.bool_, (n_rows, n_in)))
+        bits[:data.draw(st.integers(0, n_rows), label="empty rows")] = False
+        contested = case != "plain" and n_out >= 2 and n_rows >= 1
+        if case == "tie" and n_out >= 2:
+            # outputs 0 and 1 share weights and bias and beat every other output
+            weights[:2] = 5 + np.abs(weights[0])
+            biases[:2] = 10.0
+            biases[2:] = -10.0
+        elif case == "saturated" and n_out >= 2:
+            # several scores above 37, where the sigmoid rounds to 1.0
+            weights[:2] = np.abs(weights[:2])
+            biases[:2] = 40.0 + np.abs(biases[:2])
+        head = FcnHead(weights, biases)
+        want = dense_fcn_argmax(head, bits)
+        got, fell_back = self.fallbacks_of(fcn_predict, head,
+                                           FeatureMatrix(bits, np.zeros(n_rows, dtype=int)))
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == (n_rows,)
+        if contested:
+            assert fell_back == 1
+        if n_out == 1 or n_rows == 0:
+            assert fell_back == 0
+        a = np.sort(fcn_forward(head, bits.astype(np.float64)), axis=1)
+        if n_rows and n_out >= 2 and (a[:, -1] - a[:, -2] > 1e-9).all():
+            assert fell_back == 0  # the bound is far tighter than any real gap
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rstdp_certified_argmax_equals_the_dense_one(self, data):
+        npc = data.draw(st.integers(1, 2), label="neurons_per_class")
+        n_out = npc * data.draw(st.integers(1, 3), label="classes")
+        n_in = data.draw(st.integers(1, 30), label="n_in")
+        n_rows = data.draw(st.integers(0, 12), label="n_rows")
+        weights = data.draw(hnp.arrays(np.float64, (n_out, n_in), elements=st.floats(0, 1)))
+        bits = data.draw(hnp.arrays(np.bool_, (n_rows, n_in)))
+        tie = data.draw(st.booleans(), label="tie") and n_out >= 2 and n_rows >= 1
+        if tie:
+            weights[:2] = 2.0 / 3.0
+            weights[2:] = 0.5
+            bits[:, 0] = True
+        head = RstdpHead(weights, neurons_per_class=npc)
+        want = dense_rstdp_argmax(head, bits)
+        got, fell_back = self.fallbacks_of(rstdp_predict, head, bits)
+        np.testing.assert_array_equal(got, want)
+        if tie:
+            assert fell_back == 1
+        if n_out == 1 or n_rows == 0:
+            assert fell_back == 0
+
+    def test_zero_rows_and_empty_rows(self):
+        head = FcnHead(np.arange(6.0).reshape(3, 2), np.array([0.5, -1.0, 2.0]))
+        got, fell_back = self.fallbacks_of(fcn_predict, head, np.zeros((0, 2), dtype=bool))
+        assert got.shape == (0,) and fell_back == 0
+        # a row without set bits scores the biases exactly
+        got, fell_back = self.fallbacks_of(fcn_predict, head,
+                                           np.array([[False, False], [True, False]]))
+        np.testing.assert_array_equal(got, [2, 2])
+        assert fell_back == 0
+
+    def test_feature_length_is_checked(self):
+        head = FcnHead(np.zeros((3, 5)), np.zeros(3))
+        with pytest.raises(ValueError, match="n_in"):
+            fcn_predict(head, np.ones((2, 4), dtype=bool))
+
+    def test_set_bits_are_indexed_once_per_matrix(self, monkeypatch):
+        calls = []
+        index = heads._index_bits
+        monkeypatch.setattr(heads, "_index_bits", lambda v: calls.append(1) or index(v))
+        data = TestBitFeatures._pair()[0]
+        head = init_fcn_head(data.n_cols, 6, np.random.default_rng(8))
+        for _ in range(3):
+            fcn_accuracy(head, data)
+        assert len(calls) == 1
+
+    def test_peak_allocation_stays_below_a_float64_copy(self, tmp_path):
+        """classify's curve, eval and forget's probes predict 1,000 x 3,630 bits
+        (the bench's digits-fcn size, ~19 set bits a row) without the 29 MB
+        float64 copy that the dense product casts."""
+        from spikecnn.cli import cmd_eval
+        from spikecnn.config import validate_config
+
+        rng = np.random.default_rng(41)
+        rows, cols = 1000, 3630
+        copy_bytes = rows * cols * 8
+        data = FeatureMatrix(rng.random((rows, cols)) < 19 / cols, rng.integers(0, 10, rows))
+        fcn = init_fcn_head(cols, 10, rng)
+        rstdp = init_rstdp_head(cols, 10, rng)
+        export_features(data, tmp_path / "features-test.fmat")
+        save_head(tmp_path / "head-fcn.skhd", fcn)
+        cfg = validate_config({"head": {"kind": "fcn"}})
+        for run in (lambda: fcn_accuracy(fcn, data), lambda: rstdp_accuracy(rstdp, data),
+                    lambda: cmd_eval(cfg, tmp_path)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < copy_bytes
+
+
+def step_oracle(head, x, y, n_total, eta):
+    """One mini-batch step as written before it ran in place: the gradient
+    with full-size temporaries, then ``w -= eta * grad``."""
+    x = np.asarray(x, dtype=np.float64)
+    a = heads._sigmoid(x @ head.weights.T + head.biases)
+    m = x.shape[0]
+    delta = (a - y) * a * (1.0 - a) if head.cost == "quadratic" else a - y
+    grad_w = delta.T @ x / m + head.lam / n_total * head.weights
+    grad_b = delta.mean(axis=0)
+    head.weights -= eta * grad_w
+    head.biases -= eta * grad_b
+    return grad_w
+
+
+class TestInPlaceStep:
+    """The step builds the gradient in the dgemm's output and scales and
+    subtracts in place; weights, biases and gradient keep every bit,
+    zero signs included."""
+
+    @pytest.mark.parametrize("cost", ["cross_entropy", "quadratic"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["bits", "floats"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_matches_the_full_size_formula_to_the_bit(self, cost, lam, kind, batch):
+        rng = np.random.default_rng(42)
+        n, cols = 23, 40   # batch 5 ends on a short batch of 3
+        bits = rng.random((n, cols)) < 0.08
+        values = bits if kind == "bits" else np.where(bits, rng.normal(size=(n, cols)), 0.0)
+        data = FeatureMatrix(values, rng.integers(0, 4, n))
+        head = init_fcn_head(cols, 4, np.random.default_rng(43), cost=cost, lam=lam)
+        # -0.0 weights, in columns some batches leave without a set bit: there
+        # the data term is +0.0, the L2 term -0.0, and their sum +0.0
+        head.weights[:, ::3] = -0.0
+        oracle = head.copy()
+        order = rng.permutation(n)
+        fcn_minibatches(head, data, order, batch, 3, n)
+        y = one_hot(data.labels, 4)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            want = step_oracle(oracle.copy(), data.values[idx], y[idx], n, oracle.eta(3))
+            got, _ = fcn_gradients(oracle, data.values[idx], y[idx], n)
+            assert got.tobytes() == want.tobytes()
+            step_oracle(oracle, data.values[idx], y[idx], n, oracle.eta(3))
+        assert np.signbit(oracle.weights[oracle.weights == 0]).any()
+        assert head.weights.tobytes() == oracle.weights.tobytes()
+        assert head.biases.tobytes() == oracle.biases.tobytes()
