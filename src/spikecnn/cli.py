@@ -368,7 +368,8 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
                             rehearsal_fractions=fractions, epochs=f["epochs"],
                             batch=h["batch"], eta0=float(h["eta0"]),
                             eta_decay=float(h["eta_decay"]), lam=float(h["lam"]),
-                            seed=cfg["seed"], incremental=f["incremental"],
+                            cost=h["cost"], seed=cfg["seed"],
+                            incremental=f["incremental"],
                             incremental_start=f["incremental_start"],
                             incremental_stride=f["incremental_stride"])
     artifacts = {}

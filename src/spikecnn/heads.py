@@ -42,7 +42,8 @@ class FeatureMatrix:
 
     ``values`` stays ``bool`` when it is given as bool (spike-count bits);
     anything else is held as float64.  Both give the heads the same results.
-    Training casts each mini-batch to float64 for its dgemms; prediction
+    Training casts each mini-batch to float64 for its forward dgemm and
+    multiplies the output error by the batch's set columns alone; prediction
     sums the weights of each row's set bits (``set_bits``, indexed on first
     use, so ``values`` must not change after that).
     """
@@ -247,28 +248,26 @@ def fcn_cost(head: FcnHead, x: np.ndarray, y: np.ndarray, n_total: int) -> float
     return float(data + reg)
 
 
+def _output_error(head: FcnHead, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The cost's gradient w.r.t. the output pre-activations: a - y, times
+    sigma'(z) = a (1 - a) for the quadratic cost; the cross-entropy cost
+    cancels that factor."""
+    if head.cost == "quadratic":
+        return (a - y) * a * (1.0 - a)
+    return a - y
+
+
 def fcn_gradients(head: FcnHead, x: np.ndarray, y: np.ndarray,
                   n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of ``fcn_cost`` w.r.t. weights and biases.
-
-    For the quadratic cost the output error is (a - y) * sigma'(z); the
-    cross-entropy cost cancels the sigma' factor and leaves (a - y).  The
-    weight gradient, delta.T @ x / m + lam / n_total * w, is built in the
-    dgemm's own output, with the same operations as written out.
-    """
+    """Analytic gradients of ``fcn_cost`` w.r.t. weights and biases:
+    delta.T @ x / m + lam / n_total * w and the mean of delta, delta the
+    ``_output_error``.  ``fcn_minibatches`` subtracts eta times these, to the bit."""
     x = np.asarray(x, dtype=np.float64)
-    z = x @ head.weights.T + head.biases
-    a = _sigmoid(z)
-    m = x.shape[0]
-    if head.cost == "quadratic":
-        delta = (a - y) * a * (1.0 - a)
-    else:
-        delta = a - y
+    delta = _output_error(head, _sigmoid(x @ head.weights.T + head.biases), y)
     grad_w = delta.T @ x
-    grad_w /= m
+    grad_w /= x.shape[0]
     grad_w += head.lam / n_total * head.weights
-    grad_b = delta.mean(axis=0)
-    return grad_w, grad_b
+    return grad_w, delta.mean(axis=0)
 
 
 def fcn_train_epoch(head: FcnHead, data: FeatureMatrix, batch: int, epoch: int,
@@ -284,17 +283,69 @@ def fcn_train_epoch(head: FcnHead, data: FeatureMatrix, batch: int, epoch: int,
     fcn_minibatches(head, data, order, batch, epoch, data.n_rows)
 
 
+_TILE = 8   # _step_columns' tile width: a multiple of the kernels' (4 and 2)
+
+
+def _step_columns(set_whole: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The columns of a step's data-term product.  A dgemm kernel may sum the
+    columns of its last, partial tile in another order than those of its
+    whole tiles (OpenBLAS's Prescott kernel does for tiles of 4 columns, its
+    Nehalem kernel for tiles of 2).  So the set columns of the full
+    product's whole tiles of ``_TILE`` columns (``set_whole`` marks them) go
+    to whole tiles here, the last repeated to fill them, at least one
+    (column 0, unset, if none is set), and every column after them,
+    ``tail``, to the partial last tile.  A repeat writes the same bits as the
+    column it repeats; with a whole tile at least, numpy never hands the
+    product to gemv, which sums in another order."""
+    cols = np.flatnonzero(set_whole)
+    n_pad = max(_TILE - len(cols), -len(cols) % _TILE)
+    return np.concatenate((cols, np.full(n_pad, cols[-1] if len(cols) else 0), tail))
+
+
 def fcn_minibatches(head: FcnHead, data: FeatureMatrix, order: np.ndarray, batch: int,
                     epoch: int, n_total: int) -> None:
-    """Gradient steps over the rows ``order`` names, ``batch`` rows at a time."""
+    """Gradient steps over the rows ``order`` names, ``batch`` rows at a time.
+
+    Each step subtracts eta times ``fcn_gradients``' weight gradient, with
+    the same operations and so the same bits, built in one buffer that every
+    step reuses.  The data term delta.T @ x / m is computed on the columns
+    the batch sets (``_step_columns``), each entry the same sum of m
+    products as in the full dgemm; a batch that sets every column takes the
+    full product.  In the other columns the data term is the +0.0 of a sum of
+    zero products, and the step adds it as the formula does: it turns a -0.0
+    L2 term into +0.0.  The forward dgemm keeps every column: a shorter sum
+    would round differently.
+    """
     y = one_hot(data.labels, head.n_out)
     eta = head.eta(epoch)
+    decay = head.lam / n_total
+    w = head.weights
+    step = np.empty_like(w)
+    n_in = head.n_in
+    n_whole = n_in - n_in % _TILE
+    tail = np.arange(n_whole, n_in)
     for start in range(0, len(order), batch):
         idx = order[start:start + batch]
-        gw, gb = fcn_gradients(head, data.values[idx], y[idx], n_total)
-        gw *= eta
-        head.weights -= gw
-        head.biases -= eta * gb
+        m = len(idx)
+        xb = data.values.take(idx, axis=0)
+        x = xb.astype(np.float64, copy=False)
+        delta = _output_error(head, _sigmoid(x @ w.T + head.biases), y.take(idx, axis=0))
+        np.multiply(w, decay, out=step)
+        set_cols = xb.any(axis=0)
+        if n_whole == 0 or np.count_nonzero(set_cols) == n_in:  # all set, or under a tile
+            g = delta.T @ x
+            g /= m
+            step += g
+        else:
+            cols = _step_columns(set_cols[:n_whole], tail)
+            g = delta.T @ x.take(cols, axis=1)
+            g /= m
+            g += step.take(cols, axis=1)
+            step += 0.0   # the data term of the columns the batch leaves unset
+            step[:, cols] = g
+        step *= eta
+        w -= step
+        head.biases -= eta * (delta.sum(axis=0) / m)   # delta.mean's bits
 
 
 def fcn_accuracy(head: FcnHead, data: FeatureMatrix) -> float:

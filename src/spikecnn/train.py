@@ -404,6 +404,7 @@ class ForgetPlan:
     eta0: float = 0.1
     eta_decay: float = 1.007
     lam: float = 0.1
+    cost: str = "cross_entropy"
     seed: int = 0
     incremental: bool = False
     incremental_start: int = 500
@@ -448,7 +449,7 @@ def run_forgetting(plan: ForgetPlan, train_a: FeatureMatrix, train_b: FeatureMat
 
     rng = np.random.default_rng(plan.seed)
     if head is None:
-        head = init_fcn_head(train_a.n_cols, n_classes, rng, cost="cross_entropy",
+        head = init_fcn_head(train_a.n_cols, n_classes, rng, cost=plan.cost,
                              eta0=plan.eta0, eta_decay=plan.eta_decay, lam=plan.lam)
         for epoch in range(plan.epochs):
             fcn_train_epoch(head, train_a, plan.batch, epoch, rng)

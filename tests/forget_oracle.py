@@ -22,7 +22,7 @@ def oracle_run_forgetting(plan, fraction, train_a, train_b, val, n_classes=10, h
     val_b = _subset(val, plan.task_b_classes)
 
     if head is None:
-        head = init_fcn_head(train_a.n_cols, n_classes, rng, cost="cross_entropy",
+        head = init_fcn_head(train_a.n_cols, n_classes, rng, cost=plan.cost,
                              eta0=plan.eta0, eta_decay=plan.eta_decay, lam=plan.lam)
         for epoch in range(plan.epochs):
             fcn_train_epoch(head, train_a, plan.batch, epoch, rng)

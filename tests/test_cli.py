@@ -270,6 +270,30 @@ class TestForgetCommand:
             assert (out / f"forget-incremental-r{frac:0.3f}.csv").read_bytes() == \
                 (tmp_path / "inc.csv").read_bytes()
 
+    def test_quadratic_head_cost_trains_a_quadratic_head(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, plan={"n_images": 60, "monitor_stride": 30})
+        cfg["head"] = {"epochs": 4, "cost": "quadratic"}
+        fractions = [0.0, 0.25]
+        cfg["forget"] = {"images_per_class": 8, "epochs": 2, "rehearsal_fractions": fractions}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train", "features", "forget"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        train_m = import_features(out / "features-train.fmat")
+        val = import_features(out / "features-test.fmat")
+        a_pool = _take_per_class(train_m, (0, 1, 2, 3, 4), 8)
+        b_pool = _take_per_class(train_m, (5, 6, 7, 8, 9), 8)
+        curves = {cost: [oracle_run_forgetting(ForgetPlan(epochs=2, seed=5, cost=cost), frac,
+                                               a_pool, b_pool, val).curves
+                         for frac in fractions]
+                  for cost in ("quadratic", "cross_entropy")}
+        # the two costs write different curves, so the files tell which one trained
+        assert curves["quadratic"] != curves["cross_entropy"]
+        for frac, oracle in zip(fractions, curves["quadratic"]):
+            write_csv(tmp_path / "curve.csv", ["epoch", "task_a", "task_b", "combined"], oracle)
+            assert (out / f"forget-r{frac:0.3f}.csv").read_bytes() == \
+                (tmp_path / "curve.csv").read_bytes()
+
     @pytest.mark.parametrize("fractions,bad", [([0.0, -0.1], "-0.1"), ([0.1, 0.0, 9.0], "9.0")])
     def test_bad_fraction_fails_before_any_curve(self, dataset, tmp_path, capsys,
                                                   fractions, bad):

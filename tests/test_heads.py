@@ -730,9 +730,9 @@ def step_oracle(head, x, y, n_total, eta):
 
 
 class TestInPlaceStep:
-    """The step builds the gradient in the dgemm's output and scales and
-    subtracts in place; weights, biases and gradient keep every bit,
-    zero signs included."""
+    """The step computes the data term on the columns its batch sets and
+    scales and subtracts in place; weights, biases and gradient keep every
+    bit of the full-size formula, zero signs included."""
 
     @pytest.mark.parametrize("cost", ["cross_entropy", "quadratic"])
     @pytest.mark.parametrize("lam", [0.0, 0.3])
@@ -761,3 +761,56 @@ class TestInPlaceStep:
         assert np.signbit(oracle.weights[oracle.weights == 0]).any()
         assert head.weights.tobytes() == oracle.weights.tobytes()
         assert head.biases.tobytes() == oracle.biases.tobytes()
+
+    @pytest.mark.parametrize("cost", ["cross_entropy", "quadratic"])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["digits_bits", "one_float_column", "dense_floats"])
+    def test_digits_shaped_steps_match_to_the_bit(self, cost, lam, kind, monkeypatch):
+        rng = np.random.default_rng(7)
+        n, cols, batch = 57, 3630, 10   # each epoch ends on a short batch of 7
+        if kind == "digits_bits":       # ~19 set bits per row, as in digits-fcn
+            values = rng.random((n, cols)) < 19 / cols
+            # columns set in most rows, so the product sums 3 or more terms,
+            # two of them in the partial last tile of columns
+            values[:, [5, 8, 1000, 3623, 3625, 3629]] |= rng.random((n, 6)) < 0.6
+        elif kind == "one_float_column":  # one column alone would go to gemv's order
+            values = np.zeros((n, cols))
+            values[:, 3] = rng.normal(size=n)
+        else:                           # never zero: every batch sets every column
+            values = rng.normal(size=(n, cols))
+        data = FeatureMatrix(values, rng.integers(0, 10, n))
+        head = init_fcn_head(cols, 10, np.random.default_rng(8), cost=cost, lam=lam)
+        head.weights[:, ::5] = -0.0
+        oracle = head.copy()
+        restricted = []
+        step_columns = heads._step_columns
+        monkeypatch.setattr(heads, "_step_columns",
+                            lambda *args: restricted.append(1) or step_columns(*args))
+        y = one_hot(data.labels, 10)
+        most_terms = 0
+        for epoch in range(2):
+            order = rng.permutation(n)
+            fcn_minibatches(head, data, order, batch, epoch, n)
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                most_terms = max(most_terms, (data.values[idx] != 0).sum(axis=0).max())
+                step_oracle(oracle, data.values[idx], y[idx], n, oracle.eta(epoch))
+        n_steps = 2 * -(-n // batch)
+        assert len(restricted) == (0 if kind == "dense_floats" else n_steps)
+        assert most_terms >= 3
+        # a -0.0 weight in a column no batch sets stays -0.0; a dense batch sets them all
+        assert np.signbit(oracle.weights[oracle.weights == 0]).any() == (kind != "dense_floats")
+        assert head.weights.tobytes() == oracle.weights.tobytes()
+        assert head.biases.tobytes() == oracle.biases.tobytes()
+
+    @pytest.mark.parametrize("set_cols", [[], [3], [0, 9, 17], list(range(16)), [7, 3623]])
+    def test_step_columns_keep_whole_tiles_and_the_partial_tile(self, set_cols):
+        tail = np.arange(3624, 3630)
+        mask = np.zeros(3624, dtype=bool)
+        mask[set_cols] = True
+        got = heads._step_columns(mask, tail)
+        n_whole = len(got) - len(tail)
+        assert n_whole >= heads._TILE and n_whole % heads._TILE == 0
+        np.testing.assert_array_equal(got[:len(set_cols)], set_cols)
+        assert set(got[len(set_cols):n_whole]) <= {set_cols[-1] if set_cols else 0}
+        np.testing.assert_array_equal(got[n_whole:], tail)
