@@ -78,7 +78,7 @@ def _encode_split(cfg: dict, out: Path, split: str):
     if not aer_rows and not (img_path and lab_path):
         return None
     enc_cfg = cfg["encoding"]
-    cache, labels_file = _encoded_paths(cfg, out, split)
+    cache, labels_file = _encoded_paths(out, split, _split_key(cfg, split))
     if cache.exists() and labels_file.exists():
         return cache, labels_file, True
     limit = ds.get(f"limit_{split}")
@@ -124,8 +124,9 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _encoded_paths(cfg: dict, out: Path, split: str) -> tuple[Path, Path]:
-    key = _split_key(cfg, split)
+def _encoded_paths(out: Path, split: str, key: str) -> tuple[Path, Path]:
+    """A split's encode cache and labels, named by its ``_split_key``.  Each
+    command computes a split's key once: it hashes the dataset files."""
     return (out / f"encoded-{split}-{key}.spkt", out / f"encoded-{split}-{key}-labels.idx")
 
 
@@ -152,7 +153,8 @@ def _stack(cfg: dict) -> list[tuple[str, str, str]]:
 
 
 def cmd_train(cfg: dict, out: Path) -> dict:
-    cache, _ = _encoded_paths(cfg, out, "train")
+    train_key = _split_key(cfg, "train")
+    cache, _ = _encoded_paths(out, "train", train_key)
     inputs = encode.read_cache(_require(cache, "encoded train cache"))
     side = min(inputs[0].shape[2:])
     for section, _, _ in _stack(cfg):  # checked before any layer trains
@@ -171,7 +173,7 @@ def cmd_train(cfg: dict, out: Path) -> dict:
             pooled = [previous.pooled(t) for t in inputs[:plan.n_images]]
             inputs = [tensor for tensor, _ in pooled]
             if pooled:  # features reads them back instead of pooling these images again
-                artifacts["pooled_train"] = _pooled_path(cfg, out)
+                artifacts["pooled_train"] = _pooled_path(cfg, out, train_key)
                 encode.write_pooled(artifacts["pooled_train"], inputs,
                                     [n_spikes for _, n_spikes in pooled])
         layer_cfg = _layer_cfg(cfg[section])
@@ -196,26 +198,26 @@ def _pipeline(cfg: dict, out: Path) -> train.ConvPipeline:
     return train.ConvPipeline(kernels[0], _layer_cfg(cfg["layer"]), *kernels[1:])
 
 
-def _pooled_path(cfg: dict, out: Path) -> Path:
+def _pooled_path(cfg: dict, out: Path, train_key: str) -> Path:
     """Where ``train`` keeps layer 2's input, the pooled layer-1 spikes of
     the train images it trains on.  The name hashes all they depend on: the
     train split's encode key, the layer-1 kernel's bytes and the layer
     section."""
-    key = config_hash({"encoded": _split_key(cfg, "train"),
+    key = config_hash({"encoded": train_key,
                        "kernel": file_sha256(out / "kernel-l2.skrn"),
                        "layer": cfg["layer"]})
     return out / f"pooled-train-{key}.spkt"
 
 
-def _split_features(cfg: dict, out: Path, pipeline: train.ConvPipeline, split: str):
-    """(FeatureMatrix, mean conv spikes per image) of one encoded split.  On
-    a two-layer stack, the train images that ``train`` pooled for layer 2
-    take those spikes and skip layer 1."""
-    cache, labels_file = _encoded_paths(cfg, out, split)
+def _split_features(cfg: dict, out: Path, pipeline: train.ConvPipeline, split: str, key: str):
+    """(FeatureMatrix, mean conv spikes per image) of one encoded split,
+    ``key`` its ``_split_key``.  On a two-layer stack, the train images that
+    ``train`` pooled for layer 2 take those spikes and skip layer 1."""
+    cache, labels_file = _encoded_paths(out, split, key)
     tensors = encode.read_cache(cache)
     pooled = []
     if split == "train" and pipeline.readout is not None:
-        path = _pooled_path(cfg, out)
+        path = _pooled_path(cfg, out, key)
         if path.exists():
             pooled = encode.read_pooled(path, pipeline.pooled_shape(tensors[0].shape),
                                         len(tensors))
@@ -228,9 +230,10 @@ def cmd_features(cfg: dict, out: Path) -> dict:
     artifacts = {}
     stats_rows = []
     for split in ("train", "test"):
-        if not _encoded_paths(cfg, out, split)[0].exists():
+        key = _split_key(cfg, split)
+        if not _encoded_paths(out, split, key)[0].exists():
             continue
-        matrix, mean_spikes = _split_features(cfg, out, pipeline, split)
+        matrix, mean_spikes = _split_features(cfg, out, pipeline, split, key)
         path = out / f"features-{split}.fmat"
         heads.export_features(matrix, path)
         artifacts[f"features_{split}"] = path
@@ -248,6 +251,13 @@ def _check_labels(labels: np.ndarray, n_classes: int, split: str) -> None:
         raise ValueError(f"{split} label {labels.max()} >= head.n_classes {n_classes}")
 
 
+def _fcn_settings(h: dict) -> dict:
+    """The ``head`` section's FCN cost and rates, as ``init_fcn_head`` and
+    ``train.ForgetPlan`` take them: ``classify`` and ``forget`` share them."""
+    return {"cost": h["cost"], "eta0": float(h["eta0"]), "eta_decay": float(h["eta_decay"]),
+            "lam": float(h["lam"])}
+
+
 def cmd_classify(cfg: dict, out: Path) -> dict:
     data = heads.import_features(_require(out / "features-train.fmat", "training features"))
     h = cfg["head"]
@@ -256,9 +266,7 @@ def cmd_classify(cfg: dict, out: Path) -> dict:
     shuffle_rng = substream(cfg["seed"], "head-shuffle")
     curve = []
     if h["kind"] == "fcn":
-        head = heads.init_fcn_head(data.n_cols, h["n_classes"], rng, cost=h["cost"],
-                                   eta0=float(h["eta0"]), eta_decay=float(h["eta_decay"]),
-                                   lam=float(h["lam"]))
+        head = heads.init_fcn_head(data.n_cols, h["n_classes"], rng, **_fcn_settings(h))
         for epoch in range(h["epochs"]):
             heads.fcn_train_epoch(head, data, h["batch"], epoch, shuffle_rng)
             curve.append((epoch, heads.fcn_accuracy(head, data)))
@@ -346,8 +354,9 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
     a_classes = tuple(f["task_a_classes"])
     b_classes = tuple(f["task_b_classes"])
     pipeline = _pipeline(cfg, out)
-    for split in ("train", "test"):  # both checked before any extraction
-        cache, labels_file = _encoded_paths(cfg, out, split)
+    keys = {split: _split_key(cfg, split) for split in ("train", "test")}
+    for split, key in keys.items():  # both checked before any extraction
+        cache, labels_file = _encoded_paths(out, split, key)
         _require(cache, f"encoded {split} cache")
         labels = encode.load_idx_labels(labels_file)
         _check_labels(labels, h["n_classes"], split)
@@ -356,8 +365,8 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
                 raise ValueError(f"forget task class {c} >= head.n_classes {h['n_classes']}")
             if not np.any(labels == c):
                 raise ValueError(f"forget task class {c} has no {split} image")
-    matrix, _ = _split_features(cfg, out, pipeline, "train")
-    val_matrix, _ = _split_features(cfg, out, pipeline, "test")
+    matrix, _ = _split_features(cfg, out, pipeline, "train", keys["train"])
+    val_matrix, _ = _split_features(cfg, out, pipeline, "test", keys["test"])
 
     per_class = f["images_per_class"]
     a_pool = _take_per_class(matrix, a_classes, per_class)
@@ -366,9 +375,7 @@ def cmd_forget(cfg: dict, out: Path) -> dict:
     fractions = tuple(float(frac) for frac in f["rehearsal_fractions"])
     plan = train.ForgetPlan(task_a_classes=a_classes, task_b_classes=b_classes,
                             rehearsal_fractions=fractions, epochs=f["epochs"],
-                            batch=h["batch"], eta0=float(h["eta0"]),
-                            eta_decay=float(h["eta_decay"]), lam=float(h["lam"]),
-                            cost=h["cost"], seed=cfg["seed"],
+                            batch=h["batch"], **_fcn_settings(h), seed=cfg["seed"],
                             incremental=f["incremental"],
                             incremental_start=f["incremental_start"],
                             incremental_stride=f["incremental_stride"])

@@ -294,7 +294,7 @@ def file_sha256(path: str | Path) -> str:
 
 
 def write_manifest(path: str | Path, cfg: dict, artifacts: dict[str, str],
-                   wall_clock: float | None = None, extra: dict | None = None) -> None:
+                   wall_clock: float, extra: dict | None = None) -> None:
     """Record config, seed, and artifact hashes for reproducible replay.
 
     Wall-clock time lives here (not in the metrics CSVs) so that re-running a
@@ -304,9 +304,8 @@ def write_manifest(path: str | Path, cfg: dict, artifacts: dict[str, str],
         "config": cfg,
         "artifacts": {name: file_sha256(p) for name, p in artifacts.items()},
         "artifact_paths": {name: str(p) for name, p in artifacts.items()},
+        "wall_clock_seconds": round(wall_clock, 3),
     }
-    if wall_clock is not None:
-        doc["wall_clock_seconds"] = round(wall_clock, 3)
     if extra:
         doc.update(extra)
     with container.replacing(path, "w") as f:

@@ -643,7 +643,7 @@ def readout_columns(kernel: ConvKernel) -> np.ndarray:
 
 
 def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel,
-                         columns: np.ndarray | None = None) -> np.ndarray:
+                         columns: np.ndarray) -> np.ndarray:
     """Per-bin fresh response, per-map spatial max, summed across bins.
 
     Yields one real value per output map; the layer's potentials are reset
@@ -655,8 +655,6 @@ def global_max_potential(dense_spikes: np.ndarray, kernel: ConvKernel,
     which a frozen readout makes once.
     """
     _check_input(dense_spikes.shape, kernel.weights)
-    if columns is None:
-        columns = readout_columns(kernel)
     total = np.zeros(kernel.maps_out)
     for t in busy_bins(dense_spikes):
         rows, cols = _spiking_rows(dense_spikes[t], kernel.k)

@@ -74,26 +74,13 @@ class FeatureMatrix:
 
     @cached_property
     def set_bits(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_index_bits`` of a bool matrix, computed once."""
-        return _index_bits(self.values)
+        """(set bits per row, the column of each set bit in row order) of a
+        bool matrix, computed once."""
+        rows, cols = np.divmod(np.flatnonzero(self.values), self.n_cols)
+        return np.bincount(rows, minlength=self.n_rows), cols
 
 
-def _index_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(set bits per row, the column of each set bit in row order)."""
-    rows, cols = np.divmod(np.flatnonzero(values), values.shape[1])
-    return np.bincount(rows, minlength=len(values)), cols
-
-
-def _values_and_bits(x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """``x``'s values (``x`` an array or a FeatureMatrix) and, for a bool
-    matrix, its ``_index_bits`` (a FeatureMatrix's cached ``set_bits``)."""
-    if isinstance(x, FeatureMatrix):
-        return x.values, x.set_bits if x.values.dtype == bool else None
-    x = np.asarray(x)
-    return x, _index_bits(x) if x.dtype == bool and x.ndim == 2 else None
-
-
-def _bits_argmax(weights: np.ndarray, biases: np.ndarray, n_cols: int,
+def _bits_argmax(weights: np.ndarray, biases: np.ndarray,
                  bits: tuple[np.ndarray, np.ndarray], squash, margin: float):
     """Each row's argmax of ``squash(x @ weights.T + biases)`` as the dense
     product computes it, from the weights of the row's set bits alone; None
@@ -120,8 +107,6 @@ def _bits_argmax(weights: np.ndarray, biases: np.ndarray, n_cols: int,
     row is not certified.
     """
     counts, cols = bits
-    if n_cols != weights.shape[1]:
-        raise ValueError(f"feature length {n_cols} != n_in {weights.shape[1]}")
     n_rows, n_out = len(counts), weights.shape[0]
     if n_out == 1:
         return np.zeros(n_rows, dtype=np.intp)
@@ -142,6 +127,22 @@ def _bits_argmax(weights: np.ndarray, biases: np.ndarray, n_cols: int,
     if squash is not None:
         lo, hi = squash(lo), squash(hi)
     return top if (lo - hi > margin).all() else None
+
+
+def _predict(weights: np.ndarray, biases: np.ndarray, data: FeatureMatrix, squash,
+             margin: float) -> np.ndarray:
+    """Each row's argmax of ``squash(x @ weights.T + biases)``, x the rows of
+    ``data`` (``squash`` the sigmoid or None).  Bits are scored over their
+    set bits (``_bits_argmax``); float features, and a call with a row too
+    close to call there, take the dense product."""
+    if data.n_cols != weights.shape[1]:
+        raise ValueError(f"feature length {data.n_cols} != n_in {weights.shape[1]}")
+    if data.values.dtype == bool:
+        top = _bits_argmax(weights, biases, data.set_bits, squash, margin)
+        if top is not None:
+            return top
+    z = data.values.astype(np.float64, copy=False) @ weights.T + biases
+    return np.argmax(z if squash is None else squash(z), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +223,9 @@ def fcn_forward(head: FcnHead, x: np.ndarray) -> np.ndarray:
     return _sigmoid(x @ head.weights.T + head.biases)
 
 
-def fcn_predict(head: FcnHead, x) -> np.ndarray:
-    """Class per row of ``x`` (an array or a FeatureMatrix): the argmax of
-    ``fcn_forward``.  Bits are scored over their set bits (``_bits_argmax``);
-    a call with a row too close to call there takes the dense product."""
-    values, bits = _values_and_bits(x)
-    if bits is not None:
-        pred = _bits_argmax(head.weights, head.biases, values.shape[1], bits, _sigmoid,
-                            _SIGMOID_MARGIN)
-        if pred is not None:
-            return pred
-    return np.argmax(fcn_forward(head, values), axis=-1)
+def fcn_predict(head: FcnHead, data: FeatureMatrix) -> np.ndarray:
+    """Class per row of ``data``: the argmax of ``fcn_forward``."""
+    return _predict(head.weights, head.biases, data, _sigmoid, _SIGMOID_MARGIN)
 
 
 def fcn_cost(head: FcnHead, x: np.ndarray, y: np.ndarray, n_total: int) -> float:
@@ -518,18 +511,10 @@ def rstdp_train_pass(head: RstdpHead, data: FeatureMatrix,
     return hits / max(1, data.n_rows)
 
 
-def rstdp_predict(head: RstdpHead, x) -> np.ndarray:
-    """Class of the neuron with the highest potential, per row of ``x`` (an
-    array or a FeatureMatrix); bits as in ``fcn_predict``, with no bias or
-    sigmoid."""
-    values, bits = _values_and_bits(x)
-    if bits is not None:
-        winners = _bits_argmax(head.weights, np.zeros(head.n_out), values.shape[1], bits,
-                               None, 0.0)
-        if winners is not None:
-            return winners // head.neurons_per_class
-    winners = np.argmax(np.asarray(values, dtype=np.float64) @ head.weights.T, axis=1)
-    return winners // head.neurons_per_class
+def rstdp_predict(head: RstdpHead, data: FeatureMatrix) -> np.ndarray:
+    """Class of the neuron with the highest potential, per row of ``data``:
+    ``fcn_predict``'s route with zero biases and no sigmoid."""
+    return _predict(head.weights, np.zeros(head.n_out), data, None, 0.0) // head.neurons_per_class
 
 
 def rstdp_accuracy(head: RstdpHead, data: FeatureMatrix) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spikecnn.cli import _take_per_class, main, write_csv
-from spikecnn import container, core
+from spikecnn import cli, container, core
 from spikecnn.config import ConfigError, load_config, validate_config
 from spikecnn.encode import (SpikeTensor, encode_dataset, load_idx_images, load_idx_labels,
                              read_cache, read_pooled, write_idx_labels, write_pooled)
@@ -293,6 +293,50 @@ class TestForgetCommand:
             write_csv(tmp_path / "curve.csv", ["epoch", "task_a", "task_b", "combined"], oracle)
             assert (out / f"forget-r{frac:0.3f}.csv").read_bytes() == \
                 (tmp_path / "curve.csv").read_bytes()
+
+    def test_every_fcn_setting_reaches_forget(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, plan={"n_images": 60, "monitor_stride": 30})
+        settings = {"eta0": 0.5, "eta_decay": 1.5, "lam": 5.0, "batch": 3}
+        cfg["head"] = {"epochs": 4, **settings}
+        fractions = [0.0, 0.25]
+        cfg["forget"] = {"images_per_class": 8, "epochs": 2, "rehearsal_fractions": fractions}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("encode", "train", "features", "forget"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        train_m = import_features(out / "features-train.fmat")
+        val = import_features(out / "features-test.fmat")
+        a_pool = _take_per_class(train_m, (0, 1, 2, 3, 4), 8)
+        b_pool = _take_per_class(train_m, (5, 6, 7, 8, 9), 8)
+
+        def curves(**plan):
+            return [oracle_run_forgetting(ForgetPlan(epochs=2, seed=5, **plan), frac,
+                                          a_pool, b_pool, val).curves for frac in fractions]
+
+        want = curves(**settings)
+        for name in settings:  # a forget that dropped this setting would write other curves
+            assert curves(**{**settings, name: getattr(ForgetPlan, name)}) != want, name
+        for frac, oracle in zip(fractions, want):
+            write_csv(tmp_path / "curve.csv", ["epoch", "task_a", "task_b", "combined"], oracle)
+            assert (out / f"forget-r{frac:0.3f}.csv").read_bytes() == \
+                (tmp_path / "curve.csv").read_bytes()
+
+    def test_rstdp_head_kind_still_trains_an_fcn_head(self, dataset, tmp_path):
+        # forget ignores head.kind, so one config drives an R-STDP classify and a forget
+        out = tmp_path / "run"
+        cfg = base_config(dataset, out, plan={"n_images": 60, "monitor_stride": 30})
+        cfg["forget"] = {"images_per_class": 8, "epochs": 2, "rehearsal_fractions": [0.0, 0.25]}
+        fcn = write_config(tmp_path / "fcn.json", cfg)
+        cfg["head"] = {"epochs": 4, "kind": "rstdp"}
+        rstdp = write_config(tmp_path / "rstdp.json", cfg)
+        for cmd in ("encode", "train", "forget"):
+            assert main([cmd, "--config", fcn]) == 0, cmd
+        want = {path.name: path.read_bytes() for path in out.glob("forget-r*.csv")}
+        assert len(want) == 2
+        for path in out.glob("forget-r*.csv"):
+            path.unlink()
+        assert main(["forget", "--config", rstdp]) == 0
+        assert {path.name: path.read_bytes() for path in out.glob("forget-r*.csv")} == want
 
     @pytest.mark.parametrize("fractions,bad", [([0.0, -0.1], "-0.1"), ([0.1, 0.0, 9.0], "9.0")])
     def test_bad_fraction_fails_before_any_curve(self, dataset, tmp_path, capsys,
@@ -1114,3 +1158,26 @@ def test_encode_cut_short_rebuilds_its_cache(dataset, tmp_path, monkeypatch):
     assert main(["encode", "--config", cfg_path]) == 0
     manifest = json.loads((out / "manifest-encode.json").read_text())
     assert manifest["cache_hits"] == {"train": True, "test": True}
+
+
+def test_each_file_is_hashed_once_per_command(dataset, tmp_path, monkeypatch):
+    """A split's encode key hashes its dataset files, and the pooled cache's
+    name the layer-1 kernel; each command computes them once (features and
+    forget used to hash the train images three times, the test images twice)."""
+    out = tmp_path / "run"
+    cfg = base_config(dataset, out, feature_mode="global_max_potential",
+                      plan={"n_images": 40, "monitor_stride": 20})
+    cfg["layer2"] = {"maps": 20, "threshold": 10.0}
+    cfg["forget"] = {"images_per_class": 4, "epochs": 1}
+    cfg_path = write_config(tmp_path / "c.json", cfg)
+    hashed = []
+    real = cli.file_sha256
+    monkeypatch.setattr(cli, "file_sha256", lambda path: hashed.append(str(path)) or real(path))
+    train = [dataset["train_images"], dataset["train_labels"]]
+    test = [dataset["test_images"], dataset["test_labels"]]
+    kernel = [str(out / "kernel-l2.skrn")]
+    for cmd, files in (("encode", train + test), ("train", train + kernel),
+                       ("features", train + test + kernel), ("forget", train + test + kernel)):
+        hashed.clear()
+        assert main([cmd, "--config", cfg_path]) == 0, cmd
+        assert sorted(hashed) == sorted(files), cmd

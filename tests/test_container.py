@@ -299,7 +299,8 @@ class TestReplacing:
     WRITERS = {
         "container": lambda p, n: container.write(p, b"MAGC", ("<I", n), np.arange(n * 100.0)),
         "csv": lambda p, n: write_csv(p, ["a", "b"], [(i, i / 3) for i in range(n * 100)]),
-        "manifest": lambda p, n: write_manifest(p, {"seed": n, "pad": "x" * 1000 * n}, {}),
+        "manifest": lambda p, n: write_manifest(p, {"seed": n, "pad": "x" * 1000 * n}, {},
+                                                 wall_clock=0.0),
     }
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))

@@ -438,20 +438,21 @@ def all_bins_global_max(dense, kernel):
 class TestGlobalMaxPotential:
     def test_zero_input(self):
         k = ConvKernel(np.full((4, 2, 3, 3), 0.5))
-        out = global_max_potential(np.zeros((5, 2, 8, 8), dtype=bool), k)
+        out = global_max_potential(np.zeros((5, 2, 8, 8), dtype=bool), k,
+                                   core.readout_columns(k))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_vector_length_matches_maps(self):
         rng = np.random.default_rng(6)
         k = ConvKernel(rng.uniform(0, 1, size=(7, 2, 3, 3)))
-        out = global_max_potential(rng.random((5, 2, 8, 8)) < 0.2, k)
+        out = global_max_potential(rng.random((5, 2, 8, 8)) < 0.2, k, core.readout_columns(k))
         assert out.shape == (7,)
 
     def test_single_bin_equals_spatial_max(self):
         rng = np.random.default_rng(7)
         k = ConvKernel(rng.uniform(0, 1, size=(3, 2, 3, 3)))
         spikes = (rng.random((1, 2, 8, 8)) < 0.3)
-        out = global_max_potential(spikes, k)
+        out = global_max_potential(spikes, k, core.readout_columns(k))
         pot = np.zeros((3, 6, 6))
         conv_accumulate(spikes[0], k.weights, pot)
         np.testing.assert_allclose(out, pot.max(axis=(1, 2)))
@@ -461,12 +462,13 @@ class TestGlobalMaxPotential:
         spikes = np.zeros((3, 1, 2, 2), dtype=bool)
         spikes[0, 0, 0, 0] = True
         spikes[1, 0, 0, 0] = True
-        out = global_max_potential(spikes, k)
+        out = global_max_potential(spikes, k, core.readout_columns(k))
         # fresh accumulation per bin: 1 + 1, not 1 + 2
         assert out[0] == pytest.approx(2.0)
 
     def assert_matches_all_bins(self, dense, kernel):
-        got, want = global_max_potential(dense, kernel), all_bins_global_max(dense, kernel)
+        got = global_max_potential(dense, kernel, core.readout_columns(kernel))
+        want = all_bins_global_max(dense, kernel)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_silent_bins_skipped_exactly(self):
@@ -516,17 +518,17 @@ def test_global_max_potential_keeps_the_old_loops_bits(data):
     dense = rng.random((data.draw(st.integers(1, 6)), maps_in, h, w)) < density
     kernel = ConvKernel(rng.random((maps, maps_in, k, k)))
     want = looped_global_max(dense, kernel)
-    for got in (global_max_potential(dense, kernel),
-                global_max_potential(dense, kernel, core.readout_columns(kernel))):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got = global_max_potential(dense, kernel, core.readout_columns(kernel))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_global_max_potential_checks_its_input():
     kernel = ConvKernel(np.full((3, 2, 5, 5), 0.5))
+    columns = core.readout_columns(kernel)
     with pytest.raises(ValueError, match="maps_in"):
-        global_max_potential(np.zeros((4, 3, 9, 9), dtype=bool), kernel)
+        global_max_potential(np.zeros((4, 3, 9, 9), dtype=bool), kernel, columns)
     with pytest.raises(ValueError, match="exceeds"):
-        global_max_potential(np.zeros((4, 2, 4, 9), dtype=bool), kernel)
+        global_max_potential(np.zeros((4, 2, 4, 9), dtype=bool), kernel, columns)
 
 
 @pytest.mark.parametrize("threshold, visits", [(4.0, [True] * 5)])

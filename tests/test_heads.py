@@ -56,11 +56,11 @@ class TestFcnForward:
         w[2, 2] = 5.0
         head = FcnHead(w, np.zeros(3))
         x = np.array([0.0, 0.0, 1.0])
-        assert fcn_predict(head, x[None, :])[0] == 2
+        assert fcn_predict(head, FeatureMatrix(x[None, :], [0]))[0] == 2
 
     def test_argmax_tie_lowest_index(self):
         head = FcnHead(np.zeros((4, 2)), np.zeros(4))
-        assert fcn_predict(head, np.ones((1, 2)))[0] == 0
+        assert fcn_predict(head, FeatureMatrix(np.ones((1, 2)), [0]))[0] == 0
 
     def test_dimension_mismatch(self):
         head = FcnHead(np.zeros((3, 5)), np.zeros(3))
@@ -443,8 +443,8 @@ class TestSharedLoops:
         w = np.array([[0.1, 0.0], [0.0, 0.2], [0.9, 0.0], [0.0, 0.1]])
         head = RstdpHead(w, neurons_per_class=2)
         x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(rstdp_predict(head, x), [1, 0, 0])
         data = FeatureMatrix(x, np.array([1, 0, 1]))
+        np.testing.assert_array_equal(rstdp_predict(head, data), [1, 0, 0])
         assert rstdp_accuracy(head, data) == pytest.approx(2 / 3)
 
     def test_minibatches_over_a_subset_match_a_copied_chunk(self):
@@ -656,7 +656,8 @@ class TestBitPrediction:
             bits[:, 0] = True
         head = RstdpHead(weights, neurons_per_class=npc)
         want = dense_rstdp_argmax(head, bits)
-        got, fell_back = self.fallbacks_of(rstdp_predict, head, bits)
+        got, fell_back = self.fallbacks_of(rstdp_predict, head,
+                                           FeatureMatrix(bits, np.zeros(n_rows, dtype=int)))
         np.testing.assert_array_equal(got, want)
         if tie:
             assert fell_back == 1
@@ -665,23 +666,24 @@ class TestBitPrediction:
 
     def test_zero_rows_and_empty_rows(self):
         head = FcnHead(np.arange(6.0).reshape(3, 2), np.array([0.5, -1.0, 2.0]))
-        got, fell_back = self.fallbacks_of(fcn_predict, head, np.zeros((0, 2), dtype=bool))
+        got, fell_back = self.fallbacks_of(fcn_predict, head,
+                                           FeatureMatrix(np.zeros((0, 2), dtype=bool), []))
         assert got.shape == (0,) and fell_back == 0
         # a row without set bits scores the biases exactly
-        got, fell_back = self.fallbacks_of(fcn_predict, head,
-                                           np.array([[False, False], [True, False]]))
+        got, fell_back = self.fallbacks_of(
+            fcn_predict, head, FeatureMatrix(np.array([[False, False], [True, False]]), [0, 0]))
         np.testing.assert_array_equal(got, [2, 2])
         assert fell_back == 0
 
     def test_feature_length_is_checked(self):
         head = FcnHead(np.zeros((3, 5)), np.zeros(3))
         with pytest.raises(ValueError, match="n_in"):
-            fcn_predict(head, np.ones((2, 4), dtype=bool))
+            fcn_predict(head, FeatureMatrix(np.ones((2, 4), dtype=bool), [0, 0]))
 
     def test_set_bits_are_indexed_once_per_matrix(self, monkeypatch):
         calls = []
-        index = heads._index_bits
-        monkeypatch.setattr(heads, "_index_bits", lambda v: calls.append(1) or index(v))
+        index = np.flatnonzero  # FeatureMatrix.set_bits' one pass over the values
+        monkeypatch.setattr(np, "flatnonzero", lambda v: calls.append(1) or index(v))
         data = TestBitFeatures._pair()[0]
         head = init_fcn_head(data.n_cols, 6, np.random.default_rng(8))
         for _ in range(3):
