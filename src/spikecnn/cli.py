@@ -406,26 +406,22 @@ def cmd_reconstruct(cfg: dict, out: Path) -> dict:
     r = cfg["recon"]
     first_path = r["first_kernel"] or str(out / "kernel-l2.skrn")
     first = core.load_kernel(_require(Path(first_path), "first-layer kernel"))
-    features = recon.reconstruct_l2(first.weights)
-    tiles = [recon.render_feature(ft) for ft in features]
-    artifacts = {}
-    sheet = recon.montage(tiles, cols=r["montage_cols"])
-    sheet_path = out / "recon-l2-montage.ppm"
-    recon.write_ppm(sheet_path, sheet)
-    artifacts["recon_l2_montage"] = sheet_path
-    for ft in features:
-        on_path = out / f"recon-l2-m{ft.source_map:03d}-on.pgm"
-        off_path = out / f"recon-l2-m{ft.source_map:03d}-off.pgm"
-        recon.write_pgm(on_path, recon.render_gray(ft.on))
-        recon.write_pgm(off_path, recon.render_gray(ft.off))
-    artifacts["recon_l2_maps"] = out / f"recon-l2-m{features[-1].source_map:03d}-off.pgm"
+    layers = [("l2", recon.reconstruct_l2(first.weights))]
     if r["second_kernel"]:
         second = core.load_kernel(_require(Path(r["second_kernel"]), "second-layer kernel"))
-        l4 = recon.reconstruct_l4(second.weights, first.weights)
-        l4_tiles = [recon.render_feature(ft) for ft in l4]
-        l4_path = out / "recon-l4-montage.ppm"
-        recon.write_ppm(l4_path, recon.montage(l4_tiles, cols=r["montage_cols"]))
-        artifacts["recon_l4_montage"] = l4_path
+        layers.append(("l4", recon.reconstruct_l4(second.weights, first.weights)))
+    artifacts = {}
+    for layer, features in layers:
+        sheet_path = out / f"recon-{layer}-montage.ppm"
+        recon.write_ppm(sheet_path, recon.montage([recon.render_feature(ft) for ft in features],
+                                                  cols=r["montage_cols"]))
+        artifacts[f"recon_{layer}_montage"] = sheet_path
+        if layer == "l2":  # first-layer maps also as one PGM per channel
+            for ft in features:
+                for channel in ("on", "off"):
+                    name = f"recon-l2-m{ft.source_map:03d}-{channel}"
+                    artifacts[name.replace("-", "_")] = out / f"{name}.pgm"
+                    recon.write_pgm(out / f"{name}.pgm", recon.render_gray(getattr(ft, channel)))
     return {"artifacts": artifacts}
 
 

@@ -183,11 +183,13 @@ def load_idx_images(images_path, labels_path):
     """Load an IDX image/label pair.
 
     28x28 images are cropped to 27x27 by dropping the outermost (last) row
-    and column band.  Returns (images float64 (n, H, W), labels int64 (n,)).
+    and column band.  Returns (images, labels): a read-only uint8 (n, H, W)
+    view of the file's pixels and int64 (n,).  ``encode_dataset`` casts each
+    chunk it filters to float64, which is exact for u8.
     """
     r = container.Reader(images_path, IDX_IMAGE_MAGIC, "IDX image file")
     n, h, w = r.unpack(">3I")
-    images = r.array(np.uint8, n, h, w).astype(np.float64)
+    images = r.array(np.uint8, n, h, w)
     r.done()
     labels = load_idx_labels(labels_path)
     if labels.shape[0] != n:

@@ -1,11 +1,10 @@
 """Visualize learned kernels as input-space features.
 
 First-layer kernels are already in input coordinates; second-layer kernels
-are carried back through the pooling layer by upsampling each 5x5 slice onto
-a 10x10 grid (entry (i, j) lands at (2i, 2j)) and stamping the matching
-first-layer kernel, scaled by the entry value, centered at each nonzero
-position on a 14x14 canvas.  Overlapping stamps add; stamps near the border
-are clipped to the canvas.
+are carried back through the pooling layer: entry (i, j) of each slice
+stamps the matching first-layer kernel, scaled by the entry value, centered
+at (2i, 2j) of a 14x14 canvas.  Overlapping stamps add; stamps near the
+border are clipped to the canvas.
 """
 
 from __future__ import annotations
@@ -34,52 +33,31 @@ def reconstruct_l2(kernel_weights: np.ndarray) -> list[ReconFeature]:
     return [ReconFeature(w[m, 0].copy(), w[m, 1].copy(), m) for m in range(w.shape[0])]
 
 
-def upsample_pool_feature(slice_5x5: np.ndarray) -> np.ndarray:
-    """Undo 2x2 pooling: value at (i, j) moves to (2i, 2j) of a 10x10 grid."""
-    s = np.asarray(slice_5x5, dtype=np.float64)
-    k = s.shape[0]
-    out = np.zeros((2 * k, 2 * k))
-    out[::2, ::2] = s
-    return out
-
-
-def _stamp(canvas: np.ndarray, stamp: np.ndarray, center: tuple[int, int]) -> None:
-    """Add ``stamp`` centered at ``center``, clipped to the canvas."""
-    kh, kw = stamp.shape
-    ch, cw = canvas.shape
-    r0 = center[0] - kh // 2
-    c0 = center[1] - kw // 2
-    rs, re = max(r0, 0), min(r0 + kh, ch)
-    cs, ce = max(c0, 0), min(c0 + kw, cw)
-    if rs >= re or cs >= ce:
-        return
-    canvas[rs:re, cs:ce] += stamp[rs - r0:re - r0, cs - c0:ce - c0]
-
-
 def reconstruct_l4(second_weights: np.ndarray, first_weights: np.ndarray,
                    canvas_size: int = 14) -> list[ReconFeature]:
     """Second conv layer: superpose first-layer kernels onto a 14x14 canvas.
 
-    For each output map, every input slice is upsampled to the pre-pooling
-    grid; each nonzero entry stamps the corresponding first-layer kernel
-    (times the entry value) centered at the entry's position, separately for
-    the ON and OFF channels, and the per-slice canvases are summed.
+    One broadcast add per (slice, entry), in slice-major, row-major order,
+    stamps ``w2[:, s, i, j] * w1[s]`` into every map's ON and OFF canvas at
+    (2i, 2j).  Each pixel sums the same products in the same order as a
+    loop over each map's nonzero entries: a zero entry adds a signed zero,
+    which leaves a canvas that starts at +0.0 unchanged.  The canvas is
+    padded so that every stamp fits, then cropped; weights must be finite,
+    since 0 * inf would add NaN.
     """
     w2 = np.asarray(second_weights, dtype=np.float64)
     w1 = np.asarray(first_weights, dtype=np.float64)
     if w2.ndim != 4 or w1.ndim != 4 or w2.shape[1] != w1.shape[0] or w1.shape[1] != 2:
         raise ValueError("shape mismatch between layer kernels")
-    features = []
-    for m in range(w2.shape[0]):
-        on = np.zeros((canvas_size, canvas_size))
-        off = np.zeros((canvas_size, canvas_size))
-        for k in range(w2.shape[1]):
-            up = upsample_pool_feature(w2[m, k])
-            for p, q in zip(*np.nonzero(up)):
-                _stamp(on, up[p, q] * w1[k, 0], (p, q))
-                _stamp(off, up[p, q] * w1[k, 1], (p, q))
-        features.append(ReconFeature(on, off, m))
-    return features
+    if not (np.isfinite(w2).all() and np.isfinite(w1).all()):
+        raise ValueError("layer kernels must be finite")
+    kh, kw = w1.shape[2:]
+    side = max(canvas_size, 2 * max(w2.shape[2:])) + max(kh, kw)
+    canvas = np.zeros((w2.shape[0], 2, side, side))
+    for s, i, j in np.ndindex(w2.shape[1:]):
+        canvas[:, :, 2 * i:2 * i + kh, 2 * j:2 * j + kw] += w2[:, s, i, j, None, None, None] * w1[s]
+    crop = canvas[:, :, kh // 2:kh // 2 + canvas_size, kw // 2:kw // 2 + canvas_size]
+    return [ReconFeature(on, off, m) for m, (on, off) in enumerate(crop)]
 
 
 # ---------------------------------------------------------------------------

@@ -1122,6 +1122,16 @@ class TestReconstructCommand:
         raw = (out / "recon-l2-montage.ppm").read_bytes()
         assert raw.startswith(b"P6\n")
 
+    def test_manifest_lists_every_file(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "c.json", base_config(dataset, out))
+        for cmd in ("encode", "train", "reconstruct"):
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        manifest = json.loads((out / "manifest-reconstruct.json").read_text())
+        recorded = {Path(p) for p in manifest["artifact_paths"].values()}
+        assert recorded == set(out.glob("recon-*"))
+        assert len(recorded) == 25  # the montage and two PGMs per map
+
 
 class TestOutputDirOverrides:
     def test_env_var_override(self, tmp_path, monkeypatch):

@@ -326,6 +326,14 @@ class TestIdxFiles:
         np.testing.assert_array_equal(got_labels, labels)
         np.testing.assert_array_equal(load_idx_labels(lp), labels)
 
+    def test_images_load_as_u8(self, tmp_path):
+        # the whole file is never cast to float64; encode_dataset casts per chunk
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx_images(ip, np.full((3, 28, 28), 200, dtype=np.uint8))
+        write_idx_labels(lp, np.zeros(3, dtype=np.uint8))
+        images, _ = load_idx_images(ip, lp)
+        assert images.dtype == np.uint8 and images.shape == (3, 27, 27)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.idx"
         p.write_bytes(b"")

@@ -1,11 +1,11 @@
-"""Kernel-reconstruction tests: upsampling, stamp superposition, rendering."""
+"""Kernel-reconstruction tests: stamp superposition, rendering."""
 
 import numpy as np
 import pytest
 
 from spikecnn.recon import (ReconFeature, montage, reconstruct_l2,
                             reconstruct_l4, render_feature, render_gray,
-                            upsample_pool_feature, write_pgm, write_ppm)
+                            write_pgm, write_ppm)
 
 
 def brute_force_l4(w2, w1, canvas=14):
@@ -52,27 +52,6 @@ class TestReconstructL2:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             reconstruct_l2(np.zeros((30, 3, 5, 5)))
-
-
-class TestUpsample:
-    def test_zero_slice(self):
-        np.testing.assert_array_equal(upsample_pool_feature(np.zeros((5, 5))),
-                                      np.zeros((10, 10)))
-
-    def test_single_value_moves_to_doubled_index(self):
-        s = np.zeros((5, 5))
-        s[1, 1] = 0.7
-        up = upsample_pool_feature(s)
-        assert up[2, 2] == pytest.approx(0.7)
-        assert up.sum() == pytest.approx(0.7)
-
-    def test_corner_values(self):
-        s = np.zeros((5, 5))
-        s[0, 0] = 1.0
-        s[4, 4] = 2.0
-        up = upsample_pool_feature(s)
-        assert up[0, 0] == 1.0 and up[8, 8] == 2.0
-        assert up.sum() == 3.0
 
 
 class TestReconstructL4:
@@ -135,6 +114,40 @@ class TestReconstructL4:
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g.on, w[0], atol=1e-12)
                 np.testing.assert_allclose(g.off, w[1], atol=1e-12)
+
+    @staticmethod
+    def assert_bytes_equal_oracle(w2, w1, canvas):
+        got = reconstruct_l4(w2, w1, canvas_size=canvas)
+        want = brute_force_l4(w2, w1, canvas=canvas)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.on.tobytes() == w[0].tobytes()
+            assert g.off.tobytes() == w[1].tobytes()
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.7, 1.0])
+    def test_bytes_equal_oracle_over_thirty_input_maps(self, density):
+        # signed weights: a zeroed entry times a negative weight adds -0.0
+        rng = np.random.default_rng(int(density * 100))
+        w1 = rng.uniform(-1, 1, size=(30, 2, 5, 5))
+        w2 = rng.uniform(0, 1, size=(4, 30, 5, 5))
+        w2[rng.random(w2.shape) >= density] = 0.0
+        self.assert_bytes_equal_oracle(w2, w1, 14)
+
+    @pytest.mark.parametrize("canvas", [6, 14, 20])
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_bytes_equal_oracle_for_slice_width(self, k, canvas):
+        rng = np.random.default_rng(100 * k + canvas)
+        w1 = rng.uniform(0, 1, size=(3, 2, 5, 5))
+        w2 = np.where(rng.random((2, 3, k, k)) < 0.5, rng.uniform(0, 1, size=(2, 3, k, k)), 0.0)
+        self.assert_bytes_equal_oracle(w2, w1, canvas)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, layer, bad):
+        weights = [np.zeros((2, 3, 5, 5)), np.zeros((3, 2, 5, 5))]
+        weights[layer][1, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_l4(*weights)
 
     def test_support_inside_canvas(self):
         rng = np.random.default_rng(3)
